@@ -10,12 +10,9 @@
 //                      [--qubits 10] [--restarts 1] [--workers 4] [--full]
 //
 // --restarts R runs every leaf QAOA solve with R diversified optimizer
-// restarts evaluated in lockstep through BatchedStateVector (set
-// QQ_QAOA_SEQUENTIAL_RESTARTS=1 to A/B the same work as R sequential
-// solves — the trajectories and cuts are bit-identical, only the wall
-// clock moves). Lockstep adds R threads per in-flight leaf solve, so A/B
-// runs on few cores should drop --workers to 1 to keep the comparison
-// about batching rather than oversubscription.
+// restarts whose points each step evaluates together through
+// BatchedStateVector; the trajectories and cuts are bit-identical to R
+// sequential solves.
 
 #include <cstdio>
 #include <string>

@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
     service_options.storms = args.get_int("storms", service_options.storms);
     service_options.seed_begin =
         static_cast<std::uint64_t>(args.get_int("seed-begin", 0));
-    service_options.time_budget_seconds = args.get_double(
-        "time-budget", service_options.time_budget_seconds);
+    service_options.wall_budget_seconds = args.get_double(
+        "time-budget", service_options.wall_budget_seconds);
     service_options.verbose = args.has("verbose");
     const qq::fuzz::ServiceFuzzReport report =
         qq::fuzz::run_service_fuzz(service_options, &std::cout);
@@ -143,13 +143,13 @@ int main(int argc, char** argv) {
   options.oracle = oracle;
   if (args.has("quick")) {
     options.seeds = 64;
-    options.time_budget_seconds = 30.0;
+    options.wall_budget_seconds = 30.0;
   }
   options.seeds = args.get_int("seeds", options.seeds);
   options.seed_begin =
       static_cast<std::uint64_t>(args.get_int("seed-begin", 0));
-  options.time_budget_seconds =
-      args.get_double("time-budget", options.time_budget_seconds);
+  options.wall_budget_seconds =
+      args.get_double("time-budget", options.wall_budget_seconds);
   options.artifact_dir = args.get("artifacts", "");
   options.reduce_failures = !args.has("no-reduce");
   options.verbose = args.has("verbose");

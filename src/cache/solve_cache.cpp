@@ -255,7 +255,6 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
   // that never tripped are fine — the result is untruncated.
   const bool cacheable =
       !request.eval_budget.has_value() &&
-      !request.time_budget_seconds.has_value() &&
       (request.context == nullptr ||
        (!request.context->eval_budget_armed() &&
         !request.context->stopped()));

@@ -27,7 +27,7 @@
 //              to its priority (cost_weight = 0 degenerates to LRU).
 //              In-flight entries are pinned.
 //   safety     results produced under a truncating budget (request
-//              eval/time budget, armed context eval budget, or a context
+//              eval budget, armed context eval budget, or a context
 //              that stopped mid-fill) are returned but never inserted — a
 //              truncated report must not poison budget-less requests.
 //

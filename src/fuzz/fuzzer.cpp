@@ -54,8 +54,8 @@ FuzzReport run_fuzz(const FuzzOptions& options, std::ostream* log) {
   util::Timer timer;
   util::Rng malformed_rng(options.seed_begin ^ 0xbadc0ffee0ddf00dULL);
   for (int i = 0; i < options.seeds; ++i) {
-    if (options.time_budget_seconds > 0.0 &&
-        timer.seconds() > options.time_budget_seconds) {
+    if (options.wall_budget_seconds > 0.0 &&
+        timer.seconds() > options.wall_budget_seconds) {
       report.time_exhausted = true;
       if (log) {
         *log << "time budget exhausted after " << report.scenarios_run

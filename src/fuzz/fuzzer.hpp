@@ -23,7 +23,7 @@ struct FuzzOptions {
   int seeds = 500;
   /// Wall-clock cap in seconds; <= 0 means unbounded. The campaign stops
   /// early (time_exhausted) once exceeded, never mid-scenario.
-  double time_budget_seconds = 120.0;
+  double wall_budget_seconds = 120.0;
   OracleOptions oracle;
   /// Number of malformed-spec probes interleaved per scenario seed.
   int malformed_per_seed = 2;

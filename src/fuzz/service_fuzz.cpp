@@ -165,7 +165,7 @@ void run_storm(std::uint64_t seed, ServiceFuzzReport& report) {
   // polls stats() to exercise the service/engine lock ordering live.
   std::atomic<int> cancels{0};
   const std::uint64_t cancel_seed = seed ^ 0x5e1ec7ed5eedULL;
-  std::thread canceller([&svc, &requests, &cancels, cancel_seed] {
+  std::thread canceller([&svc, &requests, &cancels, cancel_seed] {  // qq-lint: allow(raw-thread)
     util::Rng crng(cancel_seed);
     for (const StormRequest& req : requests) {
       if (!util::bernoulli(crng, 0.35)) continue;
@@ -291,8 +291,8 @@ ServiceFuzzReport run_service_fuzz(const ServiceFuzzOptions& options,
         .count();
   };
   for (int i = 0; i < options.storms; ++i) {
-    if (options.time_budget_seconds > 0.0 &&
-        elapsed() > options.time_budget_seconds) {
+    if (options.wall_budget_seconds > 0.0 &&
+        elapsed() > options.wall_budget_seconds) {
       report.time_exhausted = true;
       break;
     }

@@ -33,7 +33,7 @@ struct ServiceFuzzOptions {
   int storms = 20;
   /// Wall-clock cap in seconds; <= 0 means unbounded. Stops early between
   /// storms, never mid-storm.
-  double time_budget_seconds = 60.0;
+  double wall_budget_seconds = 60.0;
   bool verbose = false;
 };
 

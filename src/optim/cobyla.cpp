@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -49,157 +48,171 @@ bool solve_linear(std::vector<double> a, std::vector<double> b,
   return true;
 }
 
-struct Simplex {
-  std::vector<std::vector<double>> points;  // n+1 vertices
-  std::vector<double> values;
+std::size_t index_of_min(const std::vector<double>& v) {
+  return static_cast<std::size_t>(std::min_element(v.begin(), v.end()) -
+                                  v.begin());
+}
 
-  std::size_t dim() const { return points.empty() ? 0 : points[0].size(); }
-
-  std::size_t best_index() const {
-    return static_cast<std::size_t>(
-        std::min_element(values.begin(), values.end()) - values.begin());
-  }
-  std::size_t worst_index() const {
-    return static_cast<std::size_t>(
-        std::max_element(values.begin(), values.end()) - values.begin());
-  }
-};
+std::size_t index_of_max(const std::vector<double>& v) {
+  return static_cast<std::size_t>(std::max_element(v.begin(), v.end()) -
+                                  v.begin());
+}
 
 }  // namespace
 
-Result cobyla_minimize(const Objective& objective, std::vector<double> x0,
-                       const CobylaOptions& options) {
-  const std::size_t n = x0.size();
-  if (n == 0) {
-    throw std::invalid_argument("cobyla_minimize: empty start point");
+Cobyla::Cobyla(std::vector<double> x0, const CobylaOptions& options)
+    : options_(options),
+      n_(x0.size()),
+      rho_(options.rhobeg),
+      simplex_scale_(options.rhobeg),
+      a_(n_ * n_),
+      b_(n_),
+      gradient_(n_) {
+  if (n_ == 0) {
+    throw std::invalid_argument("Cobyla: empty start point");
   }
   if (!(options.rhobeg > 0.0) || !(options.rhoend > 0.0) ||
       options.rhoend > options.rhobeg) {
-    throw std::invalid_argument(
-        "cobyla_minimize: need 0 < rhoend <= rhobeg");
+    throw std::invalid_argument("Cobyla: need 0 < rhoend <= rhobeg");
   }
+  result_.x = x0;
+  x0_ = std::move(x0);
+  // The first rebuild starts from an empty simplex: x0 itself is its first
+  // vertex to evaluate.
+  advance();
+}
 
-  Result result;
-  result.x = x0;
-  result.fx = std::numeric_limits<double>::infinity();
+const std::vector<double>* Cobyla::ask() const {
+  return phase_ == Phase::kDone ? nullptr : &point_;
+}
 
-  auto evaluate = [&](const std::vector<double>& x) {
-    const double fx = objective(x);
-    ++result.evaluations;
-    if (fx < result.fx) {
-      result.fx = fx;
-      result.x = x;
+void Cobyla::tell(double fx) {
+  if (phase_ == Phase::kDone) {
+    throw std::logic_error("Cobyla::tell: the optimizer is done");
+  }
+  record(point_, fx);
+  if (phase_ == Phase::kRebuild) {
+    vertices_.push_back(point_);
+    values_.push_back(fx);
+  } else {
+    take_step(fx);
+    if (phase_ == Phase::kDone) return;
+  }
+  advance();
+}
+
+void Cobyla::start_rebuild() {
+  rebuild_around_best_ = true;
+  vertices_.assign(1, result_.x);
+  values_.assign(1, result_.fx);
+  phase_ = Phase::kRebuild;
+}
+
+void Cobyla::advance() {
+  for (;;) {
+    if (phase_ == Phase::kRebuild) {
+      // Vertex i >= 1 is the base point moved by rho along axis i - 1.
+      const std::size_t have = vertices_.size();
+      if (have == 0) {
+        point_ = x0_;
+        return;
+      }
+      if (have <= n_ && result_.evaluations < options_.maxfun) {
+        point_ = rebuild_around_best_ ? result_.x : x0_;
+        point_[have - 1] += rho_;
+        return;
+      }
     }
-    return fx;
-  };
-  auto stop_requested = [&options] {
-    return options.should_stop && options.should_stop();
-  };
-
-  double rho = options.rhobeg;
-  Simplex simplex;
-
-  // Build an axis-aligned simplex of edge `radius` around `center`.
-  // Consumes n+1 evaluations (the center value may be passed in).
-  auto rebuild = [&](const std::vector<double>& center, double radius,
-                     double center_value, bool have_center_value) {
-    simplex.points.assign(1, center);
-    simplex.values.assign(
-        1, have_center_value ? center_value : evaluate(center));
-    for (std::size_t i = 0; i < n && result.evaluations < options.maxfun &&
-                            !stop_requested();
-         ++i) {
-      std::vector<double> p = center;
-      p[i] += radius;
-      simplex.points.push_back(p);
-      simplex.values.push_back(evaluate(p));
+    // Stop on budget, including a budget that died mid-rebuild.
+    if (result_.evaluations >= options_.maxfun || vertices_.size() < n_ + 1) {
+      phase_ = Phase::kDone;
+      return;
     }
-  };
-
-  rebuild(x0, rho, 0.0, false);
-
-  // Rebuilds are expensive (n evaluations); trigger one only when rho has
-  // shrunk well below the scale the current simplex was built at, or when
-  // the geometry degenerates.
-  double simplex_scale = rho;
-
-  std::vector<double> a(n * n), b(n), gradient(n);
-  while (result.evaluations < options.maxfun && !stop_requested()) {
-    if (simplex.points.size() < n + 1) break;  // budget died mid-rebuild
-    const std::size_t best = simplex.best_index();
-    const auto& xb = simplex.points[best];
-    const double fb = simplex.values[best];
+    const std::size_t best = index_of_min(values_);
+    const std::vector<double>& xb = vertices_[best];
+    const double fb = values_[best];
 
     // Linear interpolation model through the simplex: rows of A are the
     // offsets of the other vertices from the best one.
     std::size_t row = 0;
-    for (std::size_t i = 0; i < simplex.points.size(); ++i) {
+    for (std::size_t i = 0; i < vertices_.size(); ++i) {
       if (i == best) continue;
-      for (std::size_t c = 0; c < n; ++c) {
-        a[row * n + c] = simplex.points[i][c] - xb[c];
+      for (std::size_t c = 0; c < n_; ++c) {
+        a_[row * n_ + c] = vertices_[i][c] - xb[c];
       }
-      b[row] = simplex.values[i] - fb;
+      b_[row] = values_[i] - fb;
       ++row;
     }
-    const bool solvable = solve_linear(a, b, n, gradient);
+    const bool solvable = solve_linear(a_, b_, n_, gradient_);
     const double gnorm =
-        solvable ? std::sqrt(std::inner_product(gradient.begin(),
-                                                gradient.end(),
-                                                gradient.begin(), 0.0))
+        solvable ? std::sqrt(std::inner_product(gradient_.begin(),
+                                                gradient_.end(),
+                                                gradient_.begin(), 0.0))
                  : 0.0;
 
     if (!solvable || gnorm < 1e-12) {
       // Degenerate geometry or flat model at this resolution: refine rho
       // and refresh the simplex at the new scale.
-      if (rho <= options.rhoend) {
-        result.converged = true;
-        break;
+      if (rho_ <= options_.rhoend) {
+        result_.converged = true;
+        phase_ = Phase::kDone;
+        return;
       }
-      rho = std::max(0.5 * rho, options.rhoend);
-      simplex_scale = rho;
-      rebuild(result.x, rho, result.fx, true);
+      rho_ = std::max(0.5 * rho_, options_.rhoend);
+      simplex_scale_ = rho_;
+      start_rebuild();
       continue;
     }
 
     // Trust-region step: steepest descent of length rho on the model.
-    std::vector<double> trial = xb;
-    for (std::size_t c = 0; c < n; ++c) {
-      trial[c] -= rho * gradient[c] / gnorm;
+    point_ = xb;
+    for (std::size_t c = 0; c < n_; ++c) {
+      point_[c] -= rho_ * gradient_[c] / gnorm;
     }
-    const double f_trial = evaluate(trial);
-    const double predicted = rho * gnorm;  // model reduction
-    const double actual = fb - f_trial;
-
-    const std::size_t worst = simplex.worst_index();
-    if (actual > 0.1 * predicted) {
-      // Successful step: the trial displaces the worst vertex, and a very
-      // accurate model earns its radius back (never above rhobeg).
-      simplex.points[worst] = std::move(trial);
-      simplex.values[worst] = f_trial;
-      if (actual > 0.7 * predicted) {
-        rho = std::min(1.6 * rho, options.rhobeg);
-      }
-    } else {
-      // Unsuccessful at this resolution. Keep the information if it beats
-      // the worst vertex, then lower the resolution. The simplex is kept
-      // (a rebuild costs n evaluations) until rho falls far below the
-      // scale it was built at.
-      if (f_trial < simplex.values[worst]) {
-        simplex.points[worst] = std::move(trial);
-        simplex.values[worst] = f_trial;
-      }
-      if (rho <= options.rhoend) {
-        result.converged = true;
-        break;
-      }
-      rho = std::max(0.5 * rho, options.rhoend);
-      if (rho < 0.25 * simplex_scale) {
-        simplex_scale = rho;
-        rebuild(result.x, rho, result.fx, true);
-      }
-    }
+    step_base_value_ = fb;
+    step_predicted_ = rho_ * gnorm;
+    phase_ = Phase::kStep;
+    return;
   }
-  return result;
+}
+
+void Cobyla::take_step(double f_step) {
+  const double actual = step_base_value_ - f_step;
+  const std::size_t worst = index_of_max(values_);
+  if (actual > 0.1 * step_predicted_) {
+    // Successful step: it displaces the worst vertex, and a very accurate
+    // model earns its radius back (never above rhobeg).
+    vertices_[worst] = point_;
+    values_[worst] = f_step;
+    if (actual > 0.7 * step_predicted_) {
+      rho_ = std::min(1.6 * rho_, options_.rhobeg);
+    }
+    return;
+  }
+  // Unsuccessful at this resolution. Keep the information if it beats the
+  // worst vertex, then lower the resolution. The simplex is kept (a rebuild
+  // costs n evaluations) until rho falls far below the scale it was built
+  // at.
+  if (f_step < values_[worst]) {
+    vertices_[worst] = point_;
+    values_[worst] = f_step;
+  }
+  if (rho_ <= options_.rhoend) {
+    result_.converged = true;
+    phase_ = Phase::kDone;
+    return;
+  }
+  rho_ = std::max(0.5 * rho_, options_.rhoend);
+  if (rho_ < 0.25 * simplex_scale_) {
+    simplex_scale_ = rho_;
+    start_rebuild();
+  }
+}
+
+Result cobyla_minimize(const Objective& objective, std::vector<double> x0,
+                       const CobylaOptions& options) {
+  Cobyla cobyla(std::move(x0), options);
+  return minimize(cobyla, objective);
 }
 
 }  // namespace qq::optim

@@ -12,7 +12,8 @@
 // machinery of the original (which MaxCut-QAOA never engages) is omitted —
 // see DESIGN.md "Substitutions".
 
-#include <functional>
+#include <cstddef>
+#include <vector>
 
 #include "optim/optimizer.hpp"
 
@@ -22,13 +23,54 @@ struct CobylaOptions {
   double rhobeg = 0.5;   ///< initial trust-region radius / simplex edge
   double rhoend = 1e-4;  ///< final radius; convergence once reached
   int maxfun = 100;      ///< budget of objective evaluations
-  /// Cooperative stop hook, polled once per iteration (at most a few
-  /// objective evaluations apart). When it returns true the optimizer
-  /// returns its best-so-far with converged=false. Empty = never stop
-  /// early; results are bit-for-bit unchanged when it never fires.
-  std::function<bool()> should_stop;
 };
 
+/// COBYLA as an ask/tell state machine: every objective evaluation the
+/// method needs is one ask()/tell() round trip.
+class Cobyla final : public AskTellOptimizer {
+ public:
+  /// Throws std::invalid_argument for an empty start point or unless
+  /// 0 < rhoend <= rhobeg.
+  explicit Cobyla(std::vector<double> x0, const CobylaOptions& options = {});
+
+  const std::vector<double>* ask() const override;
+  void tell(double fx) override;
+
+ private:
+  enum class Phase {
+    kRebuild,  ///< point_ is the next vertex of a simplex rebuild
+    kStep,     ///< point_ is a trust-region step
+    kDone,
+  };
+
+  /// Runs the method until it needs point_ evaluated or finishes.
+  void advance();
+  /// Rebuilds the simplex around the best point so far at radius rho_.
+  void start_rebuild();
+  /// Applies a trust-region step's value; may finish or start a rebuild.
+  void take_step(double f_step);
+
+  CobylaOptions options_;
+  std::size_t n_;
+  double rho_;
+  /// Rebuilds cost n evaluations, so one is triggered only when rho_ has
+  /// shrunk well below the scale the simplex was built at, or when the
+  /// geometry degenerates.
+  double simplex_scale_;
+  Phase phase_ = Phase::kRebuild;
+  std::vector<double> point_;
+  /// The first simplex is built around x0. Later rebuilds offset each new
+  /// vertex from the best point so far, which can move during the rebuild.
+  std::vector<double> x0_;
+  bool rebuild_around_best_ = false;
+  std::vector<std::vector<double>> vertices_;  ///< n+1 once built
+  std::vector<double> values_;
+  double step_base_value_ = 0.0;  ///< value at the vertex a step starts from
+  double step_predicted_ = 0.0;   ///< model reduction of that step
+  std::vector<double> a_, b_, gradient_;
+};
+
+/// Runs Cobyla to completion on `objective`.
 Result cobyla_minimize(const Objective& objective, std::vector<double> x0,
                        const CobylaOptions& options = {});
 

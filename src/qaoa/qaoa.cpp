@@ -3,18 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <exception>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "optim/cobyla.hpp"
 #include "optim/nelder_mead.hpp"
 #include "qaoa/cost_table.hpp"
 #include "qsim/batched.hpp"
 #include "qsim/measure.hpp"
-#include "util/mutex.hpp"
 
 namespace qq::qaoa {
 
@@ -133,6 +129,59 @@ double QaoaSolver::sampled_expectation(const circuit::QaoaAngles& angles,
   return sum / static_cast<double>(shots);
 }
 
+namespace {
+
+std::unique_ptr<optim::AskTellOptimizer> make_optimizer(
+    const QaoaOptions& options, int budget, std::vector<double> x0) {
+  if (options.optimizer == OptimizerKind::kCobyla) {
+    optim::CobylaOptions copts;
+    copts.rhobeg = options.rhobeg;
+    copts.rhoend = 1e-4;
+    copts.maxfun = budget;
+    return std::make_unique<optim::Cobyla>(std::move(x0), copts);
+  }
+  optim::NelderMeadOptions nopts;
+  nopts.step = options.rhobeg;
+  nopts.maxfun = budget;
+  return std::make_unique<optim::NelderMead>(std::move(x0), nopts);
+}
+
+/// Writes -F_p of every point into `values` from one BatchedStateVector
+/// sweep over the shared cut table. Each lane is bit-for-bit the flat
+/// StateVector evaluation (batched_test), so batching never changes a
+/// restart's trajectory. `batch` is reallocated when the point count
+/// changes.
+void evaluate_batched(const std::vector<double>& cut_table, int num_qubits,
+                      int layers,
+                      const std::vector<const std::vector<double>*>& points,
+                      std::unique_ptr<sim::BatchedStateVector>& batch,
+                      std::vector<double>& values) {
+  const std::size_t lanes = points.size();
+  if (!batch || static_cast<std::size_t>(batch->batch()) != lanes) {
+    batch.reset();  // free the wider batch before allocating the new one
+    batch = std::make_unique<sim::BatchedStateVector>(
+        num_qubits, static_cast<int>(lanes));
+  }
+  std::vector<double> scales(lanes), thetas(lanes);
+  batch->reset_to_plus();
+  for (int l = 0; l < layers; ++l) {
+    // Packed layout [gamma_1..gamma_p, beta_1..beta_p]; the angle
+    // expressions match QaoaSolver::prepare_state exactly.
+    const auto gamma = static_cast<std::size_t>(l);
+    const auto beta = static_cast<std::size_t>(layers + l);
+    for (std::size_t b = 0; b < lanes; ++b) {
+      scales[b] = (*points[b])[gamma];
+      thetas[b] = 2.0 * (*points[b])[beta];
+    }
+    batch->apply_diagonal_phase(cut_table, scales);
+    batch->apply_rx_layer(thetas);
+  }
+  const std::vector<double> fp = batch->expectation_diagonal(cut_table);
+  for (std::size_t b = 0; b < lanes; ++b) values[b] = -fp[b];
+}
+
+}  // namespace
+
 QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
   if (options.layers < 1) {
     throw std::invalid_argument("QaoaSolver::optimize: layers must be >= 1");
@@ -143,85 +192,91 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
   if (options.restarts < 1) {
     throw std::invalid_argument("QaoaSolver::optimize: restarts must be >= 1");
   }
-  if (options.restarts == 1) return optimize_single(options);
-  if (options.shot_based_objective ||
-      graph_->num_nodes() < options.lockstep_min_qubits ||
-      std::getenv("QQ_QAOA_SEQUENTIAL_RESTARTS") != nullptr) {
-    // Sequential replay of the exact per-restart starts. Three routes lead
-    // here: shot-based objectives (each restart owns a live RNG stream
-    // whose draws depend on the evaluation count, which lockstep batching
-    // would interleave); states below options.lockstep_min_qubits (the
-    // barrier handoff costs more than batching saves); and the
-    // QQ_QAOA_SEQUENTIAL_RESTARTS env var, which forces this fallback for
-    // any exact objective so benchmarks can A/B the batched lockstep path
-    // against the bit-identical sequential replay and lockstep issues can
-    // be bisected in the field without a rebuild.
-    QaoaResult best;
-    int total_evaluations = 0;
-    for (int r = 0; r < options.restarts; ++r) {
-      QaoaOptions opts = options;
-      opts.restarts = 1;
-      opts.initial_parameters = restart_initial_parameters(options, r);
-      QaoaResult res = optimize_single(opts);
-      total_evaluations += res.evaluations;
-      if (r == 0 || res.expectation > best.expectation) best = std::move(res);
-    }
-    best.evaluations = total_evaluations;
-    return best;
-  }
-  return optimize_batched(options);
-}
-
-QaoaResult QaoaSolver::optimize_single(const QaoaOptions& options) const {
   const int budget = options.max_iterations > 0
                          ? options.max_iterations
                          : paper_iteration_schedule(options.layers);
+  const int num_qubits = graph_->num_nodes();
+  const auto restarts = static_cast<std::size_t>(options.restarts);
 
-  util::Rng shot_rng(options.seed ^ 0x7357b1e55ed5eedULL);
-  // One workspace serves every objective evaluation AND the final
-  // extraction below: the 2^n state vector (and sampling scratch) is
-  // allocated once per optimize() instead of once per COBYLA iteration.
-  EvalWorkspace workspace(graph_->num_nodes());
-  // Objective to MINIMIZE: -F_p (exact or shot-estimated).
-  const auto objective = [this, &options, &shot_rng,
-                          &workspace](const std::vector<double>& params) {
-    const circuit::QaoaAngles angles = circuit::unpack_angles(params);
-    return options.shot_based_objective
-               ? -sampled_expectation(angles, options.shots, shot_rng,
-                                      workspace)
-               : -expectation(angles, workspace);
-  };
-
-  const std::vector<double> x0 = restart_initial_parameters(options, 0);
-  // optim is dependency-free, so the request context enters as a plain
-  // stop predicate; null context keeps the hook empty (bit-for-bit
-  // identical optimization to the pre-context code).
-  std::function<bool()> should_stop;
-  if (options.context != nullptr) {
-    const util::RequestContext* ctx = options.context;
-    should_stop = [ctx] { return ctx->stopped(); };
+  // One optimizer per restart ("lane").
+  std::vector<std::unique_ptr<optim::AskTellOptimizer>> lanes;
+  lanes.reserve(restarts);
+  for (int r = 0; r < options.restarts; ++r) {
+    lanes.push_back(
+        make_optimizer(options, budget, restart_initial_parameters(options, r)));
   }
-  optim::Result opt;
-  if (options.optimizer == OptimizerKind::kCobyla) {
-    optim::CobylaOptions copts;
-    copts.rhobeg = options.rhobeg;
-    copts.rhoend = 1e-4;
-    copts.maxfun = budget;
-    copts.should_stop = std::move(should_stop);
-    opt = optim::cobyla_minimize(objective, x0, copts);
-  } else {
-    optim::NelderMeadOptions nopts;
-    nopts.step = options.rhobeg;
-    nopts.maxfun = budget;
-    nopts.should_stop = std::move(should_stop);
-    opt = optim::nelder_mead_minimize(objective, x0, nopts);
+  // Each lane draws shots from the stream a restarts=1 run would use, so a
+  // shot-based lane replays that run too.
+  std::vector<util::Rng> shot_rngs(
+      restarts, util::Rng(options.seed ^ 0x7357b1e55ed5eedULL));
+  // One workspace serves every flat evaluation AND the final extraction:
+  // the 2^n state vector (and sampling scratch) is allocated once per
+  // optimize() instead of once per optimizer step.
+  EvalWorkspace workspace(num_qubits);
+  const bool batchable = !options.shot_based_objective &&
+                         num_qubits >= options.lockstep_min_qubits;
+  std::unique_ptr<sim::BatchedStateVector> batch;
+  std::vector<std::size_t> live;
+  std::vector<const std::vector<double>*> points;
+  std::vector<double> values;
+
+  // Each step asks every live lane for a point in ascending restart order,
+  // evaluates all of them, and tells each lane its value (-F_p, since the
+  // optimizers minimize). A stopped request ends the loop between steps;
+  // every lane keeps its best point so far.
+  while (options.context == nullptr || !options.context->stopped()) {
+    live.clear();
+    points.clear();
+    for (std::size_t r = 0; r < restarts; ++r) {
+      if (const std::vector<double>* x = lanes[r]->ask()) {
+        live.push_back(r);
+        points.push_back(x);
+      }
+    }
+    if (live.empty()) break;
+    values.resize(live.size());
+    if (batchable && live.size() > 1) {
+      evaluate_batched(cut_table_, num_qubits, options.layers, points, batch,
+                       values);
+    } else {
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        const circuit::QaoaAngles angles = circuit::unpack_angles(*points[i]);
+        values[i] = options.shot_based_objective
+                        ? -sampled_expectation(angles, options.shots,
+                                               shot_rngs[live[i]], workspace)
+                        : -expectation(angles, workspace);
+      }
+    }
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      lanes[live[i]]->tell(values[i]);
+    }
+  }
+
+  // The winner is the first lane with the largest F_p at its final point.
+  // An exact lane's fx is exactly -F_p there; a shot-based lane's fx is an
+  // estimate, so its F_p is recomputed exactly.
+  std::size_t best = 0;
+  double best_value = 0.0;
+  int evaluations = 0;
+  for (std::size_t r = 0; r < restarts; ++r) {
+    const optim::Result& res = lanes[r]->result();
+    evaluations += res.evaluations;
+    if (restarts == 1) break;
+    const double value =
+        options.shot_based_objective
+            ? expectation(circuit::unpack_angles(res.x), workspace)
+            : -res.fx;
+    if (r == 0 || value > best_value) {
+      best = r;
+      best_value = value;
+    }
   }
 
   QaoaResult result;
-  result.parameters = opt.x;
-  result.evaluations = opt.evaluations;
+  result.parameters = lanes[best]->result().x;
+  result.evaluations = evaluations;
   result.layers = options.layers;
-  extract_result(options, workspace, shot_rng, result);
+  extract_result(options, workspace, shot_rngs[best], result);
   return result;
 }
 
@@ -263,224 +318,6 @@ void QaoaSolver::extract_result(const QaoaOptions& options,
     }
     result.best_sampled_value = best_sampled;
   }
-}
-
-namespace {
-
-/// Lockstep barrier that batches one objective evaluation per live restart
-/// into a single BatchedStateVector sweep. Each restart thread submits its
-/// parameters and blocks; the last arriver evaluates every pending lane at
-/// once (cut table loaded once per amplitude for all of them) and wakes the
-/// rest. Because every lane of the batched simulator is bit-for-bit an
-/// independent StateVector evaluation, a restart's optimizer trajectory is
-/// identical no matter how many other restarts are still alive — which is
-/// what makes the batched path exactly replayable as sequential runs.
-class LockstepEvaluator {
- public:
-  LockstepEvaluator(const std::vector<double>& cut_table, int num_qubits,
-                    int layers, int restarts)
-      : cut_table_(cut_table),
-        num_qubits_(num_qubits),
-        layers_(layers),
-        active_(restarts),
-        slots_(static_cast<std::size_t>(restarts)) {}
-
-  /// Objective for restart `lane`: returns -F_p(params), evaluated together
-  /// with every other live restart's pending point.
-  double evaluate(int lane, const std::vector<double>& params) {
-    util::MutexLock lock(mu_);
-    Slot& slot = slots_[static_cast<std::size_t>(lane)];
-    slot.params = &params;
-    slot.pending = true;
-    ++waiting_;
-    if (waiting_ == active_) {
-      run_batch();
-    } else {
-      const std::uint64_t gen = generation_;
-      while (generation_ == gen) cv_.wait(lock);
-    }
-    if (failed_) {
-      throw std::runtime_error(
-          "QaoaSolver: batched restart evaluation failed");
-    }
-    return slot.result;
-  }
-
-  /// Restart `lane` finished its optimization: shrink the barrier. If every
-  /// remaining restart is already waiting, the finisher runs their batch on
-  /// the way out.
-  void deregister(int lane) {
-    (void)lane;
-    util::MutexLock lock(mu_);
-    --active_;
-    if (active_ > 0 && waiting_ == active_) run_batch();
-  }
-
- private:
-  struct Slot {
-    const std::vector<double>* params = nullptr;
-    double result = 0.0;
-    bool pending = false;
-  };
-
-  void run_batch() QQ_REQUIRES(mu_) {
-    try {
-      // Pending lanes evaluate in ascending restart order, so a fixed
-      // (seed, restart) pair always lands in a deterministic lane.
-      batch_lanes_.clear();
-      for (std::size_t r = 0; r < slots_.size(); ++r) {
-        if (slots_[r].pending) batch_lanes_.push_back(r);
-      }
-      const int b_count = static_cast<int>(batch_lanes_.size());
-      if (b_count > 0) {
-        if (!batch_ || batch_->batch() != b_count) {
-          batch_ = std::make_unique<sim::BatchedStateVector>(num_qubits_,
-                                                             b_count);
-        }
-        scales_.resize(static_cast<std::size_t>(b_count));
-        thetas_.resize(static_cast<std::size_t>(b_count));
-        batch_->reset_to_plus();
-        for (int l = 0; l < layers_; ++l) {
-          for (int b = 0; b < b_count; ++b) {
-            // Packed layout [gamma_1..gamma_p, beta_1..beta_p]; the angle
-            // expressions match QaoaSolver::prepare_state exactly.
-            const std::vector<double>& params =
-                *slots_[batch_lanes_[static_cast<std::size_t>(b)]].params;
-            scales_[static_cast<std::size_t>(b)] =
-                params[static_cast<std::size_t>(l)];
-            thetas_[static_cast<std::size_t>(b)] =
-                2.0 * params[static_cast<std::size_t>(layers_ + l)];
-          }
-          batch_->apply_diagonal_phase(cut_table_, scales_);
-          batch_->apply_rx_layer(thetas_);
-        }
-        const std::vector<double> values =
-            batch_->expectation_diagonal(cut_table_);
-        for (int b = 0; b < b_count; ++b) {
-          Slot& slot = slots_[batch_lanes_[static_cast<std::size_t>(b)]];
-          slot.result = -values[static_cast<std::size_t>(b)];
-          slot.pending = false;
-          slot.params = nullptr;
-        }
-      }
-    } catch (...) {
-      failed_ = true;
-      waiting_ = 0;
-      ++generation_;
-      cv_.notify_all();
-      throw;
-    }
-    waiting_ = 0;
-    ++generation_;
-    cv_.notify_all();
-  }
-
-  const std::vector<double>& cut_table_;
-  const int num_qubits_;
-  const int layers_;
-
-  util::Mutex mu_;
-  util::CondVar cv_;
-  int active_ QQ_GUARDED_BY(mu_);
-  int waiting_ QQ_GUARDED_BY(mu_) = 0;
-  std::uint64_t generation_ QQ_GUARDED_BY(mu_) = 0;
-  bool failed_ QQ_GUARDED_BY(mu_) = false;
-  std::vector<Slot> slots_ QQ_GUARDED_BY(mu_);
-  std::vector<std::size_t> batch_lanes_ QQ_GUARDED_BY(mu_);
-  std::vector<double> scales_ QQ_GUARDED_BY(mu_);
-  std::vector<double> thetas_ QQ_GUARDED_BY(mu_);
-  std::unique_ptr<sim::BatchedStateVector> batch_ QQ_GUARDED_BY(mu_);
-};
-
-}  // namespace
-
-QaoaResult QaoaSolver::optimize_batched(const QaoaOptions& options) const {
-  const int restarts = options.restarts;
-  const int budget = options.max_iterations > 0
-                         ? options.max_iterations
-                         : paper_iteration_schedule(options.layers);
-  std::function<bool()> should_stop;
-  if (options.context != nullptr) {
-    const util::RequestContext* ctx = options.context;
-    should_stop = [ctx] { return ctx->stopped(); };
-  }
-
-  // Starts are computed before any thread exists so a malformed
-  // initial_parameters override throws on the caller's thread.
-  std::vector<std::vector<double>> starts(
-      static_cast<std::size_t>(restarts));
-  for (int r = 0; r < restarts; ++r) {
-    starts[static_cast<std::size_t>(r)] =
-        restart_initial_parameters(options, r);
-  }
-
-  LockstepEvaluator evaluator(cut_table_, graph_->num_nodes(), options.layers,
-                              restarts);
-  std::vector<optim::Result> results(static_cast<std::size_t>(restarts));
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(restarts));
-  // Dedicated threads, NOT pool tasks: the instances block on the lockstep
-  // barrier, and parking a blocked task on the (possibly single-threaded)
-  // global pool would deadlock it. The pool still parallelizes each batched
-  // sweep underneath.
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(restarts));
-  for (int r = 0; r < restarts; ++r) {
-    threads.emplace_back([&, r] {
-      const std::size_t rr = static_cast<std::size_t>(r);
-      try {
-        const auto objective = [&evaluator,
-                                r](const std::vector<double>& params) {
-          return evaluator.evaluate(r, params);
-        };
-        if (options.optimizer == OptimizerKind::kCobyla) {
-          optim::CobylaOptions copts;
-          copts.rhobeg = options.rhobeg;
-          copts.rhoend = 1e-4;
-          copts.maxfun = budget;
-          copts.should_stop = should_stop;
-          results[rr] = optim::cobyla_minimize(objective, starts[rr], copts);
-        } else {
-          optim::NelderMeadOptions nopts;
-          nopts.step = options.rhobeg;
-          nopts.maxfun = budget;
-          nopts.should_stop = should_stop;
-          results[rr] =
-              optim::nelder_mead_minimize(objective, starts[rr], nopts);
-        }
-      } catch (...) {
-        errors[rr] = std::current_exception();
-      }
-      // Always shrinks the barrier, even on failure, so the surviving
-      // restarts never wait on a dead lane.
-      try {
-        evaluator.deregister(r);
-      } catch (...) {
-        if (!errors[rr]) errors[rr] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-
-  // Best restart by final expectation (fx is the minimized -F_p); strict <
-  // keeps the lowest restart index on ties, matching the sequential rule.
-  std::size_t best = 0;
-  for (std::size_t r = 1; r < results.size(); ++r) {
-    if (results[r].fx < results[best].fx) best = r;
-  }
-
-  QaoaResult result;
-  result.parameters = results[best].x;
-  result.layers = options.layers;
-  for (const optim::Result& res : results) {
-    result.evaluations += res.evaluations;
-  }
-  util::Rng shot_rng(options.seed ^ 0x7357b1e55ed5eedULL);
-  EvalWorkspace workspace(graph_->num_nodes());
-  extract_result(options, workspace, shot_rng, result);
-  return result;
 }
 
 QaoaResult solve_qaoa(const graph::Graph& g, const QaoaOptions& options) {

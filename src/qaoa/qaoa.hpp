@@ -44,26 +44,19 @@ struct QaoaOptions {
   /// answer; 1 reproduces the paper's default behaviour.
   int top_k = 1;
   /// Independent optimizer restarts from diversified starting angles
-  /// (restart r starts from restart_initial_parameters(options, r)). With
-  /// the exact objective the restarts run in LOCKSTEP: every optimizer
-  /// iteration's states are evaluated together by one BatchedStateVector
-  /// sweep over the shared cut table, so R restarts cost far less than R
-  /// sequential solves. Each restart's trajectory is bit-for-bit the one a
-  /// sequential restarts=1 run with the same start would produce; the best
-  /// final expectation wins (ties -> lowest restart index). The default 1
-  /// is the unbatched single-run path. Shot-based objectives fall back to a
-  /// sequential loop (each restart owns a live RNG stream that cannot be
-  /// batched in lockstep); setting the QQ_QAOA_SEQUENTIAL_RESTARTS
-  /// environment variable forces that same fallback for exact objectives
-  /// too (benchmark A/B baseline, lockstep bisection).
+  /// (restart r starts from restart_initial_parameters(options, r)). One
+  /// loop runs every restart step by step: each step asks all live
+  /// restarts for a point, evaluates the points together and tells each
+  /// restart its value. Each restart's trajectory is bit-for-bit the one a
+  /// restarts=1 run from the same start would produce; the best final
+  /// expectation wins (ties -> lowest restart index).
   int restarts = 1;
-  /// Lockstep batching only pays once each objective evaluation is heavy
-  /// enough to amortize the per-iteration barrier handoff (one wakeup per
-  /// restart thread per optimizer step). Below this qubit count multi-
-  /// restart solves use the sequential replay instead — results are
-  /// bit-identical either way (enforced by tests), only wall clock moves.
-  /// 0 forces lockstep at any size (tests, microbenches). The default is
-  /// the measured single-core crossover on the reference container.
+  /// Exact-objective steps with more than one live restart on at least
+  /// this many qubits evaluate all points in one BatchedStateVector sweep
+  /// over the shared cut table; other steps evaluate restart by restart on
+  /// the flat StateVector. It only picks the kernel: results are
+  /// bit-identical either way (enforced by tests). 0 batches at any size.
+  /// The default is the measured single-core crossover.
   int lockstep_min_qubits = 12;
   OptimizerKind optimizer = OptimizerKind::kCobyla;
   InitKind init = InitKind::kLinearRamp;
@@ -72,9 +65,9 @@ struct QaoaOptions {
   /// start).
   std::vector<double> initial_parameters;
   /// Cooperative stop state of the owning request (service layer). Viewed,
-  /// not owned; may be null. The optimizer polls it per iteration and
-  /// returns its best-so-far when it trips, so a multi-second COBYLA loop
-  /// observes cancellation/deadlines mid-solve.
+  /// not owned; may be null. optimize() checks it before every optimizer
+  /// step and returns its best-so-far when it trips, so a multi-second
+  /// loop observes cancellation/deadlines mid-solve.
   const util::RequestContext* context = nullptr;
   std::uint64_t seed = 0;
 };
@@ -103,8 +96,8 @@ int paper_iteration_schedule(int layers);
 /// the single-run start (explicit initial_parameters override, ramp, or
 /// seeded random per options.init); restarts >= 1 draw small random angles
 /// from a restart-salted stream, so a fixed (seed, restart) pair is fully
-/// deterministic. Exposed so tests and sequential fallbacks can replay the
-/// exact batched trajectories.
+/// deterministic. Exposed so tests can replay each restart as a restarts=1
+/// run.
 std::vector<double> restart_initial_parameters(const QaoaOptions& options,
                                                int restart);
 
@@ -156,10 +149,8 @@ class QaoaSolver {
   QaoaResult optimize(const QaoaOptions& options) const;
 
  private:
-  QaoaResult optimize_single(const QaoaOptions& options) const;
-  QaoaResult optimize_batched(const QaoaOptions& options) const;
-  /// Final-state extraction shared by every optimize path: exact
-  /// expectation, top-k scan, and the sampled diagnostic.
+  /// Final-state extraction: exact expectation, top-k scan, and the
+  /// sampled diagnostic.
   void extract_result(const QaoaOptions& options, EvalWorkspace& workspace,
                       util::Rng& shot_rng, QaoaResult& result) const;
 

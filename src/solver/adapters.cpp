@@ -11,7 +11,6 @@
 #include "qaoa/rqaoa.hpp"
 #include "sdp/gw.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace qq::solver {
 
@@ -273,29 +272,20 @@ class BestOfSolver final : public Solver {
 
  protected:
   SolveReport do_solve(const SolveRequest& request) const override {
-    util::Timer timer;
     SolveReport report;
-    int winner = 0, ran = 0;
+    int winner = 0;
     for (std::size_t i = 0; i < children_.size(); ++i) {
-      // The first child always runs; later ones are skipped once the soft
-      // time budget is gone.
-      if (i > 0 && request.time_budget_seconds &&
-          timer.seconds() >= *request.time_budget_seconds) {
-        break;
-      }
       const SolveReport child = children_[i]->solve(request);
       report.quantum_solves += child.quantum_solves;
       report.classical_solves += child.classical_solves;
       report.evaluations += child.evaluations;
-      ++ran;
       if (i == 0 || child.cut.value > report.cut.value) {
         report.cut = child.cut;
         report.parameters = child.parameters;
         winner = static_cast<int>(i);
       }
     }
-    report.metrics = {{"winner_index", static_cast<double>(winner)},
-                      {"children_run", static_cast<double>(ran)}};
+    report.metrics = {{"winner_index", static_cast<double>(winner)}};
     return report;
   }
 

@@ -42,11 +42,6 @@ struct SolveRequest {
   /// apply their historical per-backend salts internally), so a request is
   /// exactly reproducible from (spec, seed).
   std::uint64_t seed = 0;
-  /// Soft wall-time budget. Leaf backends currently ignore it; the "best"
-  /// combinator stops launching further children once it is exhausted
-  /// (the first child always runs). Results are only deterministic when
-  /// this is unset.
-  std::optional<double> time_budget_seconds;
   /// Objective-evaluation budget; honored by the QAOA/RQAOA backends
   /// (overrides their configured max_iterations).
   std::optional<int> eval_budget;

@@ -262,7 +262,7 @@ TEST(CaseIo, ReproducerSnippetContainsTheScenario) {
 TEST(Campaign, SmallCampaignRunsClean) {
   FuzzOptions options;
   options.seeds = 30;
-  options.time_budget_seconds = 60.0;
+  options.wall_budget_seconds = 60.0;
   options.malformed_per_seed = 1;
   const FuzzReport report = run_fuzz(options);
   EXPECT_TRUE(report.clean()) << summarize_report(report);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <stdexcept>
 
 #include "optim/cobyla.hpp"
 #include "optim/nelder_mead.hpp"
@@ -199,6 +201,129 @@ TEST_P(OptimizerFamily, BothFindScaledQuadraticMinimum) {
 
 INSTANTIATE_TEST_SUITE_P(Scales, OptimizerFamily,
                          ::testing::Values(0.1, 0.5, 1.0, 2.0));
+
+// ------------------------------------------------------------- ask/tell ----
+
+TEST(AskTell, StartPointIsFirstAskAndResultBeforeAnyTell) {
+  // A caller that stops before the first tell (a cancelled request) still
+  // gets a usable result: the start point, with no evaluations counted.
+  const std::vector<double> x0 = {0.3, -0.2};
+  Cobyla cobyla(x0);
+  NelderMead nelder_mead(x0);
+  for (AskTellOptimizer* opt :
+       std::initializer_list<AskTellOptimizer*>{&cobyla, &nelder_mead}) {
+    ASSERT_NE(opt->ask(), nullptr);
+    EXPECT_EQ(*opt->ask(), x0);
+    EXPECT_EQ(opt->result().x, x0);
+    EXPECT_EQ(opt->result().evaluations, 0);
+  }
+}
+
+TEST(AskTell, TellAfterDoneThrows) {
+  CobylaOptions copts;
+  copts.maxfun = 3;
+  Cobyla cobyla({1.0, 1.0}, copts);
+  minimize(cobyla, sphere);
+  EXPECT_EQ(cobyla.ask(), nullptr);
+  EXPECT_THROW(cobyla.tell(0.0), std::logic_error);
+
+  NelderMeadOptions nopts;
+  nopts.maxfun = 3;
+  NelderMead nelder_mead({1.0, 1.0}, nopts);
+  minimize(nelder_mead, sphere);
+  EXPECT_EQ(nelder_mead.ask(), nullptr);
+  EXPECT_THROW(nelder_mead.tell(0.0), std::logic_error);
+}
+
+// --------------------------------------------------------- golden pins ----
+// Exact x, fx, evaluation count and convergence flag of fixed runs.
+// EXPECT_EQ on doubles is deliberate: any change to the order or arithmetic
+// of either optimizer's evaluations moves these values.
+
+struct Golden {
+  std::vector<double> x;
+  double fx;
+  int evaluations;
+  bool converged;
+};
+
+void expect_golden(const Result& r, const Golden& g) {
+  EXPECT_EQ(r.x, g.x);
+  EXPECT_EQ(r.fx, g.fx);
+  EXPECT_EQ(r.evaluations, g.evaluations);
+  EXPECT_EQ(r.converged, g.converged);
+}
+
+TEST(CobylaGolden, Sphere) {
+  CobylaOptions opts;
+  opts.rhobeg = 0.5;
+  opts.rhoend = 1e-6;
+  opts.maxfun = 400;
+  expect_golden(cobyla_minimize(sphere, {2.0, -1.0, 0.5}, opts),
+                {{-2.1185709274237925e-07, -6.7344118409411498e-07,
+                  8.1295362168361667e-07},
+                 1.1593000471878458e-12,
+                 71,
+                 true});
+  // Default options: converges after five simplex rebuilds.
+  expect_golden(cobyla_minimize(sphere, {1.0, 1.0, 1.0, 1.0}),
+                {{-4.4556226545219763e-05, 0.00011901566500170896,
+                  1.7920907508957174e-05, 4.5868911090020704e-05},
+                 1.8575101770276779e-08,
+                 51,
+                 true});
+}
+
+TEST(CobylaGolden, Rosenbrock) {
+  CobylaOptions opts;
+  opts.rhobeg = 0.5;
+  opts.rhoend = 1e-8;
+  opts.maxfun = 2000;
+  expect_golden(cobyla_minimize(rosenbrock2, {-1.2, 1.0}, opts),
+                {{0.84749400665820696, 0.71719338915172626},
+                 0.023368896191008692,
+                 2000,
+                 false});
+}
+
+TEST(CobylaGolden, BudgetEndsMidRebuild) {
+  // On the 4-d sphere a simplex rebuild starts after 21 evaluations and
+  // needs four vertices (evaluations 22-25). The third vertex improves the
+  // best point.
+  CobylaOptions opts;
+  opts.maxfun = 24;  // stops after the third vertex
+  expect_golden(cobyla_minimize(sphere, {1.0, 1.0, 1.0, 1.0}, opts),
+                {{0.008872874031332894, 0.00079739130988362196,
+                  -0.023235649180458156, -0.0043536147807700706},
+                 0.00063821308097364499,
+                 24,
+                 false});
+  // The fourth vertex is offset from the point the third vertex found, not
+  // from the center the rebuild started at.
+  opts.maxfun = 25;
+  expect_golden(cobyla_minimize(sphere, {1.0, 1.0, 1.0, 1.0}, opts),
+                {{0.008872874031332894, 0.00079739130988362196,
+                  -0.023235649180458156, 0.0034588852192299294},
+                 0.00063122300627411262,
+                 25,
+                 false});
+}
+
+TEST(NelderMeadGolden, RosenbrockWithShrinkSteps) {
+  // This run takes shrink steps after 308, 323 and 327 evaluations.
+  NelderMeadOptions opts;
+  opts.maxfun = 500;
+  expect_golden(nelder_mead_minimize(rosenbrock2, {-1.2, 1.0}, opts),
+                {{1.0, 1.0}, 0.0, 329, true});
+  // The budget runs out after the first of the two vertices the shrink
+  // step at 308 evaluations moves.
+  opts.maxfun = 309;
+  expect_golden(nelder_mead_minimize(rosenbrock2, {-1.2, 1.0}, opts),
+                {{1.0000000000000007, 1.0000000000000013},
+                 4.4373425918681914e-31,
+                 309,
+                 false});
+}
 
 }  // namespace
 }  // namespace qq::optim

@@ -479,6 +479,32 @@ TEST(Restarts, ShotBasedFallbackMatchesSequentialLoop) {
   EXPECT_EQ(multi.expectation, best.expectation);
 }
 
+TEST(Restarts, ExpiredDeadlineStillReturnsAValidCut) {
+  // A request whose deadline has already passed stops the restart loop
+  // before its first step; optimize() still extracts a full assignment.
+  util::Rng rng(59);
+  const Graph g = graph::erdos_renyi(8, 0.4, rng);
+  const QaoaSolver solver(g);
+  util::RequestContext context;
+  context.set_deadline_after(-1.0);
+  for (const OptimizerKind kind :
+       {OptimizerKind::kCobyla, OptimizerKind::kNelderMead}) {
+    QaoaOptions opts;
+    opts.layers = 2;
+    opts.seed = 3;
+    opts.restarts = 4;
+    opts.lockstep_min_qubits = 0;
+    opts.optimizer = kind;
+    opts.context = &context;
+    const QaoaResult r = solver.optimize(opts);
+    EXPECT_LE(r.evaluations, opts.restarts);
+    ASSERT_EQ(r.cut.assignment.size(), static_cast<std::size_t>(g.num_nodes()));
+    for (const std::uint8_t side : r.cut.assignment) EXPECT_LE(side, 1);
+    EXPECT_NEAR(r.cut.value, maxcut::cut_value(g, r.cut.assignment), 1e-9);
+    EXPECT_EQ(r.parameters.size(), std::size_t{4});
+  }
+}
+
 TEST(Restarts, InitialParametersAreDeterministicAndDiverse) {
   QaoaOptions opts;
   opts.layers = 3;

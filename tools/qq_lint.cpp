@@ -31,11 +31,18 @@
 //                        instead — a stray intrinsic bypasses the runtime
 //                        ISA dispatch, the scalar bit-parity contract, and
 //                        the QQ_SIMD=OFF build.
+//   raw-thread           std::thread / std::jthread in src/ outside
+//                        src/util/thread_pool.*. Library work runs on the
+//                        shared pool, whose kernels split cooperatively; a
+//                        dedicated thread per task (multi-restart QAOA once
+//                        ran one per restart, meeting at a barrier)
+//                        oversubscribes the cores behind the pool's back.
+//                        Tests, benches and tools may spawn threads.
 //
 // Suppression: put `qq-lint: allow(<rule>)` in a comment on the offending
 // line. src/util/mutex.hpp is exempt from raw-mutex by path — it IS the
 // wrapper — and src/qsim/simd.hpp is exempt from raw-intrinsics for the
-// same reason.
+// same reason, as are src/util/thread_pool.* from raw-thread.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
@@ -164,6 +171,12 @@ bool raw_intrinsics_exempt(const std::string& rel) {
   return rel == "src/qsim/simd.hpp";
 }
 
+/// raw-thread covers library code only, minus the pool that owns threads.
+bool raw_thread_checked(const std::string& rel) {
+  return rel.rfind("src/", 0) == 0 &&
+         rel.rfind("src/util/thread_pool.", 0) != 0;
+}
+
 // sentinel-best-seed: a floating-point declaration whose name says "this
 // tracks the best/max so far" seeded with the magic -1. The type keyword is
 // part of the pattern: `auto x = -1.0` deduces double, while `int best = -1`
@@ -184,6 +197,9 @@ const std::regex kRawIntrinsicToken(
     R"(\b(_mm[0-9]*_[A-Za-z0-9_]+|__m(?:64|128|256|512)[a-z0-9]*)\b)");
 const std::regex kRawIntrinsicInclude(
     R"(#\s*include\s*<([a-z0-9]*mmintrin\.h|x86intrin\.h|intrin\.h)>)");
+
+// raw-thread: std::thread or std::jthread (std::this_thread is fine).
+const std::regex kRawThread(R"(\bstd\s*::\s*j?thread\b)");
 
 void scan_file(const std::string& rel, const std::string& content,
                std::vector<Finding>& findings) {
@@ -252,6 +268,14 @@ void scan_file(const std::string& rel, const std::string& content,
                  "QQ_SIMD=OFF build keep working"});
       }
     }
+    if (raw_thread_checked(rel) && std::regex_search(line, m, kRawThread) &&
+        !line_allows(raw, "raw-thread")) {
+      findings.push_back(
+          {rel, i + 1, "raw-thread",
+           "raw '" + m[0].str() +
+               "' in library code; run the work on util::ThreadPool "
+               "(src/util/thread_pool.hpp) instead of a dedicated thread"});
+    }
   }
 }
 
@@ -317,6 +341,18 @@ int run_self_test() {
        "using V = __m256d;  // qq-lint: allow(raw-intrinsics)\n", nullptr},
       {"plain identifiers stay clean", "src/a.cpp",
        "int comm_size = 0; double mm_total = 0.0;\n", nullptr},
+      {"raw thread in src fires", "src/qaoa/a.cpp",
+       "void f() { std::thread t([] {}); t.join(); }\n", "raw-thread"},
+      {"jthread in src fires", "src/a.hpp",
+       "#pragma once\nstruct S { std::jthread worker; };\n", "raw-thread"},
+      {"thread pool is exempt", "src/util/thread_pool.cpp",
+       "unsigned n = std::thread::hardware_concurrency();\n", nullptr},
+      {"threads outside src are fine", "tests/a_test.cpp",
+       "void f() { std::thread t([] {}); t.join(); }\n", nullptr},
+      {"this_thread is fine", "src/a.cpp",
+       "void f() { std::this_thread::yield(); }\n", nullptr},
+      {"thread allow comment suppresses", "src/a.cpp",
+       "std::thread t;  // qq-lint: allow(raw-thread)\n", nullptr},
   };
   int failures = 0;
   for (const Case& c : cases) {
