@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
       qq::qaoa2::Qaoa2Options opts;
       opts.max_qubits = qubits;
       opts.partition_method = method;
-      opts.sub_solver = qq::qaoa2::SubSolver::kGw;
-      opts.merge_solver = qq::qaoa2::SubSolver::kGw;
+      opts.sub_solver_spec = "gw";
+      opts.merge_solver_spec = "gw";
       opts.seed = seed;
       qq::util::Timer timer;
       const auto r = qq::qaoa2::solve_qaoa2(family.graph, opts);

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "engine_batch.hpp"
 #include "qaoa2/qaoa2.hpp"
 #include "qgraph/generators.hpp"
 #include "sched/engine.hpp"
@@ -66,11 +67,12 @@ int main(int argc, char** argv) {
                          sink = sink + acc;
                        }});
     }
-    qq::util::Timer timer;
-    const auto report = engine.run_batch(std::move(tasks));
-    std::printf("engine dispatch: %5d tasks in %.4f s  (%.1f us/task)\n",
-                count, timer.seconds(), 1e6 * timer.seconds() / count);
-    (void)report;
+    const qq::bench::BatchTimes batch =
+        qq::bench::run_tasks(engine, std::move(tasks));
+    std::printf("engine dispatch: %5d tasks in %.4f s  (%.1f us/task, "
+                "coordination %.4f s)\n",
+                count, batch.wall_seconds, 1e6 * batch.wall_seconds / count,
+                batch.coordination_seconds);
   }
 
   // Part 2: the claim inside the real pipeline.
@@ -88,7 +90,7 @@ int main(int argc, char** argv) {
     opts.max_qubits = qubits;
     opts.sub_solver_spec = spec;
     opts.qaoa.layers = 3;
-    opts.merge_solver = qq::qaoa2::SubSolver::kGw;
+    opts.merge_solver_spec = "gw";
     opts.seed = seed;
     opts.engine = qq::sched::EngineOptions{4, 4};
     const auto r = qq::qaoa2::solve_qaoa2(g, opts);
@@ -103,9 +105,9 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%s\n", table.str().c_str());
 
-  // Part 3: streaming vs level-barrier pipeline on a multi-component graph
-  // with skewed component sizes — the shape where cross-level streaming
-  // keeps the slots saturated while a slow component's sub-graphs drain.
+  // Part 3: the streaming pipeline on a multi-component graph with skewed
+  // component sizes — the shape where cross-level streaming keeps the slots
+  // saturated while a slow component's sub-graphs drain.
   const int num_components = args.get_int("components", 4);
   qq::util::Rng comp_rng(seed + 99);
   std::vector<qq::graph::Graph> blobs;
@@ -125,26 +127,23 @@ int main(int argc, char** argv) {
     offset += blob.num_nodes();
   }
   qq::util::Table stream_table(
-      {"pipeline", "cut", "wall s", "engine tasks", "queue wait s"});
-  for (const bool streaming : {false, true}) {
+      {"cut", "wall s", "engine tasks", "queue wait s"});
+  {
     qq::qaoa2::Qaoa2Options opts;
     opts.max_qubits = qubits;
     opts.sub_solver_spec = solvers.front();
     opts.qaoa.layers = 3;
-    opts.merge_solver = qq::qaoa2::SubSolver::kGw;
+    opts.merge_solver_spec = "gw";
     opts.seed = seed;
     opts.engine = qq::sched::EngineOptions{4, 4};
-    opts.streaming = streaming;
     qq::util::Timer timer;
     const auto r = qq::qaoa2::solve_qaoa2(multi, opts);
-    stream_table.add_row({streaming ? "streaming" : "level barrier",
-                          qq::util::format_double(r.cut.value, 1),
+    stream_table.add_row({qq::util::format_double(r.cut.value, 1),
                           qq::util::format_double(timer.seconds(), 3),
                           std::to_string(r.engine_tasks),
                           qq::util::format_double(r.queue_wait_seconds, 3)});
   }
-  std::printf("multi-component pipeline (%d components, %d nodes, identical "
-              "cuts by construction):\n%s\n",
+  std::printf("multi-component pipeline (%d components, %d nodes):\n%s\n",
               num_components, total_nodes, stream_table.str().c_str());
 
   std::printf("paper claim: \"the overhead incurred by the coordination of "

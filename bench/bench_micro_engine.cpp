@@ -20,13 +20,14 @@
 //   streamed_components
 //                   Four component-like chains (quantum leaves -> classical
 //                   merge -> quantum coarse solve) with skewed leaf counts,
-//                   run once as per-level run_batch barriers and once as a
-//                   dependency-streamed task graph on the persistent
-//                   engine. Sleeps model device latency, so the overlap win
-//                   is measurable even on one core; the coarse-before-last-
-//                   leaf count proves cross-level overlap structurally.
-//   qaoa2_streaming Real QAOA^2 on a 4-component graph, level-barrier vs
-//                   streaming pipeline (identical cuts by construction).
+//                   run once as per-level barriers (one submit-and-drain
+//                   batch per level) and once as a dependency-streamed
+//                   task graph on the persistent engine. Sleeps model
+//                   device latency, so the overlap win is measurable even
+//                   on one core; the coarse-before-last-leaf count proves
+//                   cross-level overlap structurally.
+//   qaoa2_streaming Real QAOA^2 on a 4-component graph through the
+//                   streaming pipeline.
 //
 //   ./bench_micro_engine [--reps 5] [--threads 8] [--quick]
 //
@@ -42,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine_batch.hpp"
 #include "qaoa/qaoa.hpp"
 #include "qaoa2/qaoa2.hpp"
 #include "qgraph/generators.hpp"
@@ -141,9 +143,10 @@ SkewedResult run_skewed_batch(int reps, int budget) {
                        }});
     }
     qq::util::Timer timer;
-    const auto report = engine.run_batch(std::move(tasks));
+    const qq::bench::BatchTimes batch =
+        qq::bench::run_tasks(engine, std::move(tasks));
     walls.push_back(timer.seconds());
-    out.busy_s = report.busy_seconds;
+    out.busy_s = batch.busy_seconds;
     out.big_cut = results[0].cut.value;
   }
   out.wall_s = median_of(walls);
@@ -192,7 +195,7 @@ LatencyResult run_device_latency(int reps, std::uint64_t iters_per_ms) {
                        }});
     }
     qq::util::Timer timer;
-    engine.run_batch(std::move(tasks));
+    qq::bench::run_tasks(engine, std::move(tasks));
     walls.push_back(timer.seconds());
   }
   volatile double consume = 0.0;
@@ -231,7 +234,7 @@ NestedResult run_nested_kernel(int reps, int layers) {
                        for (int l = 0; l < layers; ++l) sv.apply_rx_layer(0.3);
                        ms = t.millis() / layers;
                      }});
-    engine.run_batch(std::move(tasks));
+    qq::bench::run_tasks(engine, std::move(tasks));
     nested.push_back(ms);
   }
   out.chunks_per_nested_layer =
@@ -272,7 +275,7 @@ StreamedResult run_streamed_components(int reps) {
   std::vector<double> barrier_walls, streaming_walls;
   for (int rep = 0; rep < reps; ++rep) {
     // Level-barrier baseline: the pre-streaming driver's shape — one
-    // run_batch per level across ALL components.
+    // batch per level across ALL components.
     {
       WorkflowEngine engine(opts);
       qq::util::Timer timer;
@@ -285,17 +288,17 @@ StreamedResult run_streamed_components(int reps) {
           }
         }
       }
-      engine.run_batch(std::move(level0));
+      qq::bench::run_tasks(engine, std::move(level0));
       std::vector<Task> merges;
       for (std::size_t c = 0; c < leaves.size(); ++c) {
         merges.push_back(sleep_task(kMergeLatency, ResourceKind::kClassical));
       }
-      engine.run_batch(std::move(merges));
+      qq::bench::run_tasks(engine, std::move(merges));
       std::vector<Task> coarse;
       for (std::size_t c = 0; c < leaves.size(); ++c) {
         coarse.push_back(sleep_task(kCoarseLatency, ResourceKind::kQuantum));
       }
-      engine.run_batch(std::move(coarse));
+      qq::bench::run_tasks(engine, std::move(coarse));
       barrier_walls.push_back(timer.seconds());
     }
     // Streaming: the same chains as a dependency graph on one engine.
@@ -347,10 +350,8 @@ StreamedResult run_streamed_components(int reps) {
 
 // ------------------------------------------------------------ qaoa2 stream --
 struct PipelineResult {
-  double barrier_wall_s = 0.0;
-  double streaming_wall_s = 0.0;
-  double cut_barrier = 0.0;
-  double cut_streaming = 0.0;
+  double wall_s = 0.0;
+  double cut = 0.0;
   int components = 0;
   int engine_tasks = 0;
 };
@@ -378,32 +379,24 @@ PipelineResult run_qaoa2_streaming(int reps, int budget) {
 
   qq::qaoa2::Qaoa2Options opts;
   opts.max_qubits = 14;
-  opts.sub_solver = qq::qaoa2::SubSolver::kQaoa;
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = budget;
   opts.qaoa.shots = 256;
-  opts.merge_solver = qq::qaoa2::SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   opts.seed = 43;
   opts.engine = qq::sched::EngineOptions{2, 4};
 
   PipelineResult out;
-  std::vector<double> barrier_walls, streaming_walls;
+  std::vector<double> walls;
   for (int rep = 0; rep < reps; ++rep) {
-    opts.streaming = false;
-    qq::util::Timer t0;
-    const auto barrier = qq::qaoa2::solve_qaoa2(g, opts);
-    barrier_walls.push_back(t0.seconds());
-    opts.streaming = true;
-    qq::util::Timer t1;
-    const auto streaming = qq::qaoa2::solve_qaoa2(g, opts);
-    streaming_walls.push_back(t1.seconds());
-    out.cut_barrier = barrier.cut.value;
-    out.cut_streaming = streaming.cut.value;
-    out.components = streaming.components;
-    out.engine_tasks = streaming.engine_tasks;
+    qq::util::Timer timer;
+    const auto r = qq::qaoa2::solve_qaoa2(g, opts);
+    walls.push_back(timer.seconds());
+    out.cut = r.cut.value;
+    out.components = r.components;
+    out.engine_tasks = r.engine_tasks;
   }
-  out.barrier_wall_s = median_of(barrier_walls);
-  out.streaming_wall_s = median_of(streaming_walls);
+  out.wall_s = median_of(walls);
   return out;
 }
 
@@ -485,10 +478,9 @@ int main(int argc, char** argv) {
               stream.overlapped_coarse, 4, stream.tasks);
 
   const PipelineResult pipe = run_qaoa2_streaming(reps, quick ? 6 : 40);
-  std::printf("qaoa2_streaming  barrier %.3f s   streaming %.3f s   cuts "
-              "%.1f/%.1f (must match)   components %d   engine tasks %d\n",
-              pipe.barrier_wall_s, pipe.streaming_wall_s, pipe.cut_barrier,
-              pipe.cut_streaming, pipe.components, pipe.engine_tasks);
+  std::printf("qaoa2_streaming  wall %.3f s   cut %.1f   components %d   "
+              "engine tasks %d\n",
+              pipe.wall_s, pipe.cut, pipe.components, pipe.engine_tasks);
 
   const AllocResult alloc = run_alloc_churn(quick ? 8 : 30);
   std::printf("alloc_churn      %.0f bytes/eval   %.1f allocs/eval   "

@@ -9,12 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "engine_batch.hpp"
 #include "qaoa/qaoa.hpp"
 #include "qgraph/generators.hpp"
 #include "sched/engine.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   const qq::util::Args args(argc, argv);
@@ -52,9 +52,8 @@ int main(int argc, char** argv) {
                              qq::qaoa::solve_qaoa(graphs[i], opts).cut.value;
                        }});
     }
-    qq::util::Timer timer;
-    engine.run_batch(std::move(tasks));
-    const double wall = timer.seconds();
+    const double wall =
+        qq::bench::run_tasks(engine, std::move(tasks)).wall_seconds;
     if (devices == 1) baseline = wall;
     const double speedup = baseline / wall;
     table.add_row({std::to_string(devices),

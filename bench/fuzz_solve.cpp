@@ -49,7 +49,7 @@ void print_usage(const char* prog) {
       "  --replay-dir DIR   replay every .case file in DIR\n"
       "  --quick            CI smoke preset: 64 seeds, 30 s budget\n"
       "  --cache            focus on the cache_coherence oracle (disables\n"
-      "                     the determinism/relabel/stream-parity oracles)\n"
+      "                     the determinism and relabel oracles)\n"
       "  --service          storm the multi-tenant solve service instead\n"
       "  --storms N         service-mode storm count (default 20)\n"
       "  --verbose          log every scenario\n",
@@ -91,7 +91,6 @@ int main(int argc, char** argv) {
     // for the cache probes so the budget goes to cache coverage.
     oracle.check_determinism = false;
     oracle.check_relabel = false;
-    oracle.check_stream_parity = false;
     oracle.check_cache_coherence = true;
   }
 

@@ -179,12 +179,9 @@ std::string reproducer_snippet(const Scenario& scenario,
        << "  opts.qaoa.shots = 64;\n"
        << "  opts.gw.slicings = 6;\n"
        << "  opts.seed = " << scenario.solve_seed << "ULL;\n"
-       << "  const auto streaming = qq::qaoa2::solve_qaoa2(g, opts);\n"
-       << "  opts.streaming = false;\n"
-       << "  const auto recursive = qq::qaoa2::solve_qaoa2(g, opts);\n"
-       << "  std::printf(\"streaming=%.17g recursive=%.17g recount=%.17g\\n\",\n"
-       << "              streaming.cut.value, recursive.cut.value,\n"
-       << "              qq::maxcut::cut_value(g, streaming.cut.assignment));\n";
+       << "  const auto result = qq::qaoa2::solve_qaoa2(g, opts);\n"
+       << "  std::printf(\"value=%.17g recount=%.17g\\n\", result.cut.value,\n"
+       << "              qq::maxcut::cut_value(g, result.cut.assignment));\n";
   }
   os << "  return 0;\n}\n";
   return os.str();

@@ -296,7 +296,7 @@ void check_solver_scenario(const Scenario& s, const OracleOptions& opts,
 
 // ---------------------------------------------------- qaoa2 probes ----
 
-qaoa2::Qaoa2Options qaoa2_options(const Scenario& s, bool streaming) {
+qaoa2::Qaoa2Options qaoa2_options(const Scenario& s) {
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = s.max_qubits;
   opts.sub_solver_spec = s.spec;
@@ -309,7 +309,6 @@ qaoa2::Qaoa2Options qaoa2_options(const Scenario& s, bool streaming) {
   opts.qaoa.shots = 64;
   opts.gw.slicings = 6;
   opts.seed = s.solve_seed;
-  opts.streaming = streaming;
   return opts;
 }
 
@@ -391,45 +390,28 @@ bool same_result(const qaoa2::Qaoa2Result& a, const qaoa2::Qaoa2Result& b) {
 void check_qaoa2_scenario(const Scenario& s, const OracleOptions& opts,
                           std::vector<Violation>& out) {
   const Graph& g = s.graph;
-  qaoa2::Qaoa2Result streaming;
+  qaoa2::Qaoa2Result first;
   try {
-    streaming = qaoa2::solve_qaoa2(g, qaoa2_options(s, /*streaming=*/true));
+    first = qaoa2::solve_qaoa2(g, qaoa2_options(s));
   } catch (const std::exception& e) {
     add(out, "solve_throws",
-        std::string("streaming qaoa2 threw: ") + e.what());
+        std::string("qaoa2 threw: ") + e.what());
     return;
   } catch (...) {
-    add(out, "solve_throws", "streaming qaoa2 threw a non-std exception");
+    add(out, "solve_throws", "qaoa2 threw a non-std exception");
     return;
   }
 
-  check_cut(g, streaming.cut, "streaming qaoa2", out);
-  check_qaoa2_counts(g, streaming, out);
-
-  if (opts.check_stream_parity) {
-    try {
-      const qaoa2::Qaoa2Result recursive =
-          qaoa2::solve_qaoa2(g, qaoa2_options(s, /*streaming=*/false));
-      if (!same_result(streaming, recursive)) {
-        add(out, "stream_parity",
-            "streaming (" + fmt(streaming.cut.value) + ") and recursive (" +
-                fmt(recursive.cut.value) +
-                ") pipelines disagree (value, assignment, or stats)");
-      }
-    } catch (const std::exception& e) {
-      add(out, "stream_parity",
-          std::string("recursive pipeline threw where streaming succeeded: ") +
-              e.what());
-    }
-  }
+  check_cut(g, first.cut, "qaoa2", out);
+  check_qaoa2_counts(g, first, out);
 
   if (opts.check_determinism) {
     const qaoa2::Qaoa2Result again =
-        qaoa2::solve_qaoa2(g, qaoa2_options(s, /*streaming=*/true));
-    if (!same_result(streaming, again)) {
+        qaoa2::solve_qaoa2(g, qaoa2_options(s));
+    if (!same_result(first, again)) {
       add(out, "determinism",
-          "same-seed streaming qaoa2 runs disagree: " +
-              fmt(streaming.cut.value) + " then " + fmt(again.cut.value));
+          "same-seed qaoa2 runs disagree: " +
+              fmt(first.cut.value) + " then " + fmt(again.cut.value));
     }
   }
 
@@ -438,22 +420,22 @@ void check_qaoa2_scenario(const Scenario& s, const OracleOptions& opts,
     // not perturb the pipeline: the cold (filling) run and the warm
     // (hit-serving) rerun both match the uncached result bit-for-bit.
     cache::SolveCache cache;
-    qaoa2::Qaoa2Options copts = qaoa2_options(s, /*streaming=*/true);
+    qaoa2::Qaoa2Options copts = qaoa2_options(s);
     copts.solve_cache = &cache;
     try {
       const qaoa2::Qaoa2Result cold = qaoa2::solve_qaoa2(g, copts);
-      if (!same_result(streaming, cold)) {
+      if (!same_result(first, cold)) {
         add(out, "cache_coherence",
             "cache-enabled qaoa2 (" + fmt(cold.cut.value) +
                 ") differs from the uncached run (" +
-                fmt(streaming.cut.value) + ")");
+                fmt(first.cut.value) + ")");
       }
       const qaoa2::Qaoa2Result warm = qaoa2::solve_qaoa2(g, copts);
-      if (!same_result(streaming, warm)) {
+      if (!same_result(first, warm)) {
         add(out, "cache_coherence",
             "hit-serving cache-enabled qaoa2 (" + fmt(warm.cut.value) +
                 ") differs from the uncached run (" +
-                fmt(streaming.cut.value) + ")");
+                fmt(first.cut.value) + ")");
       }
     } catch (const std::exception& e) {
       add(out, "cache_coherence",
@@ -462,9 +444,9 @@ void check_qaoa2_scenario(const Scenario& s, const OracleOptions& opts,
   }
 
   check_exact_and_relabel(
-      s, opts, streaming.cut,
+      s, opts, first.cut,
       [&](const Graph& h) {
-        return qaoa2::solve_qaoa2(h, qaoa2_options(s, /*streaming=*/true)).cut;
+        return qaoa2::solve_qaoa2(h, qaoa2_options(s)).cut;
       },
       out);
 }

@@ -15,7 +15,6 @@
 //                  to the same value on the original graph; the exact
 //                  optimum value is additionally invariant
 //   exact_bound    exact >= any heuristic (n <= exact_max_nodes)
-//   stream_parity  QAOA^2 streaming == recursive bit-for-bit
 //   cache_coherence  routing the solve through a seed-sensitive SolveCache
 //                  (warm starts off) is bit-for-bit identical to the
 //                  uncached solve; a repeat of the same request HITS and
@@ -50,9 +49,6 @@ struct OracleOptions {
   int exact_max_nodes = 16;
   bool check_determinism = true;
   bool check_relabel = true;
-  /// QAOA^2 probes: compare the streaming pipeline against the recursive
-  /// reference bit-for-bit.
-  bool check_stream_parity = true;
   /// Cache probes: cache-routed solves must equal uncached ones bit-for-bit
   /// and isomorphic hits must map back to valid assignments.
   bool check_cache_coherence = true;

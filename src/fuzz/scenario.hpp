@@ -24,7 +24,7 @@
 namespace qq::fuzz {
 
 /// How a scenario exercises the stack: a direct `Solver::solve` call, or a
-/// full QAOA^2 divide-solve-merge run (streaming and recursive).
+/// full QAOA^2 divide-solve-merge run.
 enum class ProbeKind { kSolver, kQaoa2 };
 
 const char* probe_kind_name(ProbeKind kind) noexcept;

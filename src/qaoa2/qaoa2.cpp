@@ -69,13 +69,6 @@ std::uint64_t partition_seed(std::uint64_t base_seed, int level) {
   return base_seed + static_cast<std::uint64_t>(level) * 1000003ULL;
 }
 
-/// Enum role -> registry spec: the compatibility mapping. Every enumerator
-/// name doubles as its registry name ("best" resolves to the registry's
-/// default best-of(qaoa, gw) pairing).
-std::string resolved_spec(const std::string& spec, SubSolver fallback) {
-  return spec.empty() ? sub_solver_name(fallback) : spec;
-}
-
 solver::SolveRequest make_request(const graph::Graph& g, std::uint64_t seed,
                                   const util::RequestContext* context) {
   solver::SolveRequest request;
@@ -167,28 +160,6 @@ void accumulate(Qaoa2Result& total, const Qaoa2Result& partial) {
 
 }  // namespace
 
-const char* sub_solver_name(SubSolver solver) noexcept {
-  switch (solver) {
-    case SubSolver::kQaoa: return "qaoa";
-    case SubSolver::kGw: return "gw";
-    case SubSolver::kBest: return "best";
-    case SubSolver::kExact: return "exact";
-    case SubSolver::kAnneal: return "anneal";
-    case SubSolver::kLocalSearch: return "local-search";
-    case SubSolver::kRqaoa: return "rqaoa";
-  }
-  return "?";
-}
-
-std::optional<SubSolver> parse_sub_solver(std::string_view name) noexcept {
-  for (const SubSolver s :
-       {SubSolver::kQaoa, SubSolver::kGw, SubSolver::kBest, SubSolver::kExact,
-        SubSolver::kAnneal, SubSolver::kLocalSearch, SubSolver::kRqaoa}) {
-    if (name == sub_solver_name(s)) return s;
-  }
-  return std::nullopt;
-}
-
 std::uint64_t component_seed(std::uint64_t seed, std::size_t component,
                              std::size_t num_components) noexcept {
   if (num_components <= 1) return seed;
@@ -212,35 +183,21 @@ Qaoa2Driver::Qaoa2Driver(const Qaoa2Options& options) : options_(options) {
   }
   const solver::SolverDefaults defaults = solver_defaults();
   const solver::SolverRegistry& registry = solver::SolverRegistry::global();
-  const std::string sub_spec =
-      resolved_spec(options_.sub_solver_spec, options_.sub_solver);
-  const std::string deeper_spec =
-      resolved_spec(options_.deeper_solver_spec, options_.deeper_solver);
-  const std::string merge_spec =
-      resolved_spec(options_.merge_solver_spec, options_.merge_solver);
-  sub_ = registry.make(sub_spec, defaults);
-  deeper_ = registry.make(deeper_spec, defaults);
-  merge_ = registry.make(merge_spec, defaults);
+  sub_ = registry.make(options_.sub_solver_spec, defaults);
+  deeper_ = registry.make(options_.deeper_solver_spec, defaults);
+  merge_ = registry.make(options_.merge_solver_spec, defaults);
   // Cache keys: spec + digest of the defaults the spec refines, so two
   // drivers sharing "qaoa" but configured with different layers/shots/...
   // never alias one cache entry.
   const std::string suffix = defaults_digest_hex(defaults);
-  sub_key_ = sub_spec + suffix;
-  deeper_key_ = deeper_spec + suffix;
-  merge_key_ = merge_spec + suffix;
+  sub_key_ = options_.sub_solver_spec + suffix;
+  deeper_key_ = options_.deeper_solver_spec + suffix;
+  merge_key_ = options_.merge_solver_spec + suffix;
   if (!merge_->children().empty()) {
     throw std::invalid_argument(
         "Qaoa2Driver: merge solver cannot be a best-of combinator (the "
         "coarse graph gets exactly one solve)");
   }
-}
-
-maxcut::CutResult Qaoa2Driver::solve_subgraph(const graph::Graph& g,
-                                              SubSolver which,
-                                              std::uint64_t seed) const {
-  const solver::SolverPtr s = solver::SolverRegistry::global().make(
-      sub_solver_name(which), solver_defaults());
-  return s->solve(make_request(g, seed, options_.context)).cut;
 }
 
 solver::SolveReport Qaoa2Driver::dispatch_solve(
@@ -336,23 +293,14 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
         tags_(tags),
         done_(std::move(done)) {}
 
-  /// Synchronous entry: shard on the caller-computed components, submit
-  /// every component's root task, and drain the engine. Throws the first
-  /// task error, if any (the engine's drain semantics, unchanged).
-  void run(std::vector<std::vector<graph::NodeId>> components) {
-    components_ = std::move(components);
-    start_components();
-    engine_.drain();
-  }
-
-  /// Asynchronous entry: submit one classical PLANNING task that computes
-  /// the component sharding (O(V+E) — off the caller's thread) and fans
-  /// out from there; `done_` fires when the last task settles.
+  /// Submit one classical PLANNING task that computes the component
+  /// sharding (O(V+E) — off the caller's thread) and fans out from there;
+  /// `done_` fires when the last task settles.
   void start() {
     submit_task(sched::ResourceKind::kClassical, [this] {
       if (graph_.num_nodes() <= options_.max_qubits) {
-        // Mirror the synchronous fits-on-device fast path — ONE solve of
-        // the whole graph — so async results match solve() bit-for-bit.
+        // Mirror solve()'s fits-on-device path — ONE solve of the whole
+        // graph — so both entries give the same result.
         components_count_ =
             static_cast<int>(graph::connected_components(graph_).size());
         runs_.resize(1);
@@ -376,8 +324,6 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
       start_components();
     });
   }
-
-  const std::vector<ComponentRun>& runs() const noexcept { return runs_; }
 
  private:
   void start_components() {
@@ -442,7 +388,6 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
   }
 
   void finish() {
-    if (!done_) return;  // synchronous run(): drain() delivers instead
     Qaoa2Result result;
     std::exception_ptr err;
     {
@@ -569,7 +514,7 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
   sched::WorkflowEngine& engine_;
   const graph::Graph& graph_;
   SolveTags tags_;
-  Qaoa2Driver::DoneFn done_;  ///< empty in synchronous mode
+  Qaoa2Driver::DoneFn done_;
   std::vector<std::vector<graph::NodeId>> components_;
   int components_count_ = 0;
   std::vector<ComponentRun> runs_;
@@ -579,92 +524,6 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
   util::Mutex error_mutex_;
   std::exception_ptr first_error_ QQ_GUARDED_BY(error_mutex_);
 };
-
-// ---------------------------------------------------------------------------
-// Level-barrier recursion (streaming off): the reference pipeline. One
-// engine batch per level; every seed matches the streaming pipeline's, so
-// the two produce bit-for-bit identical cuts.
-
-void Qaoa2Driver::solve_level(const graph::Graph& g, int level,
-                              std::uint64_t base_seed,
-                              sched::WorkflowEngine& engine,
-                              Qaoa2Result& result,
-                              maxcut::Assignment& out_assignment) const {
-  result.levels = std::max(result.levels, level + 1);
-
-  // Base case: the whole (coarse) graph fits on a device.
-  if (g.num_nodes() <= options_.max_qubits) {
-    out_assignment =
-        solve_fitting_level(g, level, base_seed, result, options_.context)
-            .assignment;
-    return;
-  }
-
-  // Divide (paper step 2).
-  graph::PartitionOptions popts;
-  popts.max_nodes = options_.max_qubits;
-  popts.method = options_.partition_method;
-  popts.seed = partition_seed(base_seed, level);
-  const auto parts = graph::partition_max_size(g, popts);
-  if (static_cast<graph::NodeId>(parts.size()) >= g.num_nodes()) {
-    // Cannot happen with the partitioner's no-progress fallback; guard the
-    // recursion against any future partitioner that degenerates.
-    throw std::runtime_error("Qaoa2Driver: partition made no progress");
-  }
-
-  LevelStats stats = make_level_stats(level, parts);
-
-  // Conquer (paper step 3): every sub-graph in parallel through the
-  // coordinator/worker engine, one task per solver arm (a best-of fans out
-  // one quantum and one classical task per part — paper §3.6/Fig. 4
-  // "Best").
-  const auto subgraphs = graph::induced_batch(g, parts, &engine.pool());
-  const std::vector<const solver::Solver*> arms =
-      solver_arms(level_solver(level));
-  const std::vector<std::string> arm_keys =
-      arm_solver_keys(level, arms.size());
-
-  std::vector<std::vector<solver::SolveReport>> reports(
-      parts.size(), std::vector<solver::SolveReport>(arms.size()));
-
-  std::vector<sched::Task> tasks;
-  tasks.reserve(parts.size() * arms.size());
-  const util::RequestContext* context = options_.context;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const std::uint64_t seed = mix_seed(base_seed, level, i);
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-      sched::Task task;
-      task.kind = arms[a]->resource_kind();
-      task.work = [this, &subgraphs, &reports, &arms, &arm_keys, i, a, seed,
-                   context] {
-        reports[i][a] = dispatch_solve(
-            *arms[a], arm_keys[a],
-            make_request(subgraphs[i].graph, seed, context));
-      };
-      tasks.push_back(std::move(task));
-    }
-  }
-  const sched::BatchReport report = engine.run_batch(std::move(tasks));
-  result.solve_seconds += report.busy_seconds;
-
-  std::vector<maxcut::Assignment> locals(parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    locals[i] = best_report(reports[i]).cut.assignment;
-    count_reports(reports[i], result);
-  }
-
-  // Merge (paper step 4) and recurse on the coarse graph (step 5). The
-  // final coarse solve goes through the same fitting path as the base case
-  // (solve_level's base case), so its level is recorded in level_stats too.
-  const graph::Graph coarse = build_merge_graph(g, parts, locals);
-  maxcut::Assignment coarse_assignment;
-  solve_level(coarse, level + 1, base_seed, engine, result, coarse_assignment);
-
-  out_assignment =
-      apply_flips(g.num_nodes(), parts, locals, coarse_assignment);
-  stats.level_cut = maxcut::cut_value(g, out_assignment);
-  result.level_stats.push_back(stats);
-}
 
 Qaoa2Result Qaoa2Driver::solve(const graph::Graph& g) const {
   util::Timer wall;
@@ -684,54 +543,37 @@ Qaoa2Result Qaoa2Driver::solve(const graph::Graph& g) const {
     return result;
   }
 
-  // Shard by connected component: components share no edges, so they are
-  // independent MaxCut instances with independent seed streams.
-  const auto components = graph::connected_components(g);
-  result.components = static_cast<int>(components.size());
-
-  // ONE engine (and one pool) for the entire solve.
+  // ONE engine (and one pool) for the entire solve. `done` runs on the
+  // thread that settled the last task, which can be just after drain() saw
+  // the engine idle, so wait for it before touching the result.
   sched::WorkflowEngine engine(options_.engine);
-  maxcut::Assignment global(static_cast<std::size_t>(g.num_nodes()), 0);
-
-  if (options_.streaming) {
-    SolveTags tags;
-    tags.context = options_.context;
-    auto pipeline = std::make_shared<StreamPipeline>(*this, engine, g, tags,
-                                                     Qaoa2Driver::DoneFn{});
-    pipeline->run(components);
-    for (const ComponentRun& run : pipeline->runs()) {
-      accumulate(result, run.partial);
-      for (std::size_t j = 0; j < run.to_global.size(); ++j) {
-        global[static_cast<std::size_t>(run.to_global[j])] =
-            run.assignment[j];
-      }
-    }
-  } else {
-    for (std::size_t ci = 0; ci < components.size(); ++ci) {
-      graph::Subgraph sub = g.induced(components[ci]);
-      const std::uint64_t base_seed =
-          component_seed(options_.seed, ci, components.size());
-      Qaoa2Result partial;
-      maxcut::Assignment assignment;
-      solve_level(sub.graph, 0, base_seed, engine, partial, assignment);
-      accumulate(result, partial);
-      for (std::size_t j = 0; j < sub.to_global.size(); ++j) {
-        global[static_cast<std::size_t>(sub.to_global[j])] = assignment[j];
-      }
-    }
+  util::Mutex mutex;
+  util::CondVar settled_cv;
+  bool settled = false;
+  SolveTags tags;
+  tags.context = options_.context;
+  solve_async(engine, g, tags,
+              [&](Qaoa2Result r, std::exception_ptr /*err*/) {
+                util::MutexLock lock(mutex);
+                result = std::move(r);
+                settled = true;
+                settled_cv.notify_all();
+              });
+  std::exception_ptr err;
+  engine.drain(&err);
+  {
+    util::MutexLock lock(mutex);
+    while (!settled) settled_cv.wait(lock);
   }
+  if (err) std::rethrow_exception(err);
 
   const sched::EngineStats estats = engine.stats();
-  result.engine_tasks = static_cast<int>(estats.completed);
   result.queue_wait_seconds = estats.queue_wait_seconds;
   const double ideal = sched::ideal_parallel_seconds(
       estats.busy_quantum_seconds, estats.busy_classical_seconds,
       estats.quantum_tasks, estats.classical_tasks, options_.engine,
       std::max<std::size_t>(std::size_t{1}, engine.pool().size()));
   result.coordination_seconds = std::max(0.0, wall.seconds() - ideal);
-
-  result.cut.assignment = std::move(global);
-  result.cut.value = maxcut::cut_value(g, result.cut.assignment);
   return result;
 }
 

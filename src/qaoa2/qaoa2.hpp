@@ -5,24 +5,23 @@
 // classical solvers, merge via the signed coarse graph, and recurse until
 // the coarse problem fits on one device.
 //
-// The hybrid selection the paper studies (§3.6/Fig. 4) is the SubSolver
-// knob: all-QAOA ("QAOA"), all-GW ("Classic"), or per-sub-graph best of
-// both ("Best").
+// Every solver role is named by a registry spec string (solver/registry.hpp).
+// The hybrid selection the paper studies (§3.6/Fig. 4) is the sub-solver
+// spec: all-QAOA ("qaoa"), all-GW ("gw"), or per-sub-graph best of both
+// ("best").
 //
-// The solve is sharded by connected component and (by default) STREAMED:
-// every component flows partition -> sub-solves -> merge -> coarse
+// The solve is sharded by connected component and STREAMED: every
+// component flows partition -> sub-solves -> merge -> coarse
 // solve/recursion as a chain of dependent tasks on ONE persistent
 // WorkflowEngine, so a component whose sub-solves finish starts its coarse
-// level while other components' sub-graphs are still running. The
-// level-barrier recursive pipeline is retained (`streaming = false`) as a
-// reference; both produce bit-for-bit identical cuts because every
-// sub-problem's seed is a pure function of (component, level, part).
+// level while other components' sub-graphs are still running. Every
+// sub-problem's seed is a pure function of (component, level, part), so the
+// cut does not depend on the schedule.
 
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,20 +38,6 @@
 
 namespace qq::qaoa2 {
 
-/// Compatibility shim over the solver registry (solver/registry.hpp): each
-/// enumerator maps onto the registry spec of the same name ("qaoa", "gw",
-/// "best", ...). New code should prefer the spec-string fields of
-/// Qaoa2Options, which reach every registered backend and its parameters.
-enum class SubSolver {
-  kQaoa,         ///< quantum (simulated) — Fig. 4 "QAOA"
-  kGw,           ///< classical Goemans-Williamson — Fig. 4 "Classic"
-  kBest,         ///< run both, keep the better cut — Fig. 4 "Best"
-  kExact,        ///< brute force (tests / small parts)
-  kAnneal,       ///< simulated annealing
-  kLocalSearch,  ///< one-exchange with restarts
-  kRqaoa,        ///< recursive QAOA (extension)
-};
-
 struct Qaoa2Options {
   /// Qubit budget n of the (simulated) devices; also the partition cap.
   int max_qubits = 12;
@@ -60,31 +45,23 @@ struct Qaoa2Options {
   /// outlook motivates trying others — see bench_ablation_partition).
   graph::PartitionMethod partition_method =
       graph::PartitionMethod::kGreedyModularity;
-  /// Solver for the first-level sub-graphs.
-  SubSolver sub_solver = SubSolver::kQaoa;
-  /// Solver for deeper recursion levels. The paper: "In case of further
-  /// iterations in the QAOA^2 method, the classical solution is chosen."
-  SubSolver deeper_solver = SubSolver::kGw;
-  /// Solver for the coarse merge graphs (paper step 5 uses QAOA).
-  SubSolver merge_solver = SubSolver::kQaoa;
-  /// Registry spec strings (e.g. "qaoa:p=3,shots=512", "best:qaoa|gw",
-  /// "anneal:sweeps=400"); when non-empty they override the corresponding
-  /// enum above and reach every backend registered with SolverRegistry.
-  /// The driver's `qaoa`/`gw` option structs below are the defaults the
-  /// specs refine. The merge spec must not be a best-of combinator (the
-  /// coarse graph gets exactly one solve).
-  std::string sub_solver_spec;
-  std::string deeper_solver_spec;
-  std::string merge_solver_spec;
+  /// Registry spec strings of the three solver roles (e.g.
+  /// "qaoa:p=3,shots=512", "best:qaoa|gw", "anneal:sweeps=400"); they reach
+  /// every backend registered with SolverRegistry. The driver's `qaoa`/`gw`
+  /// option structs below are the defaults the specs refine.
+  /// First-level sub-graphs (Fig. 4 "QAOA").
+  std::string sub_solver_spec = "qaoa";
+  /// Deeper recursion levels. The paper: "In case of further iterations in
+  /// the QAOA^2 method, the classical solution is chosen."
+  std::string deeper_solver_spec = "gw";
+  /// The coarse merge graphs (paper step 5 uses QAOA). Must not be a
+  /// best-of combinator (the coarse graph gets exactly one solve).
+  std::string merge_solver_spec = "qaoa";
   qaoa::QaoaOptions qaoa;  ///< configuration of every QAOA sub-solve
   sdp::GwOptions gw;       ///< configuration of every GW sub-solve
   /// Simulated device count / classical worker slots for the parallel
   /// sub-graph fan-out (Fig. 2).
   sched::EngineOptions engine;
-  /// Stream components and recursion levels through one persistent
-  /// dependency-aware engine (default). `false` selects the level-barrier
-  /// recursive pipeline; the cut is bit-for-bit identical either way.
-  bool streaming = true;
   /// Cooperative stop state threaded into every sub-solve (viewed, not
   /// owned; may be null). A stopped context unwinds the remaining task
   /// graph as cancelled; results are unchanged while it never trips.
@@ -133,8 +110,8 @@ struct Qaoa2Result {
   /// Connected components of the input graph (the sharding granularity
   /// when the graph exceeds the device; 0 for the empty graph).
   int components = 0;
-  /// Tasks executed by the workflow engine (0 when the graph fit on one
-  /// device and no engine was needed).
+  /// Tasks executed by the workflow engine, the planning task included (0
+  /// when the graph fit on one device and no engine was needed).
   int engine_tasks = 0;
   double solve_seconds = 0.0;         ///< wall time in sub-graph solvers
   double coordination_seconds = 0.0;  ///< engine overhead (Fig. 2 claim)
@@ -163,17 +140,14 @@ class Qaoa2Driver {
 
   const Qaoa2Options& options() const noexcept { return options_; }
 
-  /// Solve one sub-graph with a specific solver — compatibility shim over
-  /// the registry (exposed for the knowledge base / selection benchmarks):
-  /// equivalent to `SolverRegistry::global().make(sub_solver_name(solver),
-  /// defaults-from-options)` followed by solve at `seed`.
-  maxcut::CutResult solve_subgraph(const graph::Graph& g, SubSolver solver,
-                                   std::uint64_t seed) const;
-
   /// The SolverDefaults the driver's specs refine: its QaoaOptions /
   /// GwOptions plus the RQAOA cutoff min(max_qubits, 8).
   solver::SolverDefaults solver_defaults() const;
 
+  /// Synchronous solve. A graph that fits on one device is solved directly;
+  /// a larger one runs solve_async on a private engine built from
+  /// `options().engine`, which is drained before returning. Rethrows the
+  /// first task error.
   Qaoa2Result solve(const graph::Graph& g) const;
 
   /// Asynchronous solve on a CALLER-owned engine: submits a planning task
@@ -181,11 +155,10 @@ class Qaoa2Driver {
   /// engine under `tags` (fair-share class, cancellation group, stop
   /// context) and `done` fires once when the last task settles. Many
   /// concurrent solves — of many drivers — multiplex one engine this way;
-  /// `options().engine` and `options().streaming` are ignored. The graph,
-  /// the driver, and the engine must outlive the solve; the returned
-  /// handle keeps the pipeline state alive and is safe to drop (the
-  /// in-flight tasks co-own it). Results for a given (options, seed) match
-  /// the synchronous `solve` bit-for-bit when the context never trips.
+  /// `options().engine` is ignored. The graph, the driver, and the engine
+  /// must outlive the solve; the returned handle keeps the pipeline state
+  /// alive and is safe to drop (the in-flight tasks co-own it). Results for
+  /// a given (options, seed) do not depend on the engine or its schedule.
   std::shared_ptr<StreamPipeline> solve_async(sched::WorkflowEngine& engine,
                                               const graph::Graph& g,
                                               const SolveTags& tags,
@@ -203,11 +176,6 @@ class Qaoa2Driver {
                                         Qaoa2Result& result,
                                         const util::RequestContext* context)
       const;
-
-  /// Level-barrier recursion over one connected component (streaming off).
-  void solve_level(const graph::Graph& g, int level, std::uint64_t base_seed,
-                   sched::WorkflowEngine& engine, Qaoa2Result& result,
-                   maxcut::Assignment& out_assignment) const;
 
   /// The registry-built solver serving a partitioned level: sub_ at level
   /// 0, deeper_ below.
@@ -232,7 +200,7 @@ class Qaoa2Driver {
   Qaoa2Options options_;
   // Registry-built instances of the three solver roles (immutable,
   // shared by every concurrent engine task of a solve) and their cache
-  // keys: "<resolved spec>@<defaults digest>" — the digest covers the
+  // keys: "<spec>@<defaults digest>" — the digest covers the
   // driver-level QaoaOptions/GwOptions the spec refines, so two drivers
   // sharing a spec string but configured differently never alias.
   solver::SolverPtr sub_;
@@ -245,11 +213,6 @@ class Qaoa2Driver {
 
 /// Convenience wrapper.
 Qaoa2Result solve_qaoa2(const graph::Graph& g, const Qaoa2Options& options = {});
-
-const char* sub_solver_name(SubSolver solver) noexcept;
-
-/// Round-trip inverse of sub_solver_name; nullopt for unknown names.
-std::optional<SubSolver> parse_sub_solver(std::string_view name) noexcept;
 
 /// Base seed of component `component` of `num_components` in a sharded
 /// solve. Identity for a single-component (connected) graph — sharding must

@@ -645,95 +645,4 @@ EngineStats WorkflowEngine::stats() const {
   return out;
 }
 
-BatchReport WorkflowEngine::run_batch(std::vector<Task> tasks,
-                                      std::exception_ptr* error_out) {
-  Impl& st = *impl_;
-  BatchReport report;
-  // Validate the whole batch BEFORE submitting anything: a throw after a
-  // partial submission would return control to the caller while the
-  // submitted closures still run against its frame ("the batch still
-  // drains fully" would be broken exactly when it matters).
-  for (const Task& task : tasks) {
-    if (!task.work) {
-      throw std::invalid_argument("WorkflowEngine::run_batch: empty task");
-    }
-  }
-  const double t0 = st.now();
-  std::vector<std::size_t> ids;
-  ids.reserve(tasks.size());
-  for (Task& task : tasks) {
-    ids.push_back(submit(std::move(task)).id);
-  }
-
-  // Wait for exactly this batch; the cursor makes the repeated predicate
-  // evaluation amortized O(n) over the whole wait.
-  std::size_t cursor = 0;
-  st.help_until(impl_, [&st, &ids, &cursor]() QQ_REQUIRES(st.mutex) {
-    while (cursor < ids.size()) {
-      const auto status = st.nodes[ids[cursor]].status;
-      if (status != Impl::Status::kDone &&
-          status != Impl::Status::kCancelled) {
-        return false;
-      }
-      ++cursor;
-    }
-    return true;
-  });
-
-  std::exception_ptr batch_error;
-  double first_fail_end = 0.0;
-  std::array<double, 2> busy{0.0, 0.0};
-  std::array<std::size_t, 2> count{0, 0};
-  {
-    util::MutexLock lock(st.mutex);
-    report.timings.reserve(ids.size());
-    for (std::size_t b = 0; b < ids.size(); ++b) {
-      const Impl::Node& node = st.nodes[ids[b]];
-      TaskTiming t = node.timing;
-      t.task = b;
-      t.submit_s -= t0;
-      t.start_s -= t0;
-      t.end_s -= t0;
-      const int k = kind_index(t.kind);
-      busy[k] += t.end_s - t.start_s;
-      ++count[k];
-      report.busy_seconds += t.end_s - t.start_s;
-      // Chronologically first failure, matching the order completions were
-      // observed by the old per-batch engine.
-      if (node.error &&
-          (!batch_error || node.timing.end_s < first_fail_end)) {
-        batch_error = node.error;
-        first_fail_end = node.timing.end_s;
-      }
-      report.timings.push_back(t);
-    }
-    // This batch's errors are delivered here (or to error_out); don't leave
-    // them poisoning a later drain().
-    if (batch_error && st.first_error) {
-      for (const std::size_t id : ids) {
-        if (st.nodes[id].error == st.first_error) {
-          st.first_error = nullptr;
-          break;
-        }
-      }
-    }
-  }
-
-  report.wall_seconds = st.now() - t0;
-  report.busy_quantum_seconds = busy[0];
-  report.busy_classical_seconds = busy[1];
-  const std::size_t width =
-      std::max<std::size_t>(std::size_t{1}, st.pool->size());
-  const double ideal = ideal_parallel_seconds(busy[0], busy[1], count[0],
-                                              count[1], options_, width);
-  report.coordination_seconds = std::max(0.0, report.wall_seconds - ideal);
-
-  if (error_out != nullptr) {
-    *error_out = batch_error;
-  } else if (batch_error) {
-    std::rethrow_exception(batch_error);
-  }
-  return report;
-}
-
 }  // namespace qq::sched

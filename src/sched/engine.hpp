@@ -20,12 +20,12 @@
 //
 // The engine is NON-BLOCKING: at most `slots` tasks of a kind are handed to
 // the thread pool at a time; no pool thread ever parks waiting for a slot,
-// and a waiting caller (`wait`/`drain`/`run_batch`) help-runs this engine's
-// dispatched tasks plus bounded pool chunk work, so waits issued from
-// inside a pool worker — or on a pool of one — still complete.
+// and a waiting caller (`wait`/`drain`) help-runs this engine's dispatched
+// tasks plus bounded pool chunk work, so waits issued from inside a pool
+// worker — or on a pool of one — still complete.
 //
-// `run_batch` remains as a thin compatibility wrapper: submit every task
-// with no dependencies, wait for that batch, report batch-relative timings.
+// A batch of independent tasks is a sequence of `submit` calls followed by
+// `drain`; per-task `timing` and the cumulative `stats` report what ran.
 //
 // MULTI-TENANCY (the service layer's substrate): tasks carry a fair-share
 // CLASS and a cancellation GROUP. Classes (add_class) are weighted queues
@@ -121,9 +121,7 @@ struct TaskTiming {
   ResourceKind kind = ResourceKind::kClassical;
   double submit_s = 0.0;  ///< entry into the engine's ready queue (for a
                           ///< dependent task: the moment its last dependency
-                          ///< completed), relative to the clock origin —
-                          ///< engine construction for timing(), batch start
-                          ///< inside a BatchReport
+                          ///< completed), relative to engine construction
   double start_s = 0.0;   ///< `work` began executing
   double end_s = 0.0;     ///< `work` returned (or threw)
   double wait_s = 0.0;    ///< start_s - submit_s: slot wait + pool queueing
@@ -133,20 +131,6 @@ struct TaskTiming {
   /// Never ran: a (transitive) dependency failed or its group was
   /// cancelled.
   bool cancelled = false;
-};
-
-struct BatchReport {
-  double wall_seconds = 0.0;
-  /// Σ task service times (inside `work`), including failed tasks' partial
-  /// runtimes.
-  double busy_seconds = 0.0;
-  double busy_quantum_seconds = 0.0;
-  double busy_classical_seconds = 0.0;
-  /// Wall time minus the ideal-parallel-time estimate of the useful work —
-  /// the "coordination overhead is minimal" check. See
-  /// ideal_parallel_seconds.
-  double coordination_seconds = 0.0;
-  std::vector<TaskTiming> timings;
 };
 
 /// Cumulative engine counters since construction; snapshot via
@@ -242,8 +226,8 @@ class WorkflowEngine {
   void wait(TaskHandle handle);
 
   /// Cooperatively help-run until every submitted task has completed. The
-  /// first error observed since the last drain/run_batch is rethrown —
-  /// unless `error_out` is non-null, in which case it is stored there.
+  /// first error observed since the last drain is rethrown — unless
+  /// `error_out` is non-null, in which case it is stored there.
   void drain(std::exception_ptr* error_out = nullptr);
 
   /// Timing of a completed (or cancelled) task, relative to engine
@@ -251,15 +235,6 @@ class WorkflowEngine {
   TaskTiming timing(TaskHandle handle) const;
 
   EngineStats stats() const;
-
-  /// Compatibility wrapper: run every task respecting the slot limits;
-  /// blocks until all complete (cooperatively). If tasks throw, the batch
-  /// still drains fully; the first exception is rethrown — unless
-  /// `error_out` is non-null, in which case it is stored there and the
-  /// report (including the failed tasks' timings and partial runtimes) is
-  /// returned normally. Timings are relative to batch start.
-  BatchReport run_batch(std::vector<Task> tasks,
-                        std::exception_ptr* error_out = nullptr);
 
  private:
   struct Impl;

@@ -16,9 +16,9 @@ namespace qq::solver {
 
 namespace {
 
-// Seed salts of the old Qaoa2Driver::solve_subgraph switch. They live here
-// now so a registry-built solver at seed s is bit-for-bit identical to the
-// pre-registry dispatch at the same seed.
+// Seed salts of the pre-registry Qaoa2Driver dispatch switch. They live
+// here now so a registry-built solver at seed s is bit-for-bit identical to
+// the pre-registry dispatch at the same seed.
 constexpr std::uint64_t kGwSdpSalt = 0x5d9ULL;
 constexpr std::uint64_t kAnnealSalt = 0xa22ea1ULL;
 constexpr std::uint64_t kLocalSearchSalt = 0x10ca15ULL;

@@ -255,6 +255,21 @@ TEST(CaseIo, ReproducerSnippetContainsTheScenario) {
   EXPECT_NE(snippet.find("add_edge(0, 1, 2.5)"), std::string::npos);
   EXPECT_NE(snippet.find("\"greedy\""), std::string::npos);
   EXPECT_NE(snippet.find("int main()"), std::string::npos);
+
+  // A QAOA^2 reproducer names every role by spec and sets no option that
+  // no longer exists.
+  const Scenario q = from_case_string(
+      "kind qaoa2\nsolve_seed 4\nspec gw\ndeeper_spec greedy\n"
+      "merge_spec exact\nmax_qubits 2\nnodes 3\nedge 0 1 1\nend\n");
+  const std::string qsnippet = reproducer_snippet(q, {{"recount", "demo"}});
+  EXPECT_NE(qsnippet.find("opts.sub_solver_spec = \"gw\""),
+            std::string::npos);
+  EXPECT_NE(qsnippet.find("opts.deeper_solver_spec = \"greedy\""),
+            std::string::npos);
+  EXPECT_NE(qsnippet.find("opts.merge_solver_spec = \"exact\""),
+            std::string::npos);
+  EXPECT_NE(qsnippet.find("solve_qaoa2(g, opts)"), std::string::npos);
+  EXPECT_EQ(qsnippet.find("streaming"), std::string::npos);
 }
 
 // -------------------------------------------------------------- campaign ----

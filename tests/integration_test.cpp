@@ -35,14 +35,14 @@ TEST(Integration, Fig4StyleOrderingOnMediumGraph) {
   opts.max_qubits = 8;
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 40;
-  opts.merge_solver = qaoa2::SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   opts.seed = 3;
 
-  opts.sub_solver = qaoa2::SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   const double all_qaoa = qaoa2::solve_qaoa2(g, opts).cut.value;
-  opts.sub_solver = qaoa2::SubSolver::kGw;
+  opts.sub_solver_spec = "gw";
   const double all_gw = qaoa2::solve_qaoa2(g, opts).cut.value;
-  opts.sub_solver = qaoa2::SubSolver::kBest;
+  opts.sub_solver_spec = "best";
   const double best = qaoa2::solve_qaoa2(g, opts).cut.value;
 
   sdp::GwOptions gw_opts;
@@ -172,10 +172,10 @@ TEST(Integration, Qaoa2WithEngineMatchesSequentialSeededRun) {
   const auto g = graph::erdos_renyi(36, 0.15, rng);
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = qaoa2::SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 30;
-  opts.merge_solver = qaoa2::SubSolver::kExact;
+  opts.merge_solver_spec = "exact";
   opts.seed = 13;
   opts.engine = sched::EngineOptions{4, 4};
   const auto parallel = qaoa2::solve_qaoa2(g, opts);
@@ -201,10 +201,10 @@ TEST(Integration, ExactOptimumDominatesEveryHeuristicAtSmallScale) {
 
   qaoa2::Qaoa2Options o2;
   o2.max_qubits = 6;
-  o2.sub_solver = qaoa2::SubSolver::kBest;
+  o2.sub_solver_spec = "best";
   o2.qaoa.layers = 2;
   o2.qaoa.max_iterations = 30;
-  o2.merge_solver = qaoa2::SubSolver::kExact;
+  o2.merge_solver_spec = "exact";
   EXPECT_LE(qaoa2::solve_qaoa2(g, o2).cut.value, exact + 1e-9);
 
   util::Rng rr(14);

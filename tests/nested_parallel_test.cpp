@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "maxcut/cut.hpp"
 #include "qaoa/qaoa.hpp"
 #include "qaoa2/qaoa2.hpp"
 #include "qgraph/generators.hpp"
@@ -29,6 +30,13 @@ namespace {
 // 2^16 amplitudes at kParallelGrain = 2^14 -> 4 planned chunks per kernel
 // sweep: big enough that every kernel splits, small enough to stay fast.
 constexpr int kQubits = 16;
+
+/// Submit every task, then drain: the engine runs them respecting its slot
+/// caps and help-runs from the calling thread.
+void run_tasks(sched::WorkflowEngine& engine, std::vector<sched::Task> tasks) {
+  for (sched::Task& task : tasks) engine.submit(std::move(task));
+  engine.drain();
+}
 
 graph::Graph test_graph() {
   util::Rng rng(99);
@@ -63,7 +71,7 @@ TEST(NestedParallel, EngineSubSolveSplitsNestedKernels) {
   tasks.push_back({sched::ResourceKind::kQuantum, [&] {
                      through_engine = solver.expectation(angles);
                    }});
-  engine.run_batch(std::move(tasks));
+  run_tasks(engine, std::move(tasks));
   const std::uint64_t chunks_after = util::ThreadPool::chunk_tasks_executed();
 
   // The state vector has 2^16 amplitudes and the sweeps plan >= 4 chunks
@@ -92,7 +100,7 @@ TEST(NestedParallel, EngineQaoaOptimizeMatchesDirectBitForBit) {
   tasks.push_back({sched::ResourceKind::kQuantum, [&] {
                      through_engine = qaoa::solve_qaoa(g, opts);
                    }});
-  engine.run_batch(std::move(tasks));
+  run_tasks(engine, std::move(tasks));
 
   const qaoa::QaoaResult direct = qaoa::solve_qaoa(g, opts);
   // The full hybrid loop — COBYLA trajectory, sampling, extraction — must
@@ -108,11 +116,11 @@ TEST(NestedParallel, EngineQaoaOptimizeMatchesDirectBitForBit) {
   EXPECT_EQ(through_engine.cut.assignment, direct.cut.assignment);
 }
 
-TEST(NestedParallel, StreamingQaoa2MatchesRecursiveWithNestedKernels) {
+TEST(NestedParallel, Qaoa2GoldenPinWithNestedKernels) {
   // Full QAOA^2 with QAOA sub-solves on the pinned 4-thread pool: the
   // streaming pipeline interleaves components and levels arbitrarily and
   // nests every state-vector kernel inside engine tasks, yet the cut must
-  // equal the level-barrier recursive pipeline's bit for bit.
+  // equal the pin captured from the level-barrier recursive pipeline.
   util::Rng rng(101);
   graph::Graph g(40);
   // Two components of different depth-to-solve (24 + 16 nodes).
@@ -123,25 +131,36 @@ TEST(NestedParallel, StreamingQaoa2MatchesRecursiveWithNestedKernels) {
 
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = qaoa2::SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 12;
   opts.qaoa.shots = 128;
-  opts.merge_solver = qaoa2::SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   opts.seed = 57;
   opts.engine = sched::EngineOptions{2, 2};
+  const qaoa2::Qaoa2Result r = qaoa2::solve_qaoa2(g, opts);
 
-  opts.streaming = false;
-  const qaoa2::Qaoa2Result recursive = qaoa2::solve_qaoa2(g, opts);
-  opts.streaming = true;
-  const qaoa2::Qaoa2Result streaming = qaoa2::solve_qaoa2(g, opts);
-
-  EXPECT_EQ(streaming.cut.value, recursive.cut.value);
-  EXPECT_EQ(streaming.cut.assignment, recursive.cut.assignment);
-  EXPECT_EQ(streaming.components, 2);
-  EXPECT_EQ(streaming.subgraphs_total, recursive.subgraphs_total);
-  EXPECT_GT(streaming.engine_tasks, streaming.subgraphs_total)
-      << "partition/merge stages should run as engine tasks";
+  EXPECT_EQ(r.cut.value, 71.0);
+  EXPECT_EQ(maxcut::bits_from_assignment(r.cut.assignment), 0x511ea8d84fULL);
+  EXPECT_EQ(r.components, 2);
+  EXPECT_EQ(r.levels, 3);
+  EXPECT_EQ(r.subgraphs_total, 19);
+  EXPECT_EQ(r.quantum_solves, 15);
+  EXPECT_EQ(r.classical_solves, 4);
+  struct LevelPin {
+    int level, num_parts;
+    double level_cut;
+  };
+  const std::vector<LevelPin> levels = {{0, 15, 71}, {1, 3, 7}, {2, 1, 0}};
+  ASSERT_EQ(r.level_stats.size(), levels.size());
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    EXPECT_EQ(r.level_stats[i].level, levels[i].level);
+    EXPECT_EQ(r.level_stats[i].num_parts, levels[i].num_parts);
+    EXPECT_EQ(r.level_stats[i].level_cut, levels[i].level_cut);
+  }
+  // Partition, extraction and merge run as engine tasks too: 24 pipeline
+  // tasks plus the planning task.
+  EXPECT_EQ(r.engine_tasks, 25);
 }
 
 TEST(NestedParallel, SampleStreamIdenticalUnderNesting) {
@@ -162,7 +181,7 @@ TEST(NestedParallel, SampleStreamIdenticalUnderNesting) {
                      util::Rng rng_nested(1234);
                      nested = sim::sample_counts(sv, 64, rng_nested);
                    }});
-  engine.run_batch(std::move(tasks));
+  run_tasks(engine, std::move(tasks));
   EXPECT_EQ(nested, direct);
 }
 

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "maxcut/exact.hpp"
 #include "qaoa2/merge.hpp"
 #include "qaoa2/qaoa2.hpp"
 #include "qgraph/generators.hpp"
+#include "solver/registry.hpp"
 #include "test_graphs.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -106,7 +109,7 @@ TEST(Qaoa2, SmallGraphBypassesPartitioning) {
   const Graph g = graph::erdos_renyi(8, 0.4, rng);
   Qaoa2Options opts;
   opts.max_qubits = 12;
-  opts.sub_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_EQ(r.subgraphs_total, 1);
   EXPECT_DOUBLE_EQ(r.cut.value, maxcut::solve_exact(g).value);
@@ -126,8 +129,8 @@ TEST(Qaoa2, ExactSubSolverWithExactMergeIsNearExactOnClustered) {
   const Graph g = graph::planted_partition(3, 6, 0.85, 0.05, rng);
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = SubSolver::kExact;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   const double exact = maxcut::solve_exact(g).value;
   EXPECT_GE(r.cut.value, 0.9 * exact);
@@ -139,8 +142,8 @@ TEST(Qaoa2, ReportedValueMatchesAssignment) {
   const Graph g = graph::erdos_renyi(30, 0.15, rng);
   Qaoa2Options opts;
   opts.max_qubits = 8;
-  opts.sub_solver = SubSolver::kLocalSearch;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "local-search";
+  opts.merge_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
 }
@@ -152,8 +155,8 @@ TEST(Qaoa2, MergeWithExactCoarseSolverNeverHurtsLocals) {
   const Graph g = graph::erdos_renyi(26, 0.2, rng);
   Qaoa2Options opts;
   opts.max_qubits = 7;
-  opts.sub_solver = SubSolver::kLocalSearch;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "local-search";
+  opts.merge_solver_spec = "exact";
   opts.seed = 13;
   const Qaoa2Result r = solve_qaoa2(g, opts);
   // Reconstruct the unflipped lift with the same seeds.
@@ -169,7 +172,7 @@ TEST(Qaoa2, QaoaSubSolverEndToEnd) {
   const Graph g = graph::erdos_renyi(20, 0.25, rng);
   Qaoa2Options opts;
   opts.max_qubits = 7;
-  opts.sub_solver = SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 40;
   opts.seed = 17;
@@ -184,10 +187,10 @@ TEST(Qaoa2, BestModeRunsBothKindsOfSolves) {
   const Graph g = graph::erdos_renyi(20, 0.25, rng);
   Qaoa2Options opts;
   opts.max_qubits = 7;
-  opts.sub_solver = SubSolver::kBest;
+  opts.sub_solver_spec = "best";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 30;
-  opts.merge_solver = SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_GT(r.quantum_solves, 0);
   EXPECT_GT(r.classical_solves, 0);
@@ -195,16 +198,22 @@ TEST(Qaoa2, BestModeRunsBothKindsOfSolves) {
 
 TEST(Qaoa2, BestModeDominatesSingleModesPerSubgraph) {
   // On each sub-graph, best-of(QAOA, GW) >= each individually; sanity-check
-  // via the driver's public per-subgraph API.
+  // with registry solvers built from the driver's defaults.
   util::Rng rng(17);
   const Graph g = graph::erdos_renyi(10, 0.3, rng);
   Qaoa2Options opts;
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 40;
   const Qaoa2Driver driver(opts);
-  const auto q = driver.solve_subgraph(g, SubSolver::kQaoa, 5);
-  const auto c = driver.solve_subgraph(g, SubSolver::kGw, 5);
-  const auto b = driver.solve_subgraph(g, SubSolver::kBest, 5);
+  const auto solve = [&](const char* spec) {
+    return solver::SolverRegistry::global()
+        .make(spec, driver.solver_defaults())
+        ->solve({&g, 5})
+        .cut;
+  };
+  const auto q = solve("qaoa");
+  const auto c = solve("gw");
+  const auto b = solve("best");
   EXPECT_GE(b.value, std::max(q.value, c.value) - 1e-12);
 }
 
@@ -213,9 +222,9 @@ TEST(Qaoa2, DeepRecursionTerminatesWithTinyDevices) {
   const Graph g = graph::erdos_renyi(60, 0.08, rng);
   Qaoa2Options opts;
   opts.max_qubits = 4;  // forces multiple levels
-  opts.sub_solver = SubSolver::kExact;
-  opts.merge_solver = SubSolver::kExact;
-  opts.deeper_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
+  opts.deeper_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_GE(r.levels, 2);
   EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
@@ -226,7 +235,7 @@ TEST(Qaoa2, DeterministicPerSeed) {
   const Graph g = graph::erdos_renyi(24, 0.2, rng);
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 30;
   opts.seed = 23;
@@ -239,17 +248,16 @@ TEST(Qaoa2, DeterministicPerSeed) {
 TEST(Qaoa2, EverySubSolverBackendRuns) {
   util::Rng rng(23);
   const Graph g = graph::erdos_renyi(14, 0.3, rng);
-  for (const SubSolver s :
-       {SubSolver::kQaoa, SubSolver::kGw, SubSolver::kExact,
-        SubSolver::kAnneal, SubSolver::kLocalSearch, SubSolver::kRqaoa}) {
+  for (const char* spec :
+       {"qaoa", "gw", "exact", "anneal", "local-search", "rqaoa"}) {
     Qaoa2Options opts;
     opts.max_qubits = 6;
-    opts.sub_solver = s;
+    opts.sub_solver_spec = spec;
     opts.qaoa.layers = 1;
     opts.qaoa.max_iterations = 20;
-    opts.merge_solver = SubSolver::kLocalSearch;
+    opts.merge_solver_spec = "local-search";
     const Qaoa2Result r = solve_qaoa2(g, opts);
-    EXPECT_GT(r.cut.value, 0.0) << sub_solver_name(s);
+    EXPECT_GT(r.cut.value, 0.0) << spec;
   }
 }
 
@@ -258,8 +266,8 @@ TEST(Qaoa2, LevelStatsAreConsistent) {
   const Graph g = graph::erdos_renyi(40, 0.12, rng);
   Qaoa2Options opts;
   opts.max_qubits = 8;
-  opts.sub_solver = SubSolver::kLocalSearch;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "local-search";
+  opts.merge_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   ASSERT_FALSE(r.level_stats.empty());
   const LevelStats& top = r.level_stats.front();
@@ -286,27 +294,12 @@ TEST(Qaoa2, OptionValidation) {
   opts.max_qubits = 1;
   EXPECT_THROW(Qaoa2Driver{opts}, std::invalid_argument);
   opts = Qaoa2Options{};
-  opts.merge_solver = SubSolver::kBest;
+  opts.merge_solver_spec = "best";
   EXPECT_THROW(Qaoa2Driver{opts}, std::invalid_argument);
-}
-
-TEST(Qaoa2, SolverNamesAreStable) {
-  EXPECT_STREQ(sub_solver_name(SubSolver::kQaoa), "qaoa");
-  EXPECT_STREQ(sub_solver_name(SubSolver::kGw), "gw");
-  EXPECT_STREQ(sub_solver_name(SubSolver::kBest), "best");
-}
-
-TEST(Qaoa2, ParseSubSolverRoundTrips) {
-  for (const SubSolver s :
-       {SubSolver::kQaoa, SubSolver::kGw, SubSolver::kBest, SubSolver::kExact,
-        SubSolver::kAnneal, SubSolver::kLocalSearch, SubSolver::kRqaoa}) {
-    const auto parsed = parse_sub_solver(sub_solver_name(s));
-    ASSERT_TRUE(parsed.has_value()) << sub_solver_name(s);
-    EXPECT_EQ(*parsed, s);
-  }
-  EXPECT_FALSE(parse_sub_solver("").has_value());
-  EXPECT_FALSE(parse_sub_solver("QAOA").has_value());
-  EXPECT_FALSE(parse_sub_solver("goemans").has_value());
+  // A spec string is the only way to name a solver; an empty one names none.
+  opts = Qaoa2Options{};
+  opts.sub_solver_spec = "";
+  EXPECT_THROW(Qaoa2Driver{opts}, std::invalid_argument);
 }
 
 // ------------------------------------------------- component sharding ----
@@ -332,86 +325,105 @@ TEST(Qaoa2, DisconnectedGraphShardsToIndependentComponentSolves) {
 
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = SubSolver::kLocalSearch;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "local-search";
+  opts.merge_solver_spec = "exact";
   opts.seed = 31;
 
-  for (const bool streaming : {true, false}) {
-    opts.streaming = streaming;
-    const Qaoa2Result r = solve_qaoa2(g, opts);
-    EXPECT_EQ(r.components, 4);
-    EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
+  const Qaoa2Result r = solve_qaoa2(g, opts);
+  EXPECT_EQ(r.components, 4);
+  EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
 
-    // Sharding must reproduce, per component, exactly what an independent
-    // solve of that component (seeded with its component_seed) produces.
-    double sum = 0.0;
-    for (std::size_t ci = 0; ci < comps.size(); ++ci) {
-      const graph::Subgraph sub = g.induced(comps[ci]);
-      Qaoa2Options copts = opts;
-      copts.seed = component_seed(opts.seed, ci, comps.size());
-      const Qaoa2Result rc = solve_qaoa2(sub.graph, copts);
-      sum += rc.cut.value;
-      ASSERT_EQ(rc.cut.assignment.size(), comps[ci].size());
-      for (std::size_t j = 0; j < comps[ci].size(); ++j) {
-        EXPECT_EQ(r.cut.assignment[static_cast<std::size_t>(comps[ci][j])],
-                  rc.cut.assignment[j])
-            << "component " << ci << " node " << j
-            << " streaming=" << streaming;
-      }
+  // Sharding must reproduce, per component, exactly what an independent
+  // solve of that component (seeded with its component_seed) produces.
+  double sum = 0.0;
+  for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+    const graph::Subgraph sub = g.induced(comps[ci]);
+    Qaoa2Options copts = opts;
+    copts.seed = component_seed(opts.seed, ci, comps.size());
+    const Qaoa2Result rc = solve_qaoa2(sub.graph, copts);
+    sum += rc.cut.value;
+    ASSERT_EQ(rc.cut.assignment.size(), comps[ci].size());
+    for (std::size_t j = 0; j < comps[ci].size(); ++j) {
+      EXPECT_EQ(r.cut.assignment[static_cast<std::size_t>(comps[ci][j])],
+                rc.cut.assignment[j])
+          << "component " << ci << " node " << j;
     }
-    EXPECT_NEAR(r.cut.value, sum, 1e-9);
   }
+  EXPECT_NEAR(r.cut.value, sum, 1e-9);
 }
 
 TEST(Qaoa2, IsolatedNodesOnlyGraphSolvesTrivially) {
   const Graph g(9);  // no edges at all, but > max_qubits nodes
   Qaoa2Options opts;
   opts.max_qubits = 4;
-  opts.sub_solver = SubSolver::kExact;
-  opts.merge_solver = SubSolver::kExact;
-  for (const bool streaming : {true, false}) {
-    opts.streaming = streaming;
-    const Qaoa2Result r = solve_qaoa2(g, opts);
-    EXPECT_EQ(r.components, 9);
-    EXPECT_DOUBLE_EQ(r.cut.value, 0.0);
-    EXPECT_EQ(r.cut.assignment,
-              maxcut::Assignment(static_cast<std::size_t>(g.num_nodes()), 0));
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
+  const Qaoa2Result r = solve_qaoa2(g, opts);
+  EXPECT_EQ(r.components, 9);
+  EXPECT_DOUBLE_EQ(r.cut.value, 0.0);
+  EXPECT_EQ(r.cut.assignment,
+            maxcut::Assignment(static_cast<std::size_t>(g.num_nodes()), 0));
+}
+
+// ------------------------------------------------------- golden pins ----
+
+/// Cut, counters and per-level stats of one QAOA^2 solve, captured from the
+/// level-barrier recursive pipeline and the streaming pipeline when both
+/// still existed (they agreed bit for bit). `engine_tasks` is the streaming
+/// count plus the planning task every solve now submits.
+struct LevelPin {
+  int level;
+  int num_parts;
+  double level_cut;
+};
+
+struct Qaoa2Pin {
+  double value;
+  std::uint64_t bits;
+  int levels, subgraphs_total, quantum_solves, classical_solves;
+  int components, engine_tasks;
+  std::vector<LevelPin> level_stats;
+};
+
+void expect_matches_pin(const Qaoa2Result& r, const Qaoa2Pin& pin) {
+  EXPECT_EQ(r.cut.value, pin.value);
+  EXPECT_EQ(maxcut::bits_from_assignment(r.cut.assignment), pin.bits);
+  EXPECT_EQ(r.levels, pin.levels);
+  EXPECT_EQ(r.subgraphs_total, pin.subgraphs_total);
+  EXPECT_EQ(r.quantum_solves, pin.quantum_solves);
+  EXPECT_EQ(r.classical_solves, pin.classical_solves);
+  EXPECT_EQ(r.components, pin.components);
+  EXPECT_EQ(r.engine_tasks, pin.engine_tasks);
+  ASSERT_EQ(r.level_stats.size(), pin.level_stats.size());
+  for (std::size_t i = 0; i < pin.level_stats.size(); ++i) {
+    EXPECT_EQ(r.level_stats[i].level, pin.level_stats[i].level);
+    EXPECT_EQ(r.level_stats[i].num_parts, pin.level_stats[i].num_parts);
+    EXPECT_EQ(r.level_stats[i].level_cut, pin.level_stats[i].level_cut);
   }
 }
 
-// -------------------------------------- streaming-vs-recursive parity ----
-
-TEST(Qaoa2, StreamingMatchesRecursiveBitForBit) {
+TEST(Qaoa2, GoldenPinsConnectedAndDisconnected) {
   util::Rng rng(29);
   const Graph connected = graph::erdos_renyi(26, 0.2, rng);
   const Graph disconnected = disconnected_test_graph();
-  for (const Graph* g : {&connected, &disconnected}) {
-    Qaoa2Options opts;
-    opts.max_qubits = 6;
-    opts.sub_solver = SubSolver::kQaoa;
-    opts.qaoa.layers = 2;
-    opts.qaoa.max_iterations = 25;
-    opts.merge_solver = SubSolver::kGw;
-    opts.seed = 33;
-    opts.streaming = false;
-    const Qaoa2Result recursive = solve_qaoa2(*g, opts);
-    opts.streaming = true;
-    const Qaoa2Result streaming = solve_qaoa2(*g, opts);
-    EXPECT_EQ(streaming.cut.value, recursive.cut.value);
-    EXPECT_EQ(streaming.cut.assignment, recursive.cut.assignment);
-    EXPECT_EQ(streaming.levels, recursive.levels);
-    EXPECT_EQ(streaming.subgraphs_total, recursive.subgraphs_total);
-    EXPECT_EQ(streaming.quantum_solves, recursive.quantum_solves);
-    EXPECT_EQ(streaming.classical_solves, recursive.classical_solves);
-    ASSERT_EQ(streaming.level_stats.size(), recursive.level_stats.size());
-    for (std::size_t i = 0; i < recursive.level_stats.size(); ++i) {
-      EXPECT_EQ(streaming.level_stats[i].level,
-                recursive.level_stats[i].level);
-      EXPECT_EQ(streaming.level_stats[i].num_parts,
-                recursive.level_stats[i].num_parts);
-      EXPECT_EQ(streaming.level_stats[i].level_cut,
-                recursive.level_stats[i].level_cut);
-    }
+  Qaoa2Options opts;
+  opts.max_qubits = 6;
+  opts.sub_solver_spec = "qaoa";
+  opts.qaoa.layers = 2;
+  opts.qaoa.max_iterations = 25;
+  opts.merge_solver_spec = "gw";
+  opts.seed = 33;
+  {
+    SCOPED_TRACE("connected");
+    expect_matches_pin(solve_qaoa2(connected, opts),
+                       {56, 0x313c6e6ULL, 2, 7, 6, 1, 1, 10,
+                        {{0, 6, 56}, {1, 1, 10}}});
+  }
+  {
+    SCOPED_TRACE("disconnected");
+    expect_matches_pin(solve_qaoa2(disconnected, opts),
+                       {47, 0xec4079eULL, 2, 11, 9, 2, 4, 18,
+                        {{0, 9, 47}, {1, 2, 1}}});
   }
 }
 
@@ -422,23 +434,19 @@ TEST(Qaoa2, StreamingBitForBitAcrossEnginePoolWidths) {
   const Graph g = disconnected_test_graph();
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 20;
-  opts.merge_solver = SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   opts.seed = 35;
   const Qaoa2Result reference = solve_qaoa2(g, opts);  // default pool
   for (const std::size_t threads : {1u, 3u, 8u}) {
     util::ThreadPool pool(threads);
     opts.engine.pool = &pool;
-    for (const bool streaming : {true, false}) {
-      opts.streaming = streaming;
-      const Qaoa2Result r = solve_qaoa2(g, opts);
-      EXPECT_EQ(r.cut.value, reference.cut.value)
-          << "threads=" << threads << " streaming=" << streaming;
-      EXPECT_EQ(r.cut.assignment, reference.cut.assignment)
-          << "threads=" << threads << " streaming=" << streaming;
-    }
+    const Qaoa2Result r = solve_qaoa2(g, opts);
+    EXPECT_EQ(r.cut.value, reference.cut.value) << "threads=" << threads;
+    EXPECT_EQ(r.cut.assignment, reference.cut.assignment)
+        << "threads=" << threads;
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "maxcut/exact.hpp"
 #include "qaoa/qaoa.hpp"
@@ -23,6 +25,12 @@ namespace {
 
 // ------------------------------------------------- failing tasks (Fig 2) ----
 
+/// Submit every task, then drain (which rethrows the first task error).
+void run_tasks(sched::WorkflowEngine& engine, std::vector<sched::Task> tasks) {
+  for (sched::Task& task : tasks) engine.submit(std::move(task));
+  engine.drain();
+}
+
 TEST(EngineFailure, ThrowingTaskIsReportedAfterBatchDrains) {
   sched::WorkflowEngine engine(sched::EngineOptions{2, 2});
   std::atomic<int> completed{0};
@@ -37,7 +45,7 @@ TEST(EngineFailure, ThrowingTaskIsReportedAfterBatchDrains) {
           {sched::ResourceKind::kClassical, [&completed] { completed++; }});
     }
   }
-  EXPECT_THROW(engine.run_batch(std::move(tasks)), std::runtime_error);
+  EXPECT_THROW(run_tasks(engine, std::move(tasks)), std::runtime_error);
   // Every sibling task still ran to completion before the rethrow.
   EXPECT_EQ(completed.load(), 11);
 }
@@ -53,7 +61,7 @@ TEST(EngineFailure, FailedTaskReleasesItsSlot) {
     tasks.push_back(
         {sched::ResourceKind::kQuantum, [&quantum_ran] { quantum_ran++; }});
   }
-  EXPECT_THROW(engine.run_batch(std::move(tasks)), std::logic_error);
+  EXPECT_THROW(run_tasks(engine, std::move(tasks)), std::logic_error);
   EXPECT_EQ(quantum_ran.load(), 4);
 }
 
@@ -108,8 +116,8 @@ TEST(Degenerate, Qaoa2OnDisconnectedGraph) {
   const graph::Graph g = testing::disjoint_blobs_fixture();
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = qaoa2::SubSolver::kExact;
-  opts.merge_solver = qaoa2::SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
   const auto r = qaoa2::solve_qaoa2(g, opts);
   EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
   EXPECT_GT(r.cut.value, 0.0);
@@ -120,8 +128,8 @@ TEST(Degenerate, Qaoa2OnNegativeWeightGraph) {
   const graph::Graph g = testing::negative_weight_fixture();
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = qaoa2::SubSolver::kExact;
-  opts.merge_solver = qaoa2::SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
   const auto r = qaoa2::solve_qaoa2(g, opts);
   EXPECT_NEAR(r.cut.value, 0.0, 1e-9);
 }
@@ -132,10 +140,10 @@ TEST(Degenerate, Qaoa2WeightedPipeline) {
                                     graph::WeightMode::kUniform01);
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 8;
-  opts.sub_solver = qaoa2::SubSolver::kBest;
+  opts.sub_solver_spec = "best";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 30;
-  opts.merge_solver = qaoa2::SubSolver::kExact;
+  opts.merge_solver_spec = "exact";
   const auto r = qaoa2::solve_qaoa2(g, opts);
   EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
   EXPECT_GE(r.cut.value, g.total_weight() / 2.0 * 0.8);

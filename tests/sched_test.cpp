@@ -10,6 +10,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sched/des.hpp"
@@ -208,6 +209,24 @@ TEST(Des, LongestQuantumFirstHelpsMultiDevicePacking) {
 
 // ----------------------------------------------------------------- engine ----
 
+/// A batch of independent tasks: submit each, drain, and return each task's
+/// timing in submission order. drain() rethrows the first task error unless
+/// `error_out` is given.
+std::vector<TaskTiming> run_tasks(WorkflowEngine& engine,
+                                  std::vector<Task> tasks,
+                                  std::exception_ptr* error_out = nullptr) {
+  std::vector<TaskHandle> handles;
+  for (Task& task : tasks) handles.push_back(engine.submit(std::move(task)));
+  engine.drain(error_out);
+  std::vector<TaskTiming> timings;
+  for (const TaskHandle h : handles) timings.push_back(engine.timing(h));
+  return timings;
+}
+
+double busy_seconds(const EngineStats& stats) {
+  return stats.busy_quantum_seconds + stats.busy_classical_seconds;
+}
+
 TEST(Engine, RunsEveryTaskExactlyOnce) {
   WorkflowEngine engine(EngineOptions{2, 3});
   std::atomic<int> runs{0};
@@ -217,9 +236,10 @@ TEST(Engine, RunsEveryTaskExactlyOnce) {
                                 : ResourceKind::kClassical,
                      [&runs] { runs++; }});
   }
-  const BatchReport report = engine.run_batch(std::move(tasks));
+  const std::vector<TaskTiming> timings = run_tasks(engine, std::move(tasks));
   EXPECT_EQ(runs.load(), 40);
-  EXPECT_EQ(report.timings.size(), 40u);
+  EXPECT_EQ(timings.size(), 40u);
+  EXPECT_EQ(engine.stats().completed, 40u);
 }
 
 TEST(Engine, RespectsQuantumSlotCap) {
@@ -240,7 +260,7 @@ TEST(Engine, RespectsQuantumSlotCap) {
                        --active;
                      }});
   }
-  engine.run_batch(std::move(tasks));
+  run_tasks(engine, std::move(tasks));
   EXPECT_LE(peak.load(), slots);
   EXPECT_GE(peak.load(), 1);
 }
@@ -267,7 +287,7 @@ TEST(Engine, ClassicalAndQuantumSlotsAreIndependent) {
                        --mine;
                      }});
   }
-  engine.run_batch(std::move(tasks));
+  run_tasks(engine, std::move(tasks));
   // One of each kind may run together, but never two of the same kind.
   EXPECT_LE(both_peak.load(), 2);
 }
@@ -281,10 +301,11 @@ TEST(Engine, TimingsAreOrderedAndBusyAccumulates) {
                            std::chrono::milliseconds(5));
                      }});
   }
-  const BatchReport report = engine.run_batch(std::move(tasks));
-  EXPECT_GT(report.wall_seconds, 0.0);
-  EXPECT_GE(report.busy_seconds, 8 * 0.004);
-  for (const TaskTiming& t : report.timings) {
+  const double t0 = engine.now();
+  const std::vector<TaskTiming> timings = run_tasks(engine, std::move(tasks));
+  EXPECT_GT(engine.now() - t0, 0.0);
+  EXPECT_GE(busy_seconds(engine.stats()), 8 * 0.004);
+  for (const TaskTiming& t : timings) {
     EXPECT_LE(t.submit_s, t.start_s + 1e-9);
     EXPECT_LE(t.start_s, t.end_s + 1e-9);
   }
@@ -292,8 +313,8 @@ TEST(Engine, TimingsAreOrderedAndBusyAccumulates) {
 
 TEST(Engine, ThrowingTaskIsFullyAccounted) {
   // A failing task must still be timed: start_s/end_s recorded, its partial
-  // runtime included in busy_seconds, and the first exception rethrown
-  // after the batch drains.
+  // runtime included in the busy counters, and the first exception
+  // reported once the engine drains.
   WorkflowEngine engine(EngineOptions{1, 2});
   std::vector<Task> tasks;
   tasks.push_back({ResourceKind::kClassical, [] {
@@ -310,20 +331,24 @@ TEST(Engine, ThrowingTaskIsFullyAccounted) {
                          std::chrono::milliseconds(10));
                    }});
   std::exception_ptr error;
-  const BatchReport report = engine.run_batch(std::move(tasks), &error);
+  const std::vector<TaskTiming> timings =
+      run_tasks(engine, std::move(tasks), &error);
   ASSERT_TRUE(error != nullptr);
   EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
-  ASSERT_EQ(report.timings.size(), 3u);
-  const TaskTiming& failed = report.timings[1];
+  ASSERT_EQ(timings.size(), 3u);
+  const TaskTiming& failed = timings[1];
   EXPECT_TRUE(failed.failed);
-  EXPECT_FALSE(report.timings[0].failed);
-  EXPECT_FALSE(report.timings[2].failed);
+  EXPECT_FALSE(timings[0].failed);
+  EXPECT_FALSE(timings[2].failed);
   // The old engine left the throwing task's start_s/end_s zeroed and its
-  // runtime out of busy_seconds.
+  // runtime out of the busy time.
   EXPECT_GT(failed.start_s, 0.0);
   EXPECT_GE(failed.end_s - failed.start_s, 0.008);
-  EXPECT_GE(report.busy_seconds, 3 * 0.008);
-  for (const TaskTiming& t : report.timings) {
+  const EngineStats stats = engine.stats();
+  EXPECT_GE(busy_seconds(stats), 3 * 0.008);
+  EXPECT_EQ(stats.completed, 3u);  // a failed task ran, so it completed
+  EXPECT_EQ(stats.cancelled, 0u);
+  for (const TaskTiming& t : timings) {
     EXPECT_GE(t.wait_s, 0.0);
     EXPECT_NEAR(t.wait_s, t.start_s - t.submit_s, 1e-12);
   }
@@ -341,9 +366,11 @@ TEST(Engine, RecordsQueueWaitBehindSlots) {
                            std::chrono::milliseconds(20));
                      }});
   }
-  const BatchReport report = engine.run_batch(std::move(tasks));
+  const std::vector<TaskTiming> timings = run_tasks(engine, std::move(tasks));
   std::vector<double> waits;
-  for (const TaskTiming& t : report.timings) waits.push_back(t.wait_s);
+  for (const TaskTiming& t : timings) waits.push_back(t.wait_s);
+  EXPECT_NEAR(engine.stats().queue_wait_seconds,
+              waits[0] + waits[1] + waits[2], 1e-9);
   std::sort(waits.begin(), waits.end());
   // Relative stacking (load-robust): each successor waits at least one
   // predecessor service time (>= 20 ms sleep) longer than the task before
@@ -357,7 +384,8 @@ TEST(Engine, CoordinationIdealUsesOnlyResourceKindsPresent) {
   // the batch can never use. The old divisor min(q+c, pool) pretended the
   // classical slots could drain quantum work, skewing the ideal-time
   // estimate and misattributing real slot queueing to "coordination". The
-  // per-kind ideal makes a clean sleep batch report near-zero overhead.
+  // per-kind ideal, computed from stats() as every coordination estimate
+  // is, makes a clean sleep batch report near-zero overhead.
   util::ThreadPool pool(4);
   EngineOptions opts;
   opts.quantum_slots = 2;
@@ -371,15 +399,18 @@ TEST(Engine, CoordinationIdealUsesOnlyResourceKindsPresent) {
                            std::chrono::milliseconds(10));
                      }});
   }
-  const BatchReport report = engine.run_batch(std::move(tasks));
-  EXPECT_GT(report.busy_quantum_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(report.busy_classical_seconds, 0.0);
+  run_tasks(engine, std::move(tasks));
+  const EngineStats stats = engine.stats();
+  EXPECT_GT(stats.busy_quantum_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(stats.busy_classical_seconds, 0.0);
   // busy ~= 80 ms over the 2 USABLE slots -> ideal = busy/2. The old
   // formula divided by min(66, 4) = 4, calling ~20 ms of real slot
   // queueing "coordination"; this exact-formula pin fails against it.
-  const double ideal = report.busy_seconds / 2.0;
-  EXPECT_NEAR(report.coordination_seconds,
-              std::max(0.0, report.wall_seconds - ideal), 1e-9);
+  EXPECT_DOUBLE_EQ(
+      ideal_parallel_seconds(stats.busy_quantum_seconds,
+                             stats.busy_classical_seconds, stats.quantum_tasks,
+                             stats.classical_tasks, opts, pool.size()),
+      stats.busy_quantum_seconds / 2.0);
 }
 
 TEST(Engine, WorkersAreNotParkedBehindTheSlotQueue) {
@@ -407,8 +438,9 @@ TEST(Engine, WorkersAreNotParkedBehindTheSlotQueue) {
                            std::chrono::milliseconds(40));
                      }});
   }
-  const BatchReport report = engine.run_batch(std::move(tasks));
-  EXPECT_GE(report.wall_seconds, 0.16);  // quantum makespan floor
+  const double t0 = engine.now();
+  const std::vector<TaskTiming> timings = run_tasks(engine, std::move(tasks));
+  EXPECT_GE(engine.now() - t0, 0.16);  // quantum makespan floor
   // Load-robust discriminator: with non-blocking dispatch, classical work
   // begins while the quantum queue is still draining — the first classical
   // task starts before the SECOND quantum task does. The old engine's
@@ -416,7 +448,7 @@ TEST(Engine, WorkersAreNotParkedBehindTheSlotQueue) {
   // task's completion (~120 ms in).
   double first_classical_start = 1e300;
   std::vector<double> quantum_starts;
-  for (const TaskTiming& t : report.timings) {
+  for (const TaskTiming& t : timings) {
     if (t.kind == ResourceKind::kClassical) {
       first_classical_start = std::min(first_classical_start, t.start_s);
     } else {
@@ -430,7 +462,7 @@ TEST(Engine, WorkersAreNotParkedBehindTheSlotQueue) {
 
 TEST(Engine, RunBatchFromInsidePoolWorkerCompletes) {
   // Pathological but must not deadlock: the coordinator itself runs on a
-  // pool worker (even a pool of ONE) and help-runs its own batch.
+  // pool worker (even a pool of ONE) and help-runs its own tasks.
   util::ThreadPool pool(1);
   EngineOptions opts;
   opts.pool = &pool;
@@ -443,7 +475,7 @@ TEST(Engine, RunBatchFromInsidePoolWorkerCompletes) {
                                   : ResourceKind::kClassical,
                        [&runs] { runs++; }});
     }
-    return engine.run_batch(std::move(tasks)).timings.size();
+    return run_tasks(engine, std::move(tasks)).size();
   });
   EXPECT_EQ(fut.get(), 6u);
   EXPECT_EQ(runs.load(), 6);
@@ -456,9 +488,9 @@ TEST(Engine, OptionValidation) {
 
 TEST(Engine, EmptyBatchIsFine) {
   WorkflowEngine engine(EngineOptions{1, 1});
-  const BatchReport report = engine.run_batch({});
-  EXPECT_EQ(report.timings.size(), 0u);
-  EXPECT_DOUBLE_EQ(report.busy_seconds, 0.0);
+  EXPECT_EQ(run_tasks(engine, {}).size(), 0u);
+  EXPECT_EQ(engine.stats().completed, 0u);
+  EXPECT_DOUBLE_EQ(busy_seconds(engine.stats()), 0.0);
 }
 
 // ------------------------------------------- persistent task graph ----
@@ -591,16 +623,6 @@ TEST(Engine, SubmitValidatesDependencyHandles) {
                std::invalid_argument);
   EXPECT_THROW(engine.submit({ResourceKind::kClassical, nullptr}),
                std::invalid_argument);
-  // run_batch validates the WHOLE batch before submitting anything: a
-  // partial submission followed by a throw would hand control back while
-  // submitted closures still run against the caller's frame.
-  std::atomic<int> runs{0};
-  std::vector<Task> tasks;
-  tasks.push_back({ResourceKind::kClassical, [&runs] { runs++; }});
-  tasks.push_back({ResourceKind::kClassical, nullptr});
-  EXPECT_THROW(engine.run_batch(std::move(tasks)), std::invalid_argument);
-  engine.drain();
-  EXPECT_EQ(runs.load(), 0);
 }
 
 TEST(Engine, LongDependencyChainCancelsWithoutRecursion) {
@@ -632,7 +654,7 @@ TEST(Engine, StatsAccumulateAcrossBatchesAndSubmits) {
   for (int i = 0; i < 4; ++i) {
     batch.push_back({ResourceKind::kQuantum, [] {}});
   }
-  engine.run_batch(std::move(batch));
+  run_tasks(engine, std::move(batch));
   const TaskHandle h = engine.submit({ResourceKind::kClassical, [] {}});
   engine.wait(h);
   const EngineStats stats = engine.stats();
@@ -675,7 +697,7 @@ TEST(Engine, StreamingChainsOverlapAcrossABarrierlessEngine) {
   // Two component-like chains: leaves -> merge -> coarse. With dependency
   // streaming, the FAST chain's coarse task must start while the slow
   // chain's leaves are still running — the cross-level overlap a per-level
-  // run_batch barrier forbids.
+  // barrier forbids.
   util::ThreadPool pool(4);
   EngineOptions opts;
   opts.quantum_slots = 2;
@@ -713,27 +735,6 @@ TEST(Engine, StreamingChainsOverlapAcrossABarrierlessEngine) {
       << "fast chain's coarse level did not overlap slow chain's leaves";
   EXPECT_GE(engine.timing(slow_coarse).start_s,
             engine.timing(slow_merge).end_s - 1e-9);
-}
-
-TEST(Engine, RunBatchStillWorksAfterStreamingUse) {
-  WorkflowEngine engine(EngineOptions{2, 2});
-  std::atomic<int> runs{0};
-  const TaskHandle a =
-      engine.submit({ResourceKind::kQuantum, [&] { runs++; }});
-  engine.wait(a);
-  std::vector<Task> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back({ResourceKind::kClassical, [&runs] { runs++; }});
-  }
-  const BatchReport report = engine.run_batch(std::move(tasks));
-  EXPECT_EQ(runs.load(), 9);
-  ASSERT_EQ(report.timings.size(), 8u);
-  // Batch timings are batch-relative even on a long-lived engine.
-  for (const TaskTiming& t : report.timings) {
-    EXPECT_GE(t.submit_s, 0.0);
-    EXPECT_LE(t.submit_s, t.start_s + 1e-9);
-    EXPECT_LT(t.end_s, report.wall_seconds + 1e-9);
-  }
 }
 
 // ------------------------------------------- fair share, groups, settle ----

@@ -211,6 +211,22 @@ TEST(Service, TypedRejections) {
   EXPECT_EQ(stats.in_flight, 0u);
 }
 
+TEST(Service, EmptySpecRejectsDirectAndDecomposedAlike) {
+  // An empty solver spec names no solver, whether the request is solved
+  // directly or decomposed through QAOA^2 (it used to fall back to QAOA).
+  SolveService service(ServiceOptions{});
+  for (const int max_qubits : {0, 8}) {
+    ServiceRequest req;
+    req.graph = ring(30);
+    req.max_qubits = max_qubits;
+    req.solver_spec = "";
+    const RequestTicket t = service.submit(std::move(req));
+    EXPECT_EQ(t.status(), RequestStatus::kRejected) << max_qubits;
+    EXPECT_EQ(t.outcome().reject_reason, RejectReason::kInvalidRequest)
+        << max_qubits;
+  }
+}
+
 // --------------------------------------------------------- cancellation ----
 
 TEST(Service, CancelStopsARunningSolveMidIteration) {

@@ -192,7 +192,7 @@ TEST(Adapters, GwMatchesFreeFunctionWithHistoricalSalt) {
     sdp::GwOptions opts;
     opts.slicings = 20;
     opts.seed = seed;
-    opts.sdp.seed = seed ^ 0x5d9ULL;  // the old solve_subgraph salt
+    opts.sdp.seed = seed ^ 0x5d9ULL;  // the pre-registry driver's salt
     const auto direct = sdp::goemans_williamson(g, opts);
     EXPECT_EQ(rep.cut.value, direct.best.value);
     EXPECT_EQ(rep.cut.assignment, direct.best.assignment);
@@ -213,7 +213,7 @@ TEST(Adapters, AnnealMatchesFreeFunctionWithHistoricalSalt) {
   const auto rep = SolverRegistry::global()
                        .make("anneal:sweeps=50,t0=1.5,t1=0.05")
                        ->solve({&g, 5});
-  util::Rng rng(5ULL ^ 0xa22ea1ULL);  // the old solve_subgraph salt
+  util::Rng rng(5ULL ^ 0xa22ea1ULL);  // the pre-registry driver's salt
   maxcut::AnnealOptions opts;
   opts.sweeps = 50;
   opts.t_initial = 1.5;
@@ -227,7 +227,7 @@ TEST(Adapters, LocalSearchMatchesFreeFunctionWithHistoricalSalt) {
   const Graph g = test_graph();
   const auto rep =
       SolverRegistry::global().make("local-search:restarts=3")->solve({&g, 5});
-  util::Rng rng(5ULL ^ 0x10ca15ULL);  // the old solve_subgraph salt
+  util::Rng rng(5ULL ^ 0x10ca15ULL);  // the pre-registry driver's salt
   const auto direct = maxcut::one_exchange_restarts(g, rng, 3);
   EXPECT_EQ(rep.cut.value, direct.value);
   EXPECT_EQ(rep.cut.assignment, direct.assignment);
@@ -312,7 +312,7 @@ qaoa2::Qaoa2Options parity_options() {
   opts.max_qubits = 6;
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 25;
-  opts.merge_solver = qaoa2::SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   opts.seed = 33;
   return opts;
 }
@@ -330,8 +330,10 @@ struct ParityPin {
 // Cut values/assignments captured from the PRE-registry Qaoa2Driver (commit
 // 5598203, enum-switch dispatch) on erdos_renyi(26, 0.2, rng(29)) and the
 // disconnected fixture, max_qubits 6, qaoa p=2/25 iters, gw merge, seed 33.
-// The registry-dispatch driver must reproduce them bit-for-bit, streaming
-// on and off. Solve counts are the POST-fix accounting: the old driver
+// The registry-dispatch driver must reproduce them bit-for-bit (they held
+// for the streaming and the former level-barrier pipeline alike; the
+// qaoa2_golden_qq{1,8} and qaoa2_parity_qq{1,8} ctest entries re-run them at
+// pinned global pool widths). Solve counts are the POST-fix accounting: the old driver
 // tallied a best-of fitting solve as one classical solve (the disconnected
 // best row read quantum=7); the combinator now reports both children, which
 // is the only intended accounting change (disc best quantum 7 -> 9 for the
@@ -351,69 +353,24 @@ TEST(Qaoa2Parity, RegistryDispatchPinsToPreRefactorCuts) {
   const Graph connected = graph::erdos_renyi(26, 0.2, rng);
   const Graph disconnected = disconnected_test_graph();
   for (const ParityPin& pin : kParityPins) {
-    for (const bool streaming : {false, true}) {
-      qaoa2::Qaoa2Options opts = parity_options();
-      opts.streaming = streaming;
-      const auto parsed = qaoa2::parse_sub_solver(pin.solver);
-      ASSERT_TRUE(parsed.has_value()) << pin.solver;
-      opts.sub_solver = *parsed;
+    qaoa2::Qaoa2Options opts = parity_options();
+    opts.sub_solver_spec = pin.solver;
 
-      const qaoa2::Qaoa2Result conn = qaoa2::solve_qaoa2(connected, opts);
-      EXPECT_DOUBLE_EQ(conn.cut.value, pin.conn_value)
-          << pin.solver << " streaming=" << streaming;
-      EXPECT_EQ(maxcut::bits_from_assignment(conn.cut.assignment),
-                pin.conn_bits)
-          << pin.solver << " streaming=" << streaming;
-      EXPECT_EQ(conn.quantum_solves, pin.conn_quantum) << pin.solver;
-      EXPECT_EQ(conn.classical_solves, pin.conn_classical) << pin.solver;
+    const qaoa2::Qaoa2Result conn = qaoa2::solve_qaoa2(connected, opts);
+    EXPECT_DOUBLE_EQ(conn.cut.value, pin.conn_value) << pin.solver;
+    EXPECT_EQ(maxcut::bits_from_assignment(conn.cut.assignment),
+              pin.conn_bits)
+        << pin.solver;
+    EXPECT_EQ(conn.quantum_solves, pin.conn_quantum) << pin.solver;
+    EXPECT_EQ(conn.classical_solves, pin.conn_classical) << pin.solver;
 
-      const qaoa2::Qaoa2Result disc = qaoa2::solve_qaoa2(disconnected, opts);
-      EXPECT_DOUBLE_EQ(disc.cut.value, pin.disc_value)
-          << pin.solver << " streaming=" << streaming;
-      EXPECT_EQ(maxcut::bits_from_assignment(disc.cut.assignment),
-                pin.disc_bits)
-          << pin.solver << " streaming=" << streaming;
-      EXPECT_EQ(disc.quantum_solves, pin.disc_quantum) << pin.solver;
-      EXPECT_EQ(disc.classical_solves, pin.disc_classical) << pin.solver;
-    }
-  }
-}
-
-TEST(Qaoa2Parity, EnumAndSpecDriversAreBitForBitIdentical) {
-  const Graph g = disconnected_test_graph();
-  for (const ParityPin& pin : kParityPins) {
-    qaoa2::Qaoa2Options enum_opts = parity_options();
-    enum_opts.sub_solver = *qaoa2::parse_sub_solver(pin.solver);
-    qaoa2::Qaoa2Options spec_opts = parity_options();
-    spec_opts.sub_solver_spec = pin.solver;
-    const auto a = qaoa2::solve_qaoa2(g, enum_opts);
-    const auto b = qaoa2::solve_qaoa2(g, spec_opts);
-    EXPECT_EQ(a.cut.value, b.cut.value) << pin.solver;
-    EXPECT_EQ(a.cut.assignment, b.cut.assignment) << pin.solver;
-    EXPECT_EQ(a.quantum_solves, b.quantum_solves) << pin.solver;
-    EXPECT_EQ(a.classical_solves, b.classical_solves) << pin.solver;
-  }
-}
-
-TEST(Qaoa2Parity, SolveSubgraphShimMatchesRegistrySolvers) {
-  const Graph g = test_graph();
-  qaoa2::Qaoa2Options opts;
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 30;
-  const qaoa2::Qaoa2Driver driver(opts);
-  const auto& registry = SolverRegistry::global();
-  for (const qaoa2::SubSolver s :
-       {qaoa2::SubSolver::kQaoa, qaoa2::SubSolver::kGw,
-        qaoa2::SubSolver::kBest, qaoa2::SubSolver::kExact,
-        qaoa2::SubSolver::kAnneal, qaoa2::SubSolver::kLocalSearch,
-        qaoa2::SubSolver::kRqaoa}) {
-    const auto shim = driver.solve_subgraph(g, s, 5);
-    const auto direct = registry.make(qaoa2::sub_solver_name(s),
-                                      driver.solver_defaults())
-                            ->solve({&g, 5});
-    EXPECT_EQ(shim.value, direct.cut.value) << qaoa2::sub_solver_name(s);
-    EXPECT_EQ(shim.assignment, direct.cut.assignment)
-        << qaoa2::sub_solver_name(s);
+    const qaoa2::Qaoa2Result disc = qaoa2::solve_qaoa2(disconnected, opts);
+    EXPECT_DOUBLE_EQ(disc.cut.value, pin.disc_value) << pin.solver;
+    EXPECT_EQ(maxcut::bits_from_assignment(disc.cut.assignment),
+              pin.disc_bits)
+        << pin.solver;
+    EXPECT_EQ(disc.quantum_solves, pin.disc_quantum) << pin.solver;
+    EXPECT_EQ(disc.classical_solves, pin.disc_classical) << pin.solver;
   }
 }
 
