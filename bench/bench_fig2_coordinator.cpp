@@ -89,7 +89,6 @@ int main(int argc, char** argv) {
     qq::qaoa2::Qaoa2Options opts;
     opts.max_qubits = qubits;
     opts.sub_solver_spec = spec;
-    opts.qaoa.layers = 3;
     opts.merge_solver_spec = "gw";
     opts.seed = seed;
     opts.engine = qq::sched::EngineOptions{4, 4};
@@ -132,7 +131,6 @@ int main(int argc, char** argv) {
     qq::qaoa2::Qaoa2Options opts;
     opts.max_qubits = qubits;
     opts.sub_solver_spec = solvers.front();
-    opts.qaoa.layers = 3;
     opts.merge_solver_spec = "gw";
     opts.seed = seed;
     opts.engine = qq::sched::EngineOptions{4, 4};

@@ -43,6 +43,9 @@ int main(int argc, char** argv) {
   const int instances = args.get_int("instances", args.has("full") ? 1 : 3);
   const int restarts = args.get_int("restarts", 1);
   const int workers = args.get_int("workers", 4);
+  // The leaf QAOA configuration of the "QAOA" and "Best" series.
+  const std::string qaoa_spec =
+      "qaoa:p=2,iters=40,restarts=" + std::to_string(restarts);
 
   std::printf("=== Fig. 4 reproduction: QAOA^2 on large unweighted graphs "
               "(p_edge = %.2f, device = %d qubits, %d instance(s) per "
@@ -76,9 +79,6 @@ int main(int argc, char** argv) {
 
       qq::qaoa2::Qaoa2Options opts;
       opts.max_qubits = qubits;
-      opts.qaoa.layers = 2;
-      opts.qaoa.max_iterations = 40;
-      opts.qaoa.restarts = restarts;
       opts.merge_solver_spec = "gw";
       opts.seed = seed + static_cast<std::uint64_t>(inst);
       opts.engine = qq::sched::EngineOptions{workers, 4};
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
       // The figure's three QAOA^2 series and its two whole-graph
       // references, all named through the solver registry.
       qq::util::Timer series_timer;
-      opts.sub_solver_spec = "qaoa";
+      opts.sub_solver_spec = qaoa_spec;
       qaoa_value += qq::qaoa2::solve_qaoa2(g, opts).cut.value;
       qaoa_seconds += series_timer.seconds();
       series_timer = qq::util::Timer();
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
       classic_value += qq::qaoa2::solve_qaoa2(g, opts).cut.value;
       classic_seconds += series_timer.seconds();
       series_timer = qq::util::Timer();
-      opts.sub_solver_spec = "best:qaoa|gw";
+      opts.sub_solver_spec = "best:" + qaoa_spec + "|gw";
       best_value += qq::qaoa2::solve_qaoa2(g, opts).cut.value;
       best_seconds += series_timer.seconds();
 

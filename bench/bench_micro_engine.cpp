@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -379,9 +380,8 @@ PipelineResult run_qaoa2_streaming(int reps, int budget) {
 
   qq::qaoa2::Qaoa2Options opts;
   opts.max_qubits = 14;
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = budget;
-  opts.qaoa.shots = 256;
+  opts.sub_solver_spec =
+      "qaoa:p=2,iters=" + std::to_string(budget) + ",shots=256";
   opts.merge_solver_spec = "gw";
   opts.seed = 43;
   opts.engine = qq::sched::EngineOptions{2, 4};

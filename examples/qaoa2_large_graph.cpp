@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
 
   qq::qaoa2::Qaoa2Options opts;
   opts.max_qubits = qubits;
-  opts.qaoa.layers = 3;
   opts.seed = seed;
   opts.engine = qq::sched::EngineOptions{4, 4};  // 4 QPUs + 4 CPU workers
   opts.sub_solver_spec = solver;

@@ -48,7 +48,7 @@ std::size_t round_up_pow2(std::size_t v) noexcept {
 struct SolveCache::Entry {
   // Immutable identity, set before publication.
   std::string solver_key;
-  std::uint64_t seed = 0;  ///< compared only when seed_sensitive
+  std::uint64_t seed = 0;
   std::uint64_t digest = 0;
   graph::NodeId num_nodes = 0;
   std::vector<CanonicalEdge> edges;
@@ -58,11 +58,6 @@ struct SolveCache::Entry {
   solver::SolveReport report;  ///< assignment in CANONICAL labels
   double fill_cost_seconds = 0.0;
   double priority = 0.0;
-  /// Shard use-sequence at the last insert/hit: breaks equal-priority
-  /// eviction ties by recency, so cost_weight = 0 is EXACT LRU instead of
-  /// scan-order arbitrary (priorities all equal the clock until the first
-  /// eviction advances it).
-  std::uint64_t last_use = 0;
 };
 
 struct SolveCache::Shard {
@@ -74,8 +69,6 @@ struct SolveCache::Shard {
   std::size_t filling_count QQ_GUARDED_BY(mutex) = 0;
   /// GreedyDual clock: jumps to the priority of each evicted entry.
   double clock QQ_GUARDED_BY(mutex) = 0.0;
-  /// Monotone per-touch counter feeding Entry::last_use.
-  std::uint64_t use_seq QQ_GUARDED_BY(mutex) = 0;
 };
 
 SolveCache::SolveCache(CacheOptions options)
@@ -122,11 +115,11 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
                                                   request,
                                               std::string_view solver_key,
                                               const CachePolicy& policy) {
-  // kOff, null graphs, and trivial graphs (the Solver base guard answers
-  // those without touching a backend) bypass the cache: fingerprinting
-  // them would cost more than the solve.
-  if (policy.mode == CacheMode::kOff || request.graph == nullptr ||
-      request.graph->num_nodes() < 2 || request.graph->num_edges() == 0) {
+  // Null graphs and trivial graphs (the Solver base guard answers those
+  // without touching a backend) bypass the cache: fingerprinting them would
+  // cost more than the solve.
+  if (request.graph == nullptr || request.graph->num_nodes() < 2 ||
+      request.graph->num_edges() == 0) {
     return s.solve(request);
   }
   const graph::Graph& g = *request.graph;
@@ -136,13 +129,12 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
   const Fingerprint fp = fingerprint_graph(g, options_.fingerprint);
   std::uint64_t hash = mix(fp.key, fp.digest);
   hash = mix(hash, fnv1a(solver_key));
-  if (options_.seed_sensitive) hash = mix(hash, request.seed);
+  hash = mix(hash, request.seed);
   Shard& shard = shard_for(hash);
 
   const auto matches = [&](const Entry& e) {
     return e.num_nodes == fp.num_nodes && e.digest == fp.digest &&
-           e.solver_key == solver_key &&
-           (!options_.seed_sensitive || e.seed == request.seed) &&
+           e.solver_key == solver_key && e.seed == request.seed &&
            e.edges == fp.edges;
   };
 
@@ -172,9 +164,7 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
       if (found != nullptr && found->ready) {
         // HIT: refresh the GreedyDual priority and hand back the stored
         // report with the assignment permuted onto the requester's labels.
-        found->priority =
-            shard.clock + options_.cost_weight * found->fill_cost_seconds;
-        found->last_use = ++shard.use_seq;
+        found->priority = shard.clock + found->fill_cost_seconds;
         solver::SolveReport report = found->report;
         lock.unlock();
         report.cut.assignment = from_canonical(fp, report.cut.assignment);
@@ -189,7 +179,6 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
       }
       if (found != nullptr) {
         // In-flight fill by someone else.
-        if (policy.mode == CacheMode::kReadOnly) break;  // miss, don't wait
         if (!counted_coalesce) {
           counted_coalesce = true;
           coalesced_.fetch_add(1, std::memory_order_relaxed);
@@ -198,8 +187,7 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
         if (request.context != nullptr) request.context->throw_if_stopped();
         continue;  // re-search: ready, still filling, or erased (failed)
       }
-      // True miss.
-      if (policy.mode == CacheMode::kReadOnly) break;
+      // True miss: publish the in-flight entry this call fills.
       mine = std::make_shared<Entry>();
       mine->solver_key = std::string(solver_key);
       mine->seed = request.seed;
@@ -230,22 +218,26 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
     }
   }
 
+  // Withdraw the in-flight entry without a result (failed or uncacheable
+  // fill) and wake its waiters; the first of them becomes the next filler.
+  const auto abandon_fill = [&] {
+    util::MutexLock lock(shard.mutex);
+    auto bucket = shard.buckets.find(hash);
+    if (bucket != shard.buckets.end()) {
+      auto& vec = bucket->second;
+      vec.erase(std::remove(vec.begin(), vec.end(), mine), vec.end());
+      if (vec.empty()) shard.buckets.erase(bucket);
+    }
+    --shard.filling_count;
+    shard.cv.notify_all();
+  };
+
   const Clock::time_point fill_start = Clock::now();
   solver::SolveReport report;
   try {
     report = s.solve(fill_request);
   } catch (...) {
-    if (mine != nullptr) {
-      util::MutexLock lock(shard.mutex);
-      auto bucket = shard.buckets.find(hash);
-      if (bucket != shard.buckets.end()) {
-        auto& vec = bucket->second;
-        vec.erase(std::remove(vec.begin(), vec.end(), mine), vec.end());
-        if (vec.empty()) shard.buckets.erase(bucket);
-      }
-      --shard.filling_count;
-      shard.cv.notify_all();
-    }
+    abandon_fill();
     throw;
   }
   const double fill_cost = seconds_since(fill_start);
@@ -259,19 +251,9 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
        (!request.context->eval_budget_armed() &&
         !request.context->stopped()));
 
-  if (mine == nullptr) return report;  // readonly miss: nothing published
-
   if (!cacheable) {
     uncacheable_.fetch_add(1, std::memory_order_relaxed);
-    util::MutexLock lock(shard.mutex);
-    auto bucket = shard.buckets.find(hash);
-    if (bucket != shard.buckets.end()) {
-      auto& vec = bucket->second;
-      vec.erase(std::remove(vec.begin(), vec.end(), mine), vec.end());
-      if (vec.empty()) shard.buckets.erase(bucket);
-    }
-    --shard.filling_count;
-    shard.cv.notify_all();
+    abandon_fill();
     return report;
   }
 
@@ -287,8 +269,7 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
     mine->report = report;
     mine->report.cut.assignment = to_canonical(fp, report.cut.assignment);
     mine->fill_cost_seconds = fill_cost;
-    mine->priority = shard.clock + options_.cost_weight * fill_cost;
-    mine->last_use = ++shard.use_seq;
+    mine->priority = shard.clock + fill_cost;
     mine->ready = true;
     --shard.filling_count;
     ++shard.ready_count;
@@ -302,9 +283,7 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
       for (const auto& [bhash, vec] : shard.buckets) {
         for (const std::shared_ptr<Entry>& e : vec) {
           if (!e->ready) continue;
-          if (victim == nullptr || e->priority < victim->priority ||
-              (e->priority == victim->priority &&
-               e->last_use < victim->last_use)) {
+          if (victim == nullptr || e->priority < victim->priority) {
             victim = e;
             victim_hash = bhash;
           }
@@ -357,22 +336,6 @@ std::vector<ClassCacheStats> SolveCache::class_stats() const {
     out.push_back(std::move(row));
   }
   return out;
-}
-
-void SolveCache::clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    util::MutexLock lock(shard->mutex);
-    for (auto it = shard->buckets.begin(); it != shard->buckets.end();) {
-      auto& vec = it->second;
-      vec.erase(std::remove_if(vec.begin(), vec.end(),
-                               [](const std::shared_ptr<Entry>& e) {
-                                 return e->ready;
-                               }),
-                vec.end());
-      it = vec.empty() ? shard->buckets.erase(it) : std::next(it);
-    }
-    shard->ready_count = 0;
-  }
 }
 
 }  // namespace qq::cache

@@ -1,12 +1,14 @@
 #pragma once
 // Fleet-wide memoization of leaf solves (ROADMAP item 4): a concurrent,
 // sharded, bounded cache keyed on the CANONICAL fingerprint of the
-// sub-graph (fingerprint.hpp) combined with the solver spec and — by
-// default — the request seed, so a hot subgraph is solved once per fleet,
-// not once per request, and cache-on results stay bit-for-bit identical to
-// cache-off (the fuzz equality oracle's contract).
+// sub-graph (fingerprint.hpp) combined with the solver key (the registry
+// spec string, which carries every solver setting) and the request seed,
+// so a hot subgraph is solved once per fleet, not once per request, and
+// cache-on results stay bit-for-bit identical to cache-off (the fuzz
+// equality oracle's contract). "No cache" is a null SolveCache* at the
+// call site, never a mode of this class.
 //
-//   lookup     hash(fingerprint.key, digest, solver_key[, seed]) -> shard
+//   lookup     hash(fingerprint.key, digest, solver_key, seed) -> shard
 //              bucket -> exact identity check (node count, full canonical
 //              edge list, solver key, seed): equal 64-bit hashes are never
 //              trusted, so a hash collision costs a `collisions` counter
@@ -22,9 +24,8 @@
 //              erases the in-flight entry and wakes the waiters, the first
 //              of which becomes the next filler.
 //   eviction   GreedyDual cost-aware: entry priority = shard clock +
-//              cost_weight * fill_cost_seconds, refreshed on hit; the
-//              minimum-priority READY entry is evicted and the clock jumps
-//              to its priority (cost_weight = 0 degenerates to LRU).
+//              fill_cost_seconds, refreshed on hit; the minimum-priority
+//              READY entry is evicted and the clock jumps to its priority.
 //              In-flight entries are pinned.
 //   safety     results produced under a truncating budget (request
 //              eval budget, armed context eval budget, or a context
@@ -52,43 +53,19 @@
 
 namespace qq::cache {
 
-enum class CacheMode : std::uint8_t {
-  kOff = 0,   ///< bypass entirely: no lookup, no insert
-  kOn,        ///< lookup; miss fills and inserts
-  kReadOnly,  ///< lookup only; every miss solves without inserting or
-              ///< waiting on in-flight fills
-};
-
-constexpr const char* cache_mode_name(CacheMode mode) noexcept {
-  switch (mode) {
-    case CacheMode::kOff: return "off";
-    case CacheMode::kOn: return "on";
-    case CacheMode::kReadOnly: return "readonly";
-  }
-  return "?";
-}
-
 struct CacheOptions {
   /// Shard count, rounded up to a power of two. More shards, less
   /// contention; capacity is split evenly across them.
   std::size_t shards = 8;
   /// Total entry capacity across all shards (>= shard count enforced).
   std::size_t capacity = 4096;
-  /// GreedyDual cost weight: how strongly expensive fills resist eviction.
-  /// 0 = plain LRU.
-  double cost_weight = 1.0;
-  /// When true (default) the request seed is part of the key, making
-  /// cache-on bit-for-bit identical to cache-off. False shares one entry
-  /// across seeds — more sharing, reproducibility traded away.
-  bool seed_sensitive = true;
   WarmStartOptions warm_start;
   FingerprintOptions fingerprint;
 };
 
-/// Per-call cache behavior, carried by the caller (service request options,
-/// Qaoa2Options) rather than the cache so one cache serves many policies.
+/// Per-call cache behavior, carried by the caller (the service, Qaoa2Options)
+/// rather than the cache so one cache serves many policies.
 struct CachePolicy {
-  CacheMode mode = CacheMode::kOn;
   /// Seed COBYLA on a miss with a transferred schedule from the advisor.
   bool warm_start = false;
   /// Workload class for per-class hit/miss attribution (register_class);
@@ -135,9 +112,9 @@ class SolveCache {
 
   /// Solve `request` through the cache. `solver_key` identifies the solver
   /// configuration (registry spec string); two solvers sharing a key MUST
-  /// be interchangeable. Trivial graphs (< 2 nodes or no edges) and
-  /// kOff bypass the cache entirely. Cancellation: waiting on an in-flight
-  /// fill polls request.context and rethrows its CancelledError.
+  /// be interchangeable. Trivial graphs (< 2 nodes or no edges) bypass the
+  /// cache entirely. Cancellation: waiting on an in-flight fill polls
+  /// request.context and rethrows its CancelledError.
   solver::SolveReport solve_through(const solver::Solver& s,
                                     const solver::SolveRequest& request,
                                     std::string_view solver_key,
@@ -153,10 +130,6 @@ class SolveCache {
   WarmStartAdvisor& advisor() noexcept { return advisor_; }
   const WarmStartAdvisor& advisor() const noexcept { return advisor_; }
   const CacheOptions& options() const noexcept { return options_; }
-
-  /// Drop every READY entry (in-flight fills complete and then insert into
-  /// the emptied shards). Counters are preserved.
-  void clear();
 
  private:
   struct Entry;

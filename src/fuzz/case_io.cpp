@@ -174,10 +174,6 @@ std::string reproducer_snippet(const Scenario& scenario,
        << "  opts.sub_solver_spec = \"" << scenario.spec << "\";\n"
        << "  opts.deeper_solver_spec = \"" << scenario.deeper_spec << "\";\n"
        << "  opts.merge_solver_spec = \"" << scenario.merge_spec << "\";\n"
-       << "  opts.qaoa.layers = 1;\n"
-       << "  opts.qaoa.max_iterations = 8;\n"
-       << "  opts.qaoa.shots = 64;\n"
-       << "  opts.gw.slicings = 6;\n"
        << "  opts.seed = " << scenario.solve_seed << "ULL;\n"
        << "  const auto result = qq::qaoa2::solve_qaoa2(g, opts);\n"
        << "  std::printf(\"value=%.17g recount=%.17g\\n\", result.cut.value,\n"

@@ -219,7 +219,7 @@ void check_solver_scenario(const Scenario& s, const OracleOptions& opts,
   }
 
   if (opts.check_cache_coherence && g.num_nodes() >= 2 && g.num_edges() > 0) {
-    // Fresh seed-sensitive cache, warm starts off (the defaults): every
+    // Fresh cache, warm starts off (the default policy): every
     // cache-routed result must be bit-identical to the uncached one.
     cache::SolveCache cache;
     try {
@@ -248,26 +248,24 @@ void check_solver_scenario(const Scenario& s, const OracleOptions& opts,
                 fmt(report.cut.value) + ")");
       }
       // Isomorphic-hit probe: when the canonicalizer fully labels both the
-      // graph and a relabeled copy, a read-only lookup on the copy must hit
-      // the entry filled above, and the cached assignment mapped through
-      // the stored permutation must be a valid equal-value cut of the copy.
+      // graph and a relabeled copy, a lookup on the copy must hit the entry
+      // filled above, and the cached assignment mapped through the stored
+      // permutation must be a valid equal-value cut of the copy.
       const auto perm = relabeling(s);
       const Graph h = permuted_graph(g, perm);
       const cache::Fingerprint fp_g = cache::fingerprint_graph(g);
       const cache::Fingerprint fp_h = cache::fingerprint_graph(h);
       if (fp_g.canonical && fp_h.canonical) {
-        cache::CachePolicy readonly;
-        readonly.mode = cache::CacheMode::kReadOnly;
         solver::SolveRequest r2;
         r2.graph = &h;
         r2.seed = s.solve_seed;
         const std::uint64_t hits_before = cache.stats().hits;
         const solver::SolveReport iso =
-            cache.solve_through(*solver, r2, s.spec, readonly);
+            cache.solve_through(*solver, r2, s.spec);
         if (cache.stats().hits != hits_before + 1) {
           add(out, "cache_coherence",
-              "read-only lookup of an isomorphic relabeled copy missed the "
-              "cached entry");
+              "lookup of an isomorphic relabeled copy missed the cached "
+              "entry");
         } else {
           check_cut(h, iso.cut, "isomorphic cache hit", out);
           if (std::abs(iso.cut.value - report.cut.value) > cut_tolerance(g)) {
@@ -302,12 +300,6 @@ qaoa2::Qaoa2Options qaoa2_options(const Scenario& s) {
   opts.sub_solver_spec = s.spec;
   opts.deeper_solver_spec = s.deeper_spec;
   opts.merge_solver_spec = s.merge_spec;
-  // Keep the base defaults that specs refine cheap: the fuzzer's job is
-  // coverage, not solution quality.
-  opts.qaoa.layers = 1;
-  opts.qaoa.max_iterations = 8;
-  opts.qaoa.shots = 64;
-  opts.gw.slicings = 6;
   opts.seed = s.solve_seed;
   return opts;
 }
@@ -416,7 +408,7 @@ void check_qaoa2_scenario(const Scenario& s, const OracleOptions& opts,
   }
 
   if (opts.check_cache_coherence) {
-    // Routing every leaf/coarse solve through a seed-sensitive cache must
+    // Routing every leaf/coarse solve through a shared cache must
     // not perturb the pipeline: the cold (filling) run and the warm
     // (hit-serving) rerun both match the uncached result bit-for-bit.
     cache::SolveCache cache;

@@ -15,12 +15,13 @@
 //                  to the same value on the original graph; the exact
 //                  optimum value is additionally invariant
 //   exact_bound    exact >= any heuristic (n <= exact_max_nodes)
-//   cache_coherence  routing the solve through a seed-sensitive SolveCache
-//                  (warm starts off) is bit-for-bit identical to the
-//                  uncached solve; a repeat of the same request HITS and
-//                  stays bit-identical; a hit on an isomorphic relabeled
-//                  copy maps its cached assignment through the stored
-//                  permutation to a valid cut of the same value
+//   cache_coherence  routing the solve through a SolveCache (default
+//                  policy: warm starts off) is bit-for-bit identical to
+//                  the uncached solve; a repeat of the same request HITS
+//                  and stays bit-identical; a lookup of an isomorphic
+//                  relabeled copy HITS and maps its cached assignment
+//                  through the stored permutation to a valid cut of the
+//                  same value
 //   spec_guard     malformed specs throw std::invalid_argument, never
 //                  anything else and never succeed (check_malformed_spec)
 //

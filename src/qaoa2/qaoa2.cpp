@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <stdexcept>
@@ -24,45 +22,6 @@ std::uint64_t mix_seed(std::uint64_t seed, int level, std::size_t part) {
   util::SplitMix64 sm(seed ^ (static_cast<std::uint64_t>(level) << 32) ^
                       static_cast<std::uint64_t>(part));
   return sm.next();
-}
-
-/// Digest of the result-relevant SolverDefaults fields, folded into the
-/// driver's cache keys (Qaoa2Driver ctor). Seeds and contexts are excluded
-/// (request-supplied), as is lockstep_min_qubits (bit-identical either
-/// way, enforced by tests).
-std::string defaults_digest_hex(const solver::SolverDefaults& d) {
-  std::uint64_t h = 0x71a0aa2d15ULL;
-  const auto fold = [&h](std::uint64_t v) {
-    util::SplitMix64 sm(h ^ (v * 0x9e3779b97f4a7c15ULL));
-    h = sm.next();
-  };
-  const auto fold_double = [&fold](double x) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &x, sizeof(bits));
-    fold(bits);
-  };
-  fold(static_cast<std::uint64_t>(d.qaoa.layers));
-  fold_double(d.qaoa.rhobeg);
-  fold(static_cast<std::uint64_t>(d.qaoa.max_iterations));
-  fold(static_cast<std::uint64_t>(d.qaoa.shots));
-  fold(d.qaoa.shot_based_objective ? 1 : 0);
-  fold(static_cast<std::uint64_t>(d.qaoa.top_k));
-  fold(static_cast<std::uint64_t>(d.qaoa.restarts));
-  fold(static_cast<std::uint64_t>(d.qaoa.optimizer));
-  fold(static_cast<std::uint64_t>(d.qaoa.init));
-  fold(d.qaoa.initial_parameters.size());
-  for (const double p : d.qaoa.initial_parameters) fold_double(p);
-  fold(static_cast<std::uint64_t>(d.gw.slicings));
-  fold(static_cast<std::uint64_t>(d.gw.sdp.rank));
-  fold(static_cast<std::uint64_t>(d.gw.sdp.max_sweeps));
-  fold_double(d.gw.sdp.tol);
-  fold(static_cast<std::uint64_t>(d.local_search_restarts));
-  fold(static_cast<std::uint64_t>(d.rqaoa_cutoff));
-  fold_double(d.random_p);
-  char buf[18];
-  std::snprintf(buf, sizeof(buf), "@%016llx",
-                static_cast<unsigned long long>(h));
-  return std::string(buf);
 }
 
 std::uint64_t partition_seed(std::uint64_t base_seed, int level) {
@@ -169,30 +128,14 @@ std::uint64_t component_seed(std::uint64_t seed, std::size_t component,
   return sm.next();
 }
 
-solver::SolverDefaults Qaoa2Driver::solver_defaults() const {
-  solver::SolverDefaults defaults;
-  defaults.qaoa = options_.qaoa;
-  defaults.gw = options_.gw;
-  defaults.rqaoa_cutoff = std::min(options_.max_qubits, 8);
-  return defaults;
-}
-
 Qaoa2Driver::Qaoa2Driver(const Qaoa2Options& options) : options_(options) {
   if (options.max_qubits < 2) {
     throw std::invalid_argument("Qaoa2Driver: max_qubits must be >= 2");
   }
-  const solver::SolverDefaults defaults = solver_defaults();
   const solver::SolverRegistry& registry = solver::SolverRegistry::global();
-  sub_ = registry.make(options_.sub_solver_spec, defaults);
-  deeper_ = registry.make(options_.deeper_solver_spec, defaults);
-  merge_ = registry.make(options_.merge_solver_spec, defaults);
-  // Cache keys: spec + digest of the defaults the spec refines, so two
-  // drivers sharing "qaoa" but configured with different layers/shots/...
-  // never alias one cache entry.
-  const std::string suffix = defaults_digest_hex(defaults);
-  sub_key_ = options_.sub_solver_spec + suffix;
-  deeper_key_ = options_.deeper_solver_spec + suffix;
-  merge_key_ = options_.merge_solver_spec + suffix;
+  sub_ = registry.make(options_.sub_solver_spec);
+  deeper_ = registry.make(options_.deeper_solver_spec);
+  merge_ = registry.make(options_.merge_solver_spec);
   if (!merge_->children().empty()) {
     throw std::invalid_argument(
         "Qaoa2Driver: merge solver cannot be a best-of combinator (the "
@@ -210,7 +153,8 @@ solver::SolveReport Qaoa2Driver::dispatch_solve(
 
 std::vector<std::string> Qaoa2Driver::arm_solver_keys(
     int level, std::size_t num_arms) const {
-  const std::string& key = level == 0 ? sub_key_ : deeper_key_;
+  const std::string& key =
+      level == 0 ? options_.sub_solver_spec : options_.deeper_solver_spec;
   std::vector<std::string> keys;
   keys.reserve(num_arms);
   if (num_arms <= 1) {
@@ -227,7 +171,8 @@ maxcut::CutResult Qaoa2Driver::solve_fitting_level(
     const graph::Graph& g, int level, std::uint64_t base_seed,
     Qaoa2Result& result, const util::RequestContext* context) const {
   const solver::Solver& s = level == 0 ? *sub_ : *merge_;
-  const std::string& key = level == 0 ? sub_key_ : merge_key_;
+  const std::string& key =
+      level == 0 ? options_.sub_solver_spec : options_.merge_solver_spec;
   const solver::SolveReport rep = dispatch_solve(
       s, key, make_request(g, mix_seed(base_seed, level, 0), context));
   result.solve_seconds += rep.wall_seconds;

@@ -5,10 +5,13 @@
 // classical solvers, merge via the signed coarse graph, and recurse until
 // the coarse problem fits on one device.
 //
-// Every solver role is named by a registry spec string (solver/registry.hpp).
-// The hybrid selection the paper studies (§3.6/Fig. 4) is the sub-solver
-// spec: all-QAOA ("qaoa"), all-GW ("gw"), or per-sub-graph best of both
-// ("best").
+// Every solver role is named AND configured by a registry spec string
+// (solver/registry.hpp), built with the registry defaults: "qaoa:p=2,
+// iters=40" carries the ansatz depth and budget, "gw:rounds=6" the slicing
+// count. The spec string is also the role's cache key. The hybrid
+// selection the paper studies (§3.6/Fig. 4) is the sub-solver spec:
+// all-QAOA ("qaoa"), all-GW ("gw"), or per-sub-graph best of both
+// ("best:qaoa:p=2|gw").
 //
 // The solve is sharded by connected component and STREAMED: every
 // component flows partition -> sub-solves -> merge -> coarse
@@ -28,11 +31,9 @@
 
 #include "cache/solve_cache.hpp"
 #include "maxcut/cut.hpp"
-#include "qaoa/qaoa.hpp"
 #include "qgraph/graph.hpp"
 #include "qgraph/partition.hpp"
 #include "sched/engine.hpp"
-#include "sdp/gw.hpp"
 #include "solver/solver.hpp"
 #include "util/cancellation.hpp"
 
@@ -46,9 +47,9 @@ struct Qaoa2Options {
   graph::PartitionMethod partition_method =
       graph::PartitionMethod::kGreedyModularity;
   /// Registry spec strings of the three solver roles (e.g.
-  /// "qaoa:p=3,shots=512", "best:qaoa|gw", "anneal:sweeps=400"); they reach
-  /// every backend registered with SolverRegistry. The driver's `qaoa`/`gw`
-  /// option structs below are the defaults the specs refine.
+  /// "qaoa:p=3,shots=512", "best:qaoa:p=2|gw", "anneal:sweeps=400"); they
+  /// reach every backend registered with SolverRegistry and are the only
+  /// place a role's settings live.
   /// First-level sub-graphs (Fig. 4 "QAOA").
   std::string sub_solver_spec = "qaoa";
   /// Deeper recursion levels. The paper: "In case of further iterations in
@@ -57,8 +58,6 @@ struct Qaoa2Options {
   /// The coarse merge graphs (paper step 5 uses QAOA). Must not be a
   /// best-of combinator (the coarse graph gets exactly one solve).
   std::string merge_solver_spec = "qaoa";
-  qaoa::QaoaOptions qaoa;  ///< configuration of every QAOA sub-solve
-  sdp::GwOptions gw;       ///< configuration of every GW sub-solve
   /// Simulated device count / classical worker slots for the parallel
   /// sub-graph fan-out (Fig. 2).
   sched::EngineOptions engine;
@@ -68,11 +67,11 @@ struct Qaoa2Options {
   const util::RequestContext* context = nullptr;
   std::uint64_t seed = 0;
   /// Fleet-wide solve cache every leaf/coarse solve routes through (viewed,
-  /// not owned; may be null = uncached). With the cache's default
-  /// seed-sensitive keys, cached solves are bit-for-bit identical to
-  /// uncached ones — only faster when a (subgraph, solver, seed) repeats.
+  /// not owned; may be null = uncached). Entries are keyed on (subgraph,
+  /// role spec, seed), so cached solves are bit-for-bit identical to
+  /// uncached ones — only faster when a (subgraph, spec, seed) repeats.
   cache::SolveCache* solve_cache = nullptr;
-  /// Per-solve cache behavior (mode, warm starts, stats class).
+  /// Per-solve cache behavior (warm starts, stats class).
   cache::CachePolicy cache_policy;
 };
 
@@ -133,16 +132,12 @@ class Qaoa2Driver {
   /// block.
   using DoneFn = std::function<void(Qaoa2Result, std::exception_ptr)>;
 
-  /// Resolves the three solver roles through SolverRegistry::global() and
-  /// validates the specs (std::invalid_argument on malformed or unknown
+  /// Builds the three solver roles with SolverRegistry::global().make(spec)
+  /// and validates the specs (std::invalid_argument on malformed or unknown
   /// ones, and when the merge solver is a best-of combinator).
   explicit Qaoa2Driver(const Qaoa2Options& options);
 
   const Qaoa2Options& options() const noexcept { return options_; }
-
-  /// The SolverDefaults the driver's specs refine: its QaoaOptions /
-  /// GwOptions plus the RQAOA cutoff min(max_qubits, 8).
-  solver::SolverDefaults solver_defaults() const;
 
   /// Synchronous solve. A graph that fits on one device is solved directly;
   /// a larger one runs solve_async on a private engine built from
@@ -185,30 +180,24 @@ class Qaoa2Driver {
 
   /// Every sub/coarse solve funnels through here: straight to the solver
   /// when no cache is configured, through SolveCache::solve_through (keyed
-  /// on `solver_key`) otherwise.
+  /// on `solver_key`, the role's spec string) otherwise.
   solver::SolveReport dispatch_solve(const solver::Solver& s,
                                      std::string_view solver_key,
                                      const solver::SolveRequest& request)
       const;
 
   /// Cache keys of one partitioned level's task fan-out: the level's role
-  /// key, suffixed "#arm<i>" when a best-of fans out multiple arms (each
+  /// spec, suffixed "#arm<i>" when a best-of fans out multiple arms (each
   /// arm is a distinct solver configuration).
   std::vector<std::string> arm_solver_keys(int level,
                                            std::size_t num_arms) const;
 
   Qaoa2Options options_;
-  // Registry-built instances of the three solver roles (immutable,
-  // shared by every concurrent engine task of a solve) and their cache
-  // keys: "<spec>@<defaults digest>" — the digest covers the
-  // driver-level QaoaOptions/GwOptions the spec refines, so two drivers
-  // sharing a spec string but configured differently never alias.
+  // Registry-built instances of the three solver roles (immutable, shared
+  // by every concurrent engine task of a solve).
   solver::SolverPtr sub_;
   solver::SolverPtr deeper_;
   solver::SolverPtr merge_;
-  std::string sub_key_;
-  std::string deeper_key_;
-  std::string merge_key_;
 };
 
 /// Convenience wrapper.

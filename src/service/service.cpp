@@ -37,6 +37,9 @@ struct RequestRecord {
   /// Keepalive of a decomposed solve; dropped at finalize.
   std::shared_ptr<qaoa2::StreamPipeline> pipeline QQ_GUARDED_BY(mutex);
   RequestOutcome outcome QQ_GUARDED_BY(mutex);
+  /// Set once the service has finished recording the settled request (its
+  /// stats() counters included); wait() returns on this, not on status.
+  bool finalized QQ_GUARDED_BY(mutex) = false;
 
   bool settled_locked() const QQ_REQUIRES(mutex) {
     return outcome.status != RequestStatus::kPending;
@@ -48,6 +51,10 @@ struct RequestRecord {
 using detail::RequestRecord;
 
 namespace {
+
+/// Completed-request latencies retained per class for the percentile stats
+/// (a ring; older samples fall out).
+constexpr std::size_t kLatencyWindow = 512;
 
 double percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;
@@ -179,6 +186,9 @@ RequestTicket SolveService::reject(std::shared_ptr<RequestRecord> rec,
     util::MutexLock lock(rec->mutex);
     rec->outcome.status = RequestStatus::kRejected;
     rec->outcome.reject_reason = reason;
+    // Not yet visible to any waiter: the ticket is returned below, after
+    // the counters are in.
+    rec->finalized = true;
   }
   {
     util::MutexLock lock(mutex_);
@@ -217,14 +227,11 @@ RequestTicket SolveService::submit(ServiceRequest request) {
   const bool decomposed =
       req.max_qubits > 0 && req.graph.num_nodes() > req.max_qubits;
   cache::CachePolicy cache_policy;
-  cache_policy.mode = req.cache_mode;
-  cache_policy.warm_start = req.warm_start;
   cache_policy.class_id = cls.cache_class;
   try {
     if (decomposed) {
       qaoa2::Qaoa2Options qopts;
       qopts.max_qubits = req.max_qubits;
-      qopts.partition_method = options_.partition_method;
       qopts.sub_solver_spec = req.solver_spec;
       if (!req.deeper_spec.empty()) qopts.deeper_solver_spec = req.deeper_spec;
       if (!req.merge_spec.empty()) qopts.merge_solver_spec = req.merge_spec;
@@ -239,10 +246,8 @@ RequestTicket SolveService::submit(ServiceRequest request) {
     return reject(std::move(rec), RejectReason::kInvalidRequest);
   }
 
-  // Deadline feasibility: don't admit work that cannot finish in time.
-  if (req.deadline_seconds &&
-      (*req.deadline_seconds <= 0.0 ||
-       *req.deadline_seconds < options_.min_feasible_deadline_seconds)) {
+  // Deadline feasibility: a non-positive deadline has already expired.
+  if (req.deadline_seconds && *req.deadline_seconds <= 0.0) {
     return reject(std::move(rec), RejectReason::kDeadlineInfeasible);
   }
 
@@ -304,8 +309,8 @@ RequestTicket SolveService::submit(ServiceRequest request) {
     task.kind = rec->direct->resource_kind();
     task.fair_class = rec->engine_class;
     task.group = group;
-    // Direct solvers are built from the global registry defaults, so the
-    // spec string alone identifies the configuration — it is the cache key.
+    // The spec string alone identifies the solver configuration — it is
+    // the cache key, as for the driver's roles.
     cache::SolveCache* solve_cache = cache_.get();
     task.work = [rec, solve_cache, cache_policy] {
       rec->context.throw_if_stopped();
@@ -376,14 +381,13 @@ void SolveService::finalize(const std::shared_ptr<RequestRecord>& rec,
     group = rec->group;
     rec->pipeline.reset();
   }
-  rec->cv.notify_all();
 
   // The ticket's status is now terminal, but the service must not be torn
   // down yet: drain() (and so the destructor) waits for in_flight_ to
   // reach zero, and this function keeps touching the engine and the class
   // tables until then. Everything service-owned is finished BEFORE the
-  // in_flight_ decrement below; nothing after the locked block may touch
-  // `this`.
+  // in_flight_ decrement below; after that locked block only the record
+  // is touched.
   engine_->close_group(group);
 
   {
@@ -395,13 +399,11 @@ void SolveService::finalize(const std::shared_ptr<RequestRecord>& rec,
       case RequestStatus::kCompleted:
         ++completed_;
         ++cls.completed;
-        if (options_.latency_window > 0) {
-          if (cls.latencies.size() < options_.latency_window) {
-            cls.latencies.push_back(latency);
-          } else {
-            cls.latencies[cls.latency_pos] = latency;
-            cls.latency_pos = (cls.latency_pos + 1) % options_.latency_window;
-          }
+        if (cls.latencies.size() < kLatencyWindow) {
+          cls.latencies.push_back(latency);
+        } else {
+          cls.latencies[cls.latency_pos] = latency;
+          cls.latency_pos = (cls.latency_pos + 1) % kLatencyWindow;
         }
         break;
       case RequestStatus::kCancelled:
@@ -416,6 +418,12 @@ void SolveService::finalize(const std::shared_ptr<RequestRecord>& rec,
     live_.erase(std::remove(live_.begin(), live_.end(), rec), live_.end());
     if (in_flight_ == 0) drained_cv_.notify_all();
   }
+  // Release wait(): the request is now settled AND counted in stats().
+  {
+    util::MutexLock lock(rec->mutex);
+    rec->finalized = true;
+  }
+  rec->cv.notify_all();
 }
 
 bool SolveService::cancel(const RequestTicket& ticket) {
@@ -443,15 +451,15 @@ void SolveService::wait(const RequestTicket& ticket) {
   for (;;) {
     {
       util::MutexLock lock(rec->mutex);
-      if (rec->settled_locked()) return;
+      if (rec->finalized) return;
     }
     // Donate this thread to the engine; nap only when nothing is
     // claimable (everything dispatched is already running elsewhere).
-    // Predicate-free wait: the top of the loop re-checks settled under
+    // Predicate-free wait: the top of the loop re-checks finalized under
     // the lock, so a missed 1 ms nap costs latency, never correctness.
     if (!engine_->try_run_one()) {
       util::MutexLock lock(rec->mutex);
-      if (!rec->settled_locked()) {
+      if (!rec->finalized) {
         rec->cv.wait_for(lock, std::chrono::milliseconds(1));
       }
     }

@@ -1,7 +1,7 @@
 #pragma once
 // Multi-tenant solve service — the long-lived front door above the solver
 // registry and the QAOA^2 pipeline (ROADMAP item 1). Many concurrent
-// requests (graph + registry spec + workload class + optional deadline /
+// requests (graph + registry specs + workload class + optional deadline /
 // evaluation budget) multiplex ONE persistent sched::WorkflowEngine:
 //
 //   submit -> validate spec -> ADMIT (bounded queues, typed rejection)
@@ -20,7 +20,10 @@
 // slicings MID-solve. Deadlines and evaluation budgets ride the same
 // context. Admission control rejects — with a typed reason — instead of
 // queuing unboundedly, and shutdown drains gracefully (or cancels
-// everything in flight first: shutdown_now).
+// everything in flight first: shutdown_now). A request's spec strings carry
+// every solver setting and name its cache entries; the service adds no
+// solver or cache setting of its own, and wait() returns only once a
+// settled request is counted in stats().
 
 #include <cstddef>
 #include <cstdint>
@@ -32,7 +35,6 @@
 #include "cache/solve_cache.hpp"
 #include "maxcut/cut.hpp"
 #include "qgraph/graph.hpp"
-#include "qgraph/partition.hpp"
 #include "sched/engine.hpp"
 #include "util/cancellation.hpp"
 #include "util/mutex.hpp"
@@ -58,22 +60,11 @@ struct ServiceOptions {
   std::vector<WorkloadClassConfig> classes;
   /// Global admission bound across every class.
   std::size_t max_in_flight_requests = 256;
-  /// Deadlines shorter than this are rejected up front as infeasible
-  /// (kDeadlineInfeasible) instead of being admitted only to expire.
-  /// Non-positive deadlines are always infeasible.
-  double min_feasible_deadline_seconds = 0.0;
-  /// Partition method for decomposed (QAOA^2) requests.
-  graph::PartitionMethod partition_method =
-      graph::PartitionMethod::kGreedyModularity;
-  /// Completed-request latencies retained per class for the percentile
-  /// stats (a ring; older samples fall out).
-  std::size_t latency_window = 512;
   /// Fleet-wide solve cache the service owns (ROADMAP item 4): every
   /// leaf/coarse/direct solve routes through it, so a hot subgraph is
   /// solved once per fleet, not once per request. Engaged by default —
-  /// with its seed-sensitive keys, results are bit-for-bit identical to
-  /// the uncached service. nullopt disables caching entirely (requests'
-  /// cache_mode is then ignored).
+  /// keys include the seed, so results are bit-for-bit identical to the
+  /// uncached service. nullopt disables caching entirely.
   std::optional<cache::CacheOptions> cache = cache::CacheOptions{};
 };
 
@@ -95,20 +86,12 @@ struct ServiceRequest {
   /// a single solver task.
   int max_qubits = 0;
   /// Wall-clock deadline from admission; expiry cancels the request
-  /// (StopReason::kDeadline) at the next cooperative checkpoint.
+  /// (StopReason::kDeadline) at the next cooperative checkpoint. A
+  /// non-positive deadline is rejected as kDeadlineInfeasible.
   std::optional<double> deadline_seconds;
   /// Objective-evaluation budget shared by every solve of the request;
   /// exhaustion stops it (StopReason::kBudget).
   std::optional<std::int64_t> eval_budget;
-  /// Cache participation of this request's solves (ignored when the
-  /// service has no cache): kOn reads and fills, kReadOnly reads without
-  /// filling or waiting on in-flight fills, kOff bypasses.
-  cache::CacheMode cache_mode = cache::CacheMode::kOn;
-  /// Seed cache MISSES with transferred (gamma, beta) schedules from the
-  /// cache's warm-start advisor. Off by default: warm starts change
-  /// optimizer trajectories, trading reproducibility for fewer COBYLA
-  /// evaluations.
-  bool warm_start = false;
 };
 
 enum class RequestStatus : std::uint8_t {
@@ -122,7 +105,7 @@ enum class RequestStatus : std::uint8_t {
 enum class RejectReason : std::uint8_t {
   kNone = 0,
   kOverloaded,          ///< global or per-class in-flight bound hit
-  kDeadlineInfeasible,  ///< deadline below the feasibility floor
+  kDeadlineInfeasible,  ///< non-positive deadline
   kInvalidRequest,      ///< malformed spec / unknown class / bad graph
   kShuttingDown,        ///< service no longer admits
 };
@@ -236,8 +219,9 @@ class SolveService {
   /// request had already settled. Does not block on the request settling.
   bool cancel(const RequestTicket& ticket);
 
-  /// Block until `ticket` settles, donating this thread to the engine
-  /// meanwhile (safe to call from anywhere, including many waiters).
+  /// Block until `ticket` settles AND the service has recorded it in
+  /// stats(), donating this thread to the engine meanwhile (safe to call
+  /// from anywhere, including many waiters).
   void wait(const RequestTicket& ticket);
 
   /// Wait until the service is quiescent: every admitted request settled

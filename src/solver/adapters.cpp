@@ -323,7 +323,7 @@ SolverPtr make_best(const SolverRegistry& registry, std::string_view params,
 void register_builtin_solvers(SolverRegistry& registry) {
   registry.register_solver(
       "qaoa", "simulated QAOA (quantum; paper Fig. 4 \"QAOA\")",
-      {{"p", "ansatz layers (default: driver/defaults QaoaOptions)"},
+      {{"p", "ansatz layers (default 3)"},
        {"iters", "COBYLA evaluation budget; 0 = paper schedule"},
        {"shots", "shots per circuit execution"},
        {"rhobeg", "COBYLA initial step"},
@@ -349,8 +349,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
        {"iters", "per-round COBYLA evaluation budget"},
        {"shots", "shots per circuit execution"},
        {"rhobeg", "COBYLA initial step"},
-       {"cutoff", "solve exactly at this node count (default: driver "
-                  "min(max_qubits, 8))"}},
+       {"cutoff", "solve exactly at this node count (default 8)"}},
       [](const SolverRegistry&, std::string_view params,
          const SolverDefaults& defaults) -> SolverPtr {
         const Params p("rqaoa", params,

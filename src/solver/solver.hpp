@@ -137,17 +137,17 @@ class Solver {
 using SolverPtr = std::unique_ptr<Solver>;
 
 /// Base configuration the adapters start from before applying spec-string
-/// parameters. The QAOA^2 driver passes its Qaoa2Options-level
-/// QaoaOptions/GwOptions here so "qaoa" inside the driver means "the
-/// driver's QAOA configuration", exactly as the old enum switch did;
-/// standalone callers use the defaults.
+/// parameters. Every library caller (the QAOA^2 driver and the service
+/// included) uses the defaults, so a spec string alone names a solver
+/// configuration and can serve as its cache key; the parameter remains for
+/// registry factories that forward it to child specs.
 struct SolverDefaults {
   qaoa::QaoaOptions qaoa;
   sdp::GwOptions gw;
   maxcut::AnnealOptions anneal;
   /// one_exchange_restarts restart count (the old switch hardcoded 10).
   int local_search_restarts = 10;
-  /// RQAOA exact-solve cutoff (the old switch used min(max_qubits, 8)).
+  /// RQAOA exact-solve cutoff.
   int rqaoa_cutoff = 8;
   /// randomized_partitioning side probability.
   double random_p = 0.5;

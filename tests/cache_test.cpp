@@ -1,8 +1,8 @@
 // Tests for the fleet-wide solve cache (src/cache): canonical
 // fingerprinting (isomorphism invariance, near-miss separation, collision
-// sweep, permutation round-trips), SolveCache semantics (hit/miss/
-// readonly/off, in-flight coalescing, exactly-once fill under a 16-thread
-// hammer, bounded capacity with LRU and cost-aware eviction, budget-
+// sweep, permutation round-trips), SolveCache semantics (hit/miss, seed and
+// spec separation, in-flight coalescing, exactly-once fill under a
+// 16-thread hammer, bounded capacity with cost-aware eviction, budget-
 // truncated results never inserted), warm-start transfer, and the
 // cache-on == cache-off bit-parity of the QAOA^2 and service layers.
 
@@ -292,16 +292,7 @@ TEST(SolveCache, SeedSensitiveKeysSeparateSeeds) {
   EXPECT_EQ(solver.solves(), 2) << "distinct seeds are distinct entries";
   EXPECT_EQ(a.cut.value, maxcut::cut_value(g, a.cut.assignment));
   EXPECT_EQ(b.cut.value, maxcut::cut_value(g, b.cut.assignment));
-
-  // Seed-insensitive cache shares one entry across seeds.
-  CacheOptions shared_opts;
-  shared_opts.seed_sensitive = false;
-  SolveCache shared(shared_opts);
-  CountingSolver solver2;
-  shared.solve_through(solver2, request_for(g, 1), "counting");
-  shared.solve_through(solver2, request_for(g, 2), "counting");
-  EXPECT_EQ(solver2.solves(), 1);
-  EXPECT_EQ(shared.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(SolveCache, SolverKeySeparatesConfigurations) {
@@ -339,34 +330,6 @@ TEST(SolveCache, IsomorphicRequestsShareOneEntry) {
               1e-9);
 }
 
-TEST(SolveCache, OffAndReadOnlyModes) {
-  util::Rng rng(47);
-  const Graph g = graph::erdos_renyi(10, 0.5, rng);
-  CountingSolver solver;
-  SolveCache cache;
-
-  CachePolicy off;
-  off.mode = CacheMode::kOff;
-  cache.solve_through(solver, request_for(g, 1), "counting", off);
-  cache.solve_through(solver, request_for(g, 1), "counting", off);
-  EXPECT_EQ(solver.solves(), 2);
-  EXPECT_EQ(cache.stats().misses, 0u) << "kOff never touches the cache";
-  EXPECT_EQ(cache.stats().entries, 0u);
-
-  CachePolicy readonly;
-  readonly.mode = CacheMode::kReadOnly;
-  cache.solve_through(solver, request_for(g, 1), "counting", readonly);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().entries, 0u) << "readonly misses never insert";
-
-  // Fill through kOn, then readonly must hit.
-  cache.solve_through(solver, request_for(g, 1), "counting");
-  const int before = solver.solves();
-  cache.solve_through(solver, request_for(g, 1), "counting", readonly);
-  EXPECT_EQ(solver.solves(), before);
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
 TEST(SolveCache, TrivialGraphsBypass) {
   CountingSolver solver;
   SolveCache cache;
@@ -394,11 +357,10 @@ TEST(SolveCache, BudgetTruncatedResultsAreNotInserted) {
   EXPECT_EQ(cache.stats().inserts, 1u);
 }
 
-TEST(SolveCache, CapacityIsBoundedWithLruEviction) {
+TEST(SolveCache, CapacityIsBounded) {
   CacheOptions opts;
   opts.shards = 1;
   opts.capacity = 3;
-  opts.cost_weight = 0.0;  // plain LRU
   SolveCache cache(opts);
   CountingSolver solver;
 
@@ -411,24 +373,20 @@ TEST(SolveCache, CapacityIsBoundedWithLruEviction) {
     cache.solve_through(solver, request_for(graphs[0 + i], 1), "counting");
   }
   EXPECT_EQ(cache.stats().entries, 3u);
-  // Touch graph 0 so graph 1 is the LRU victim, then overflow.
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  // A hit neither grows the cache nor evicts; the fourth fill overflows it.
   cache.solve_through(solver, request_for(graphs[0], 1), "counting");
+  EXPECT_EQ(cache.stats().hits, 1u);
   cache.solve_through(solver, request_for(graphs[3], 1), "counting");
   EXPECT_EQ(cache.stats().entries, 3u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-
-  const int before = solver.solves();
-  cache.solve_through(solver, request_for(graphs[0], 1), "counting");
-  EXPECT_EQ(solver.solves(), before) << "recently-touched entry survived";
-  cache.solve_through(solver, request_for(graphs[1], 1), "counting");
-  EXPECT_EQ(solver.solves(), before + 1) << "LRU entry was evicted";
+  EXPECT_EQ(solver.solves(), 4);
 }
 
 TEST(SolveCache, CostAwareEvictionPrefersCheapVictims) {
   CacheOptions opts;
   opts.shards = 1;
   opts.capacity = 2;
-  opts.cost_weight = 1000.0;  // fill cost dominates recency
   SolveCache cache(opts);
 
   util::Rng rng(61);
@@ -440,7 +398,8 @@ TEST(SolveCache, CostAwareEvictionPrefersCheapVictims) {
   CountingSolver cheap(/*fill_ms=*/0.0);
   cache.solve_through(expensive, request_for(expensive_g, 1), "counting");
   cache.solve_through(cheap, request_for(cheap_g, 1), "counting");
-  // Overflow: the cheap fill should be the victim despite being fresher.
+  // Overflow: a near-zero-cost fill (the older cheap entry or the newcomer
+  // itself) is the victim; the 30 ms fill outranks both.
   cache.solve_through(cheap, request_for(newcomer, 1), "counting");
   EXPECT_EQ(cache.stats().evictions, 1u);
 
@@ -448,21 +407,6 @@ TEST(SolveCache, CostAwareEvictionPrefersCheapVictims) {
   cache.solve_through(expensive, request_for(expensive_g, 1), "counting");
   EXPECT_EQ(expensive.solves(), before)
       << "expensive fill must survive cost-aware eviction";
-}
-
-TEST(SolveCache, ClearDropsEntriesButKeepsCounters) {
-  util::Rng rng(67);
-  const Graph g = graph::erdos_renyi(10, 0.5, rng);
-  CountingSolver solver;
-  SolveCache cache;
-  cache.solve_through(solver, request_for(g, 1), "counting");
-  cache.solve_through(solver, request_for(g, 1), "counting");
-  EXPECT_EQ(cache.stats().hits, 1u);
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  cache.solve_through(solver, request_for(g, 1), "counting");
-  EXPECT_EQ(solver.solves(), 2) << "cleared entry refills";
 }
 
 TEST(SolveCache, PerClassCountersAttribute) {
@@ -632,10 +576,9 @@ TEST(CacheParity, Qaoa2CacheOnEqualsCacheOff) {
                                      graph::WeightMode::kUniform01);
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 8;
-  opts.qaoa.layers = 1;
-  opts.qaoa.max_iterations = 8;
-  opts.qaoa.shots = 64;
-  opts.gw.slicings = 4;
+  opts.sub_solver_spec = "qaoa:p=1,iters=8,shots=64";
+  opts.deeper_solver_spec = "gw:rounds=4";
+  opts.merge_solver_spec = "qaoa:p=1,iters=8,shots=64";
   opts.seed = 12345;
 
   const qaoa2::Qaoa2Result uncached = qaoa2::solve_qaoa2(g, opts);
@@ -690,22 +633,63 @@ TEST(CacheParity, ServiceCachedEqualsServiceUncached) {
   EXPECT_EQ(cached.assignment, uncached.assignment);
 }
 
-TEST(CacheParity, ServiceRequestCacheModeOffBypasses) {
+TEST(CacheParity, SpecsDifferingOnlyInPNeverShareEntries) {
+  // A driver role's cache key is its spec string: two drivers sharing one
+  // cache whose specs differ only in p must never serve each other's
+  // entries, and each must match its own uncached solve.
+  util::Rng rng(107);
+  const Graph g = graph::erdos_renyi(20, 0.3, rng);
+  const auto options_for = [](const char* spec) {
+    qaoa2::Qaoa2Options opts;
+    opts.max_qubits = 8;
+    opts.sub_solver_spec = spec;
+    opts.merge_solver_spec = spec;
+    opts.seed = 5;
+    return opts;
+  };
+  qaoa2::Qaoa2Options p1 = options_for("qaoa:p=1,iters=8");
+  qaoa2::Qaoa2Options p2 = options_for("qaoa:p=2,iters=8");
+  const qaoa2::Qaoa2Result uncached1 = qaoa2::solve_qaoa2(g, p1);
+  const qaoa2::Qaoa2Result uncached2 = qaoa2::solve_qaoa2(g, p2);
+
+  SolveCache cache;
+  p1.solve_cache = &cache;
+  p2.solve_cache = &cache;
+  const qaoa2::Qaoa2Result cached1 = qaoa2::solve_qaoa2(g, p1);
+  const qaoa2::Qaoa2Result cached2 = qaoa2::solve_qaoa2(g, p2);
+  EXPECT_GT(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.stats().hits, 0u) << "a p=2 solve was served a p=1 entry";
+  EXPECT_EQ(cached1.cut.value, uncached1.cut.value);
+  EXPECT_EQ(cached1.cut.assignment, uncached1.cut.assignment);
+  EXPECT_EQ(cached2.cut.value, uncached2.cut.value);
+  EXPECT_EQ(cached2.cut.assignment, uncached2.cut.assignment);
+
+  // The same spec does share: a rerun of the first driver hits.
+  const qaoa2::Qaoa2Result again1 = qaoa2::solve_qaoa2(g, p1);
+  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_EQ(again1.cut.assignment, uncached1.cut.assignment);
+}
+
+TEST(CacheParity, UncachedServiceNeverTouchesACache) {
+  // "No cache" is ServiceOptions::cache = nullopt: the service owns no
+  // SolveCache and reports no cache traffic.
   util::Rng rng(103);
   service::ServiceOptions sopts;
+  sopts.cache.reset();
   service::SolveService service(sopts);
+  EXPECT_EQ(service.solve_cache(), nullptr);
   service::ServiceRequest req;
   req.graph = graph::erdos_renyi(14, 0.4, rng);
   req.solver_spec = "gw:rounds=4";
   req.seed = 3;
   req.max_qubits = 8;
-  req.cache_mode = CacheMode::kOff;
   const service::RequestTicket t = service.submit(req);
   service.wait(t);
   EXPECT_EQ(t.outcome().status, service::RequestStatus::kCompleted);
   const service::ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses, 0u)
-      << "kOff requests never touch the service cache";
+  EXPECT_FALSE(stats.cache_enabled);
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses, 0u);
+  EXPECT_EQ(service::render_stats(stats).find("cache:"), std::string::npos);
 }
 
 }  // namespace

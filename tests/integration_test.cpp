@@ -33,16 +33,14 @@ TEST(Integration, Fig4StyleOrderingOnMediumGraph) {
 
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 8;
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 40;
   opts.merge_solver_spec = "gw";
   opts.seed = 3;
 
-  opts.sub_solver_spec = "qaoa";
+  opts.sub_solver_spec = "qaoa:p=2,iters=40";
   const double all_qaoa = qaoa2::solve_qaoa2(g, opts).cut.value;
   opts.sub_solver_spec = "gw";
   const double all_gw = qaoa2::solve_qaoa2(g, opts).cut.value;
-  opts.sub_solver_spec = "best";
+  opts.sub_solver_spec = "best:qaoa:p=2,iters=40|gw";
   const double best = qaoa2::solve_qaoa2(g, opts).cut.value;
 
   sdp::GwOptions gw_opts;
@@ -172,9 +170,7 @@ TEST(Integration, Qaoa2WithEngineMatchesSequentialSeededRun) {
   const auto g = graph::erdos_renyi(36, 0.15, rng);
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver_spec = "qaoa";
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 30;
+  opts.sub_solver_spec = "qaoa:p=2,iters=30";
   opts.merge_solver_spec = "exact";
   opts.seed = 13;
   opts.engine = sched::EngineOptions{4, 4};
@@ -201,9 +197,7 @@ TEST(Integration, ExactOptimumDominatesEveryHeuristicAtSmallScale) {
 
   qaoa2::Qaoa2Options o2;
   o2.max_qubits = 6;
-  o2.sub_solver_spec = "best";
-  o2.qaoa.layers = 2;
-  o2.qaoa.max_iterations = 30;
+  o2.sub_solver_spec = "best:qaoa:p=2,iters=30|gw";
   o2.merge_solver_spec = "exact";
   EXPECT_LE(qaoa2::solve_qaoa2(g, o2).cut.value, exact + 1e-9);
 

@@ -131,10 +131,7 @@ TEST(NestedParallel, Qaoa2GoldenPinWithNestedKernels) {
 
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver_spec = "qaoa";
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 12;
-  opts.qaoa.shots = 128;
+  opts.sub_solver_spec = "qaoa:p=2,iters=12,shots=128";
   opts.merge_solver_spec = "gw";
   opts.seed = 57;
   opts.engine = sched::EngineOptions{2, 2};

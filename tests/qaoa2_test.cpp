@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "maxcut/exact.hpp"
@@ -172,9 +173,8 @@ TEST(Qaoa2, QaoaSubSolverEndToEnd) {
   const Graph g = graph::erdos_renyi(20, 0.25, rng);
   Qaoa2Options opts;
   opts.max_qubits = 7;
-  opts.sub_solver_spec = "qaoa";
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 40;
+  opts.sub_solver_spec = "qaoa:p=2,iters=40";
+  opts.merge_solver_spec = "qaoa:p=2,iters=40";
   opts.seed = 17;
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_GT(r.cut.value, 0.0);
@@ -187,9 +187,7 @@ TEST(Qaoa2, BestModeRunsBothKindsOfSolves) {
   const Graph g = graph::erdos_renyi(20, 0.25, rng);
   Qaoa2Options opts;
   opts.max_qubits = 7;
-  opts.sub_solver_spec = "best";
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 30;
+  opts.sub_solver_spec = "best:qaoa:p=2,iters=30|gw";
   opts.merge_solver_spec = "gw";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_GT(r.quantum_solves, 0);
@@ -198,22 +196,15 @@ TEST(Qaoa2, BestModeRunsBothKindsOfSolves) {
 
 TEST(Qaoa2, BestModeDominatesSingleModesPerSubgraph) {
   // On each sub-graph, best-of(QAOA, GW) >= each individually; sanity-check
-  // with registry solvers built from the driver's defaults.
+  // with the registry solvers a driver builds for these specs.
   util::Rng rng(17);
   const Graph g = graph::erdos_renyi(10, 0.3, rng);
-  Qaoa2Options opts;
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 40;
-  const Qaoa2Driver driver(opts);
   const auto solve = [&](const char* spec) {
-    return solver::SolverRegistry::global()
-        .make(spec, driver.solver_defaults())
-        ->solve({&g, 5})
-        .cut;
+    return solver::SolverRegistry::global().make(spec)->solve({&g, 5}).cut;
   };
-  const auto q = solve("qaoa");
+  const auto q = solve("qaoa:p=2,iters=40");
   const auto c = solve("gw");
-  const auto b = solve("best");
+  const auto b = solve("best:qaoa:p=2,iters=40|gw");
   EXPECT_GE(b.value, std::max(q.value, c.value) - 1e-12);
 }
 
@@ -235,9 +226,8 @@ TEST(Qaoa2, DeterministicPerSeed) {
   const Graph g = graph::erdos_renyi(24, 0.2, rng);
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver_spec = "qaoa";
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 30;
+  opts.sub_solver_spec = "qaoa:p=2,iters=30";
+  opts.merge_solver_spec = "qaoa:p=2,iters=30";
   opts.seed = 23;
   const Qaoa2Result a = solve_qaoa2(g, opts);
   const Qaoa2Result b = solve_qaoa2(g, opts);
@@ -248,13 +238,11 @@ TEST(Qaoa2, DeterministicPerSeed) {
 TEST(Qaoa2, EverySubSolverBackendRuns) {
   util::Rng rng(23);
   const Graph g = graph::erdos_renyi(14, 0.3, rng);
-  for (const char* spec :
-       {"qaoa", "gw", "exact", "anneal", "local-search", "rqaoa"}) {
+  for (const char* spec : {"qaoa:p=1,iters=20", "gw", "exact", "anneal",
+                           "local-search", "rqaoa:p=1,iters=20"}) {
     Qaoa2Options opts;
     opts.max_qubits = 6;
     opts.sub_solver_spec = spec;
-    opts.qaoa.layers = 1;
-    opts.qaoa.max_iterations = 20;
     opts.merge_solver_spec = "local-search";
     const Qaoa2Result r = solve_qaoa2(g, opts);
     EXPECT_GT(r.cut.value, 0.0) << spec;
@@ -408,9 +396,7 @@ TEST(Qaoa2, GoldenPinsConnectedAndDisconnected) {
   const Graph disconnected = disconnected_test_graph();
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver_spec = "qaoa";
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 25;
+  opts.sub_solver_spec = "qaoa:p=2,iters=25";
   opts.merge_solver_spec = "gw";
   opts.seed = 33;
   {
@@ -427,6 +413,36 @@ TEST(Qaoa2, GoldenPinsConnectedAndDisconnected) {
   }
 }
 
+TEST(Qaoa2, RqaoaSubSolverPinsAcrossDeviceSizes) {
+  // Captured from the driver that capped the RQAOA cutoff at
+  // min(max_qubits, 8). Every graph the driver solves has at most
+  // max_qubits nodes, so RQAOA solves it exactly under that cap and under
+  // the registry's default cutoff of 8 alike.
+  util::Rng rng(71);
+  const Graph g = graph::erdos_renyi(20, 0.3, rng);
+  struct RqaoaPin {
+    int max_qubits;
+    double value;
+    std::uint64_t bits;
+    int levels, subgraphs_total, quantum_solves, classical_solves;
+  };
+  for (const RqaoaPin& pin : {RqaoaPin{4, 47, 0xbc027ULL, 3, 10, 8, 2},
+                              RqaoaPin{6, 46, 0x89cdbULL, 2, 7, 7, 0}}) {
+    SCOPED_TRACE("max_qubits " + std::to_string(pin.max_qubits));
+    Qaoa2Options opts;
+    opts.max_qubits = pin.max_qubits;
+    opts.sub_solver_spec = "rqaoa:p=1,iters=6";
+    opts.seed = 19;
+    const Qaoa2Result r = solve_qaoa2(g, opts);
+    EXPECT_EQ(r.cut.value, pin.value);
+    EXPECT_EQ(maxcut::bits_from_assignment(r.cut.assignment), pin.bits);
+    EXPECT_EQ(r.levels, pin.levels);
+    EXPECT_EQ(r.subgraphs_total, pin.subgraphs_total);
+    EXPECT_EQ(r.quantum_solves, pin.quantum_solves);
+    EXPECT_EQ(r.classical_solves, pin.classical_solves);
+  }
+}
+
 TEST(Qaoa2, StreamingBitForBitAcrossEnginePoolWidths) {
   // The task-graph schedule changes with the pool width; the cut must not.
   // Pools of width 1, 3, and 8 are injected through EngineOptions so the
@@ -434,9 +450,7 @@ TEST(Qaoa2, StreamingBitForBitAcrossEnginePoolWidths) {
   const Graph g = disconnected_test_graph();
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver_spec = "qaoa";
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 20;
+  opts.sub_solver_spec = "qaoa:p=2,iters=20";
   opts.merge_solver_spec = "gw";
   opts.seed = 35;
   const Qaoa2Result reference = solve_qaoa2(g, opts);  // default pool

@@ -140,9 +140,7 @@ TEST(Degenerate, Qaoa2WeightedPipeline) {
                                     graph::WeightMode::kUniform01);
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 8;
-  opts.sub_solver_spec = "best";
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 30;
+  opts.sub_solver_spec = "best:qaoa:p=2,iters=30|gw";
   opts.merge_solver_spec = "exact";
   const auto r = qaoa2::solve_qaoa2(g, opts);
   EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);

@@ -94,11 +94,17 @@ ServiceRequest sleepy_request(graph::NodeId n, int polls, double ms,
   req.solver_spec =
       "sleepy:polls=" + std::to_string(polls) + ",ms=" + std::to_string(ms);
   req.workload_class = cls;
-  // These tests load the scheduler with identical synthetic requests; with
-  // the solve cache on they would dedupe into one fill and the queueing
-  // behavior under test would vanish.
-  req.cache_mode = cache::CacheMode::kOff;
   return req;
+}
+
+/// Options of the services the sleepy requests run on: no solve cache.
+/// These tests load the scheduler with identical synthetic requests; with
+/// the cache on they would dedupe into one fill and the queueing behavior
+/// under test would vanish.
+ServiceOptions uncached_options() {
+  ServiceOptions options;
+  options.cache.reset();
+  return options;
 }
 
 // ----------------------------------------------------------- lifecycle ----
@@ -151,7 +157,7 @@ TEST(Service, CompletesDirectAndDecomposedRequests) {
 
 TEST(Service, TicketContractsWhilePendingAndWhenEmpty) {
   register_sleepy_once();
-  SolveService service(ServiceOptions{});
+  SolveService service(uncached_options());
   const RequestTicket empty;
   EXPECT_FALSE(empty.valid());
   EXPECT_THROW(empty.status(), std::logic_error);
@@ -167,7 +173,7 @@ TEST(Service, TicketContractsWhilePendingAndWhenEmpty) {
 
 TEST(Service, TypedRejections) {
   register_sleepy_once();
-  ServiceOptions options;
+  ServiceOptions options = uncached_options();
   options.max_in_flight_requests = 1;
   options.classes = {{"default", 1.0, 1}};
   options.engine.quantum_slots = 1;
@@ -231,7 +237,7 @@ TEST(Service, EmptySpecRejectsDirectAndDecomposedAlike) {
 
 TEST(Service, CancelStopsARunningSolveMidIteration) {
   register_sleepy_once();
-  SolveService service(ServiceOptions{});
+  SolveService service(uncached_options());
   // ~10 s of cooperative sleeping if never cancelled.
   const RequestTicket t = service.submit(sleepy_request(6, 5000, 2.0));
   // Let it start, then cancel mid-solve.
@@ -248,7 +254,7 @@ TEST(Service, CancelStopsARunningSolveMidIteration) {
 
 TEST(Service, CancelQueuedRequestNeverRuns) {
   register_sleepy_once();
-  ServiceOptions options;
+  ServiceOptions options = uncached_options();
   options.engine.quantum_slots = 1;
   options.engine.classical_slots = 1;
   SolveService service(options);
@@ -266,7 +272,7 @@ TEST(Service, CancelQueuedRequestNeverRuns) {
 
 TEST(Service, DeadlineExpiryCancelsADecomposedSolveMidComponent) {
   register_sleepy_once();
-  SolveService service(ServiceOptions{});
+  SolveService service(uncached_options());
   // Several components x several parts, each part ~25 ms: the 60 ms
   // deadline trips after some sub-solves completed, mid-request.
   ServiceRequest req;
@@ -292,7 +298,7 @@ TEST(Service, DeadlineExpiryCancelsADecomposedSolveMidComponent) {
 
 TEST(Service, EvalBudgetExhaustionStopsTheRequest) {
   register_sleepy_once();
-  SolveService service(ServiceOptions{});
+  SolveService service(uncached_options());
   ServiceRequest req = sleepy_request(30, 50, 1.0);
   req.deeper_spec = "sleepy:polls=50,ms=1";
   req.merge_spec = "sleepy:polls=50,ms=1";
@@ -309,7 +315,7 @@ TEST(Service, EvalBudgetExhaustionStopsTheRequest) {
 
 TEST(Service, TwoTenantWeightedFairShare) {
   register_sleepy_once();
-  ServiceOptions options;
+  ServiceOptions options = uncached_options();
   options.engine.quantum_slots = 1;
   options.engine.classical_slots = 1;  // serialize: fairness is visible
   // The blocker rides a third class so its long run does not skew either
@@ -362,7 +368,7 @@ TEST(Service, TwoTenantWeightedFairShare) {
 
 TEST(Service, DrainUnderLoadSettlesEveryRequestExactlyOnce) {
   register_sleepy_once();
-  ServiceOptions options;
+  ServiceOptions options = uncached_options();
   options.engine.classical_slots = 2;
   SolveService service(options);
   std::vector<RequestTicket> tickets;
@@ -396,7 +402,7 @@ TEST(Service, DrainUnderLoadSettlesEveryRequestExactlyOnce) {
 
 TEST(Service, ShutdownNowCancelsInFlightWork) {
   register_sleepy_once();
-  SolveService service(ServiceOptions{});
+  SolveService service(uncached_options());
   std::vector<RequestTicket> tickets;
   for (int i = 0; i < 6; ++i) {
     tickets.push_back(service.submit(sleepy_request(6, 2000, 2.0)));

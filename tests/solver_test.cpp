@@ -310,8 +310,6 @@ Graph disconnected_test_graph() { return testing::disconnected_fixture(); }
 qaoa2::Qaoa2Options parity_options() {
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = 25;
   opts.merge_solver_spec = "gw";
   opts.seed = 33;
   return opts;
@@ -330,6 +328,7 @@ struct ParityPin {
 // Cut values/assignments captured from the PRE-registry Qaoa2Driver (commit
 // 5598203, enum-switch dispatch) on erdos_renyi(26, 0.2, rng(29)) and the
 // disconnected fixture, max_qubits 6, qaoa p=2/25 iters, gw merge, seed 33.
+// The QAOA-family rows carry that configuration in their spec strings.
 // The registry-dispatch driver must reproduce them bit-for-bit (they held
 // for the streaming and the former level-barrier pipeline alike; the
 // qaoa2_golden_qq{1,8} and qaoa2_parity_qq{1,8} ctest entries re-run them at
@@ -339,13 +338,16 @@ struct ParityPin {
 // is the only intended accounting change (disc best quantum 7 -> 9 for the
 // two isolated-node fitting solves).
 const ParityPin kParityPins[] = {
-    {"qaoa", 56.0, 0x0313c6e6ULL, 6, 1, 47.0, 0x0ec4079eULL, 9, 2},
+    {"qaoa:p=2,iters=25", 56.0, 0x0313c6e6ULL, 6, 1, 47.0, 0x0ec4079eULL, 9,
+     2},
     {"gw", 54.0, 0x00b5bd08ULL, 0, 7, 45.0, 0x091b079eULL, 0, 11},
-    {"best", 56.0, 0x0313c6e6ULL, 6, 7, 47.0, 0x0ec4079eULL, 9, 11},
+    {"best:qaoa:p=2,iters=25|gw", 56.0, 0x0313c6e6ULL, 6, 7, 47.0,
+     0x0ec4079eULL, 9, 11},
     {"exact", 56.0, 0x031ac2e6ULL, 0, 7, 47.0, 0x0ec4079eULL, 0, 11},
     {"anneal", 59.0, 0x00e43919ULL, 0, 7, 44.0, 0x0173079eULL, 0, 11},
     {"local-search", 56.0, 0x039b86e4ULL, 0, 7, 48.0, 0x013b0796ULL, 0, 11},
-    {"rqaoa", 56.0, 0x031ac2e6ULL, 6, 1, 47.0, 0x0ec4079eULL, 9, 2},
+    {"rqaoa:p=2,iters=25", 56.0, 0x031ac2e6ULL, 6, 1, 47.0, 0x0ec4079eULL, 9,
+     2},
 };
 
 TEST(Qaoa2Parity, RegistryDispatchPinsToPreRefactorCuts) {
