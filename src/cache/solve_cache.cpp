@@ -246,10 +246,8 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
   // budget-less requests: serve it, never insert it. Deadline contexts
   // that never tripped are fine — the result is untruncated.
   const bool cacheable =
-      !request.eval_budget.has_value() &&
-      (request.context == nullptr ||
-       (!request.context->eval_budget_armed() &&
-        !request.context->stopped()));
+      request.context == nullptr ||
+      (!request.context->eval_budget_armed() && !request.context->stopped());
 
   if (!cacheable) {
     uncacheable_.fetch_add(1, std::memory_order_relaxed);

@@ -27,10 +27,10 @@
 //              fill_cost_seconds, refreshed on hit; the minimum-priority
 //              READY entry is evicted and the clock jumps to its priority.
 //              In-flight entries are pinned.
-//   safety     results produced under a truncating budget (request
-//              eval budget, armed context eval budget, or a context
-//              that stopped mid-fill) are returned but never inserted — a
-//              truncated report must not poison budget-less requests.
+//   safety     results produced under a truncating budget (an armed
+//              context eval budget, or a context that stopped mid-fill)
+//              are returned but never inserted — a truncated report must
+//              not poison budget-less requests.
 //
 // Warm starts on miss (CachePolicy::warm_start, default OFF because they
 // change optimizer trajectories) consult the WarmStartAdvisor for a

@@ -379,6 +379,27 @@ std::vector<std::string> malformed_spec_templates() {
       "best:qaoa|gw|",
       "best:qaoa|gw:bogus=1",
       "best:greedy:p=1|gw",
+      // Well-formed numbers outside the range their backend accepts.
+      "qaoa:p=0",
+      "qaoa:restarts=0",
+      "qaoa:topk=0",
+      "qaoa:iters=-5",
+      "qaoa:shots=-1",
+      "qaoa:rhobeg=nan",
+      "qaoa:rhobeg=-1",
+      "qaoa:rhobeg=inf",
+      "rqaoa:p=0",
+      "rqaoa:cutoff=-1",
+      "gw:rounds=0",
+      "gw:tol=nan",
+      "gw:rank=-4",
+      "gw:sweeps=-1",
+      "anneal:t0=0",
+      "anneal:t1=3",
+      "anneal:sweeps=-1",
+      "local-search:restarts=0",
+      "random:p=2",
+      "random:p=nan",
   };
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -76,6 +77,7 @@ Cobyla::Cobyla(std::vector<double> x0, const CobylaOptions& options)
     throw std::invalid_argument("Cobyla: need 0 < rhoend <= rhobeg");
   }
   result_.x = x0;
+  result_.fx = std::numeric_limits<double>::infinity();
   x0_ = std::move(x0);
   // The first rebuild starts from an empty simplex: x0 itself is its first
   // vertex to evaluate.
@@ -99,6 +101,14 @@ void Cobyla::tell(double fx) {
     if (phase_ == Phase::kDone) return;
   }
   advance();
+}
+
+void Cobyla::record(const std::vector<double>& x, double fx) {
+  ++result_.evaluations;
+  if (fx < result_.fx) {
+    result_.fx = fx;
+    result_.x = x;
+  }
 }
 
 void Cobyla::start_rebuild() {
@@ -212,7 +222,10 @@ void Cobyla::take_step(double f_step) {
 Result cobyla_minimize(const Objective& objective, std::vector<double> x0,
                        const CobylaOptions& options) {
   Cobyla cobyla(std::move(x0), options);
-  return minimize(cobyla, objective);
+  while (const std::vector<double>* x = cobyla.ask()) {
+    cobyla.tell(objective(*x));
+  }
+  return cobyla.result();
 }
 
 }  // namespace qq::optim

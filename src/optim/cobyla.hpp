@@ -13,11 +13,22 @@
 // see DESIGN.md "Substitutions".
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
-#include "optim/optimizer.hpp"
-
 namespace qq::optim {
+
+/// Objective to MINIMIZE. QAOA maximizes F_p and therefore feeds -F_p.
+using Objective = std::function<double(const std::vector<double>&)>;
+
+struct Result {
+  std::vector<double> x;
+  double fx = 0.0;
+  int evaluations = 0;
+  /// True when the radius tolerance was reached before the evaluation
+  /// budget ran out.
+  bool converged = false;
+};
 
 struct CobylaOptions {
   double rhobeg = 0.5;   ///< initial trust-region radius / simplex edge
@@ -26,15 +37,25 @@ struct CobylaOptions {
 };
 
 /// COBYLA as an ask/tell state machine: every objective evaluation the
-/// method needs is one ask()/tell() round trip.
-class Cobyla final : public AskTellOptimizer {
+/// method needs is one ask()/tell() round trip. The caller owns the
+/// evaluation loop, so it can evaluate the points of several runs in one
+/// batched simulator sweep, and stop between any two steps.
+class Cobyla {
  public:
   /// Throws std::invalid_argument for an empty start point or unless
   /// 0 < rhoend <= rhobeg.
   explicit Cobyla(std::vector<double> x0, const CobylaOptions& options = {});
 
-  const std::vector<double>* ask() const override;
-  void tell(double fx) override;
+  /// Next point to evaluate, or nullptr once the run is done. The point
+  /// stays valid and unchanged until the next tell().
+  const std::vector<double>* ask() const;
+
+  /// Objective value at the point the last ask() returned. Throws
+  /// std::logic_error once the run is done.
+  void tell(double fx);
+
+  /// Best point so far (the start point before any evaluation).
+  const Result& result() const noexcept { return result_; }
 
  private:
   enum class Phase {
@@ -49,7 +70,10 @@ class Cobyla final : public AskTellOptimizer {
   void start_rebuild();
   /// Applies a trust-region step's value; may finish or start a rebuild.
   void take_step(double f_step);
+  /// Counts one evaluation and keeps the best point seen.
+  void record(const std::vector<double>& x, double fx);
 
+  Result result_;
   CobylaOptions options_;
   std::size_t n_;
   double rho_;

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "optim/cobyla.hpp"
-#include "optim/nelder_mead.hpp"
 #include "qaoa/cost_table.hpp"
 #include "qsim/batched.hpp"
 #include "qsim/measure.hpp"
@@ -131,21 +130,6 @@ double QaoaSolver::sampled_expectation(const circuit::QaoaAngles& angles,
 
 namespace {
 
-std::unique_ptr<optim::AskTellOptimizer> make_optimizer(
-    const QaoaOptions& options, int budget, std::vector<double> x0) {
-  if (options.optimizer == OptimizerKind::kCobyla) {
-    optim::CobylaOptions copts;
-    copts.rhobeg = options.rhobeg;
-    copts.rhoend = 1e-4;
-    copts.maxfun = budget;
-    return std::make_unique<optim::Cobyla>(std::move(x0), copts);
-  }
-  optim::NelderMeadOptions nopts;
-  nopts.step = options.rhobeg;
-  nopts.maxfun = budget;
-  return std::make_unique<optim::NelderMead>(std::move(x0), nopts);
-}
-
 /// Writes -F_p of every point into `values` from one BatchedStateVector
 /// sweep over the shared cut table. Each lane is bit-for-bit the flat
 /// StateVector evaluation (batched_test), so batching never changes a
@@ -192,18 +176,27 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
   if (options.restarts < 1) {
     throw std::invalid_argument("QaoaSolver::optimize: restarts must be >= 1");
   }
-  const int budget = options.max_iterations > 0
-                         ? options.max_iterations
-                         : paper_iteration_schedule(options.layers);
+  optim::CobylaOptions cobyla;
+  cobyla.rhobeg = options.rhobeg;
+  cobyla.rhoend = kRhoend;
+  cobyla.maxfun = options.max_iterations > 0
+                      ? options.max_iterations
+                      : paper_iteration_schedule(options.layers);
+  // An armed request budget caps each lane; it never raises the configured
+  // budget.
+  if (options.context != nullptr && options.context->eval_budget_armed()) {
+    cobyla.maxfun = static_cast<int>(
+        std::min<std::int64_t>(cobyla.maxfun,
+                               options.context->evals_remaining()));
+  }
   const int num_qubits = graph_->num_nodes();
   const auto restarts = static_cast<std::size_t>(options.restarts);
 
   // One optimizer per restart ("lane").
-  std::vector<std::unique_ptr<optim::AskTellOptimizer>> lanes;
+  std::vector<optim::Cobyla> lanes;
   lanes.reserve(restarts);
   for (int r = 0; r < options.restarts; ++r) {
-    lanes.push_back(
-        make_optimizer(options, budget, restart_initial_parameters(options, r)));
+    lanes.emplace_back(restart_initial_parameters(options, r), cobyla);
   }
   // Each lane draws shots from the stream a restarts=1 run would use, so a
   // shot-based lane replays that run too.
@@ -228,7 +221,7 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
     live.clear();
     points.clear();
     for (std::size_t r = 0; r < restarts; ++r) {
-      if (const std::vector<double>* x = lanes[r]->ask()) {
+      if (const std::vector<double>* x = lanes[r].ask()) {
         live.push_back(r);
         points.push_back(x);
       }
@@ -248,7 +241,7 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
       }
     }
     for (std::size_t i = 0; i < live.size(); ++i) {
-      lanes[live[i]]->tell(values[i]);
+      lanes[live[i]].tell(values[i]);
     }
   }
 
@@ -259,7 +252,7 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
   double best_value = 0.0;
   int evaluations = 0;
   for (std::size_t r = 0; r < restarts; ++r) {
-    const optim::Result& res = lanes[r]->result();
+    const optim::Result& res = lanes[r].result();
     evaluations += res.evaluations;
     if (restarts == 1) break;
     const double value =
@@ -273,7 +266,7 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
   }
 
   QaoaResult result;
-  result.parameters = lanes[best]->result().x;
+  result.parameters = lanes[best].result().x;
   result.evaluations = evaluations;
   result.layers = options.layers;
   extract_result(options, workspace, shot_rngs[best], result);

@@ -19,19 +19,22 @@
 
 namespace qq::qaoa {
 
-enum class OptimizerKind { kCobyla, kNelderMead };
 enum class InitKind {
   kLinearRamp,  ///< adiabatic-inspired ramp (gamma up, beta down)
   kRandom,      ///< small random angles
 };
 
+/// COBYLA's final trust-region radius; `rhobeg` may not be smaller.
+inline constexpr double kRhoend = 1e-4;
+
 struct QaoaOptions {
   int layers = 3;  ///< p in Eq. 2
   /// COBYLA initial step ("initial change to the variables", the paper's
-  /// grid dimension alongside p).
+  /// grid dimension alongside p); at least kRhoend.
   double rhobeg = 0.5;
-  /// Objective-evaluation budget. 0 selects the paper's schedule, linear in
-  /// p and clamped to [30, 100]: 30 + 14 * (p - 3).
+  /// Objective-evaluation budget of each restart. 0 selects the paper's
+  /// schedule, linear in p and clamped to [30, 100]: 30 + 14 * (p - 3). An
+  /// armed evaluation budget on `context` can lower it, never raise it.
   int max_iterations = 0;
   /// Shots per circuit execution (paper: 4096). Used when
   /// shot_based_objective is set and for the sampling diagnostics.
@@ -58,7 +61,6 @@ struct QaoaOptions {
   /// bit-identical either way (enforced by tests). 0 batches at any size.
   /// The default is the measured single-core crossover.
   int lockstep_min_qubits = 12;
-  OptimizerKind optimizer = OptimizerKind::kCobyla;
   InitKind init = InitKind::kLinearRamp;
   /// Explicit initial [gamma_1..gamma_p, beta_1..beta_p]; overrides `init`
   /// when its size equals 2 * layers (used by INTERP and the kNN warm
@@ -67,7 +69,9 @@ struct QaoaOptions {
   /// Cooperative stop state of the owning request (service layer). Viewed,
   /// not owned; may be null. optimize() checks it before every optimizer
   /// step and returns its best-so-far when it trips, so a multi-second
-  /// loop observes cancellation/deadlines mid-solve.
+  /// loop observes cancellation/deadlines mid-solve. When its evaluation
+  /// budget is armed, each restart runs at most
+  /// min(max_iterations or the paper schedule, evals_remaining()) steps.
   const util::RequestContext* context = nullptr;
   std::uint64_t seed = 0;
 };

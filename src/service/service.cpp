@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -246,9 +248,18 @@ RequestTicket SolveService::submit(ServiceRequest request) {
     return reject(std::move(rec), RejectReason::kInvalidRequest);
   }
 
-  // Deadline feasibility: a non-positive deadline has already expired.
-  if (req.deadline_seconds && *req.deadline_seconds <= 0.0) {
-    return reject(std::move(rec), RejectReason::kDeadlineInfeasible);
+  // A deadline must be a number of seconds: NaN and +inf are invalid (no
+  // deadline is expressed by leaving it unset). A non-positive deadline
+  // has already expired.
+  if (req.deadline_seconds) {
+    const double deadline = *req.deadline_seconds;
+    if (std::isnan(deadline) ||
+        deadline == std::numeric_limits<double>::infinity()) {
+      return reject(std::move(rec), RejectReason::kInvalidRequest);
+    }
+    if (deadline <= 0.0) {
+      return reject(std::move(rec), RejectReason::kDeadlineInfeasible);
+    }
   }
 
   // Admission: bounded queues, typed rejection, never blocking. The

@@ -86,11 +86,13 @@ struct ServiceRequest {
   /// a single solver task.
   int max_qubits = 0;
   /// Wall-clock deadline from admission; expiry cancels the request
-  /// (StopReason::kDeadline) at the next cooperative checkpoint. A
-  /// non-positive deadline is rejected as kDeadlineInfeasible.
+  /// (StopReason::kDeadline) at the next cooperative checkpoint. NaN and
+  /// +inf are rejected as kInvalidRequest, a non-positive deadline as
+  /// kDeadlineInfeasible.
   std::optional<double> deadline_seconds;
   /// Objective-evaluation budget shared by every solve of the request;
-  /// exhaustion stops it (StopReason::kBudget).
+  /// exhaustion stops it (StopReason::kBudget). It caps each QAOA restart
+  /// at what is left of it, never above the spec's `iters`.
   std::optional<std::int64_t> eval_budget;
 };
 

@@ -54,7 +54,6 @@ class QaoaAdapter final : public LeafSolver {
     qaoa::QaoaOptions opts = options_;
     opts.seed = request.seed;
     opts.context = request.context;
-    if (request.eval_budget) opts.max_iterations = *request.eval_budget;
     if (request.initial_parameters != nullptr &&
         request.initial_parameters->size() ==
             static_cast<std::size_t>(2 * opts.layers)) {
@@ -89,7 +88,6 @@ class RqaoaAdapter final : public LeafSolver {
     opts.qaoa.seed = request.seed;
     opts.qaoa.context = request.context;
     opts.cutoff = cutoff_;
-    if (request.eval_budget) opts.qaoa.max_iterations = *request.eval_budget;
     const qaoa::RqaoaResult res = qaoa::solve_rqaoa(*request.graph, opts);
     SolveReport report;
     report.cut = res.cut;
@@ -334,12 +332,12 @@ void register_builtin_solvers(SolverRegistry& registry) {
         const Params p("qaoa", params,
                        {"p", "iters", "shots", "rhobeg", "topk", "restarts"});
         qaoa::QaoaOptions opts = defaults.qaoa;
-        opts.layers = p.get_int("p", opts.layers);
-        opts.max_iterations = p.get_int("iters", opts.max_iterations);
-        opts.shots = p.get_int("shots", opts.shots);
-        opts.rhobeg = p.get_double("rhobeg", opts.rhobeg);
-        opts.top_k = p.get_int("topk", opts.top_k);
-        opts.restarts = p.get_int("restarts", opts.restarts);
+        opts.layers = p.get_int("p", opts.layers, 1);
+        opts.max_iterations = p.get_int("iters", opts.max_iterations, 0);
+        opts.shots = p.get_int("shots", opts.shots, 0);
+        opts.rhobeg = p.get_double("rhobeg", opts.rhobeg, qaoa::kRhoend);
+        opts.top_k = p.get_int("topk", opts.top_k, 1);
+        opts.restarts = p.get_int("restarts", opts.restarts, 1);
         return std::make_unique<QaoaAdapter>(opts);
       });
 
@@ -355,12 +353,12 @@ void register_builtin_solvers(SolverRegistry& registry) {
         const Params p("rqaoa", params,
                        {"p", "iters", "shots", "rhobeg", "cutoff"});
         qaoa::QaoaOptions opts = defaults.qaoa;
-        opts.layers = p.get_int("p", opts.layers);
-        opts.max_iterations = p.get_int("iters", opts.max_iterations);
-        opts.shots = p.get_int("shots", opts.shots);
-        opts.rhobeg = p.get_double("rhobeg", opts.rhobeg);
+        opts.layers = p.get_int("p", opts.layers, 1);
+        opts.max_iterations = p.get_int("iters", opts.max_iterations, 0);
+        opts.shots = p.get_int("shots", opts.shots, 0);
+        opts.rhobeg = p.get_double("rhobeg", opts.rhobeg, qaoa::kRhoend);
         return std::make_unique<RqaoaAdapter>(
-            opts, p.get_int("cutoff", defaults.rqaoa_cutoff));
+            opts, p.get_int("cutoff", defaults.rqaoa_cutoff, 2));
       });
 
   registry.register_solver(
@@ -375,10 +373,10 @@ void register_builtin_solvers(SolverRegistry& registry) {
          const SolverDefaults& defaults) -> SolverPtr {
         const Params p("gw", params, {"rounds", "sweeps", "rank", "tol"});
         sdp::GwOptions opts = defaults.gw;
-        opts.slicings = p.get_int("rounds", opts.slicings);
-        opts.sdp.max_sweeps = p.get_int("sweeps", opts.sdp.max_sweeps);
-        opts.sdp.rank = p.get_int("rank", opts.sdp.rank);
-        opts.sdp.tol = p.get_double("tol", opts.sdp.tol);
+        opts.slicings = p.get_int("rounds", opts.slicings, 1);
+        opts.sdp.max_sweeps = p.get_int("sweeps", opts.sdp.max_sweeps, 0);
+        opts.sdp.rank = p.get_int("rank", opts.sdp.rank, 0);
+        opts.sdp.tol = p.get_double("tol", opts.sdp.tol, 0.0);
         return std::make_unique<GwAdapter>(opts);
       });
 
@@ -399,9 +397,12 @@ void register_builtin_solvers(SolverRegistry& registry) {
          const SolverDefaults& defaults) -> SolverPtr {
         const Params p("anneal", params, {"sweeps", "t0", "t1"});
         maxcut::AnnealOptions opts = defaults.anneal;
-        opts.sweeps = p.get_int("sweeps", opts.sweeps);
+        opts.sweeps = p.get_int("sweeps", opts.sweeps, 1);
         opts.t_initial = p.get_double("t0", opts.t_initial);
         opts.t_final = p.get_double("t1", opts.t_final);
+        if (!(0.0 < opts.t_final && opts.t_final <= opts.t_initial)) {
+          p.reject("temperatures need 0 < t1 <= t0");
+        }
         return std::make_unique<AnnealAdapter>(opts);
       });
 
@@ -412,7 +413,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
          const SolverDefaults& defaults) -> SolverPtr {
         const Params p("local-search", params, {"restarts"});
         return std::make_unique<LocalSearchAdapter>(
-            p.get_int("restarts", defaults.local_search_restarts));
+            p.get_int("restarts", defaults.local_search_restarts, 1));
       });
 
   registry.register_solver(
@@ -430,7 +431,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
          const SolverDefaults& defaults) -> SolverPtr {
         const Params p("random", params, {"p"});
         return std::make_unique<RandomAdapter>(
-            p.get_double("p", defaults.random_p));
+            p.get_double("p", defaults.random_p, 0.0, 1.0));
       });
 
   registry.register_solver(

@@ -1,13 +1,13 @@
 #include "solver/registry.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "solver/adapters.hpp"
+#include "util/cli.hpp"
 
 namespace qq::solver {
 
@@ -83,36 +83,44 @@ bool Params::has(std::string_view key) const noexcept {
   return false;
 }
 
-int Params::get_int(std::string_view key, int fallback) const {
+int Params::get_int(std::string_view key, int fallback, int min) const {
   for (const auto& [k, v] : kv_) {
     if (k != key) continue;
-    char* end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
-        parsed < std::numeric_limits<int>::min() ||
-        parsed > std::numeric_limits<int>::max()) {
-      bad_spec(solver_, "parameter '" + k + "' expects an integer, got '" +
-                            v + "'");
+    const std::optional<int> parsed = util::parse_int(v);
+    if (!parsed || *parsed < min) {
+      bad_spec(solver_,
+               "parameter '" + k + "' expects an integer" +
+                   (min == std::numeric_limits<int>::min()
+                        ? std::string()
+                        : " >= " + std::to_string(min)) +
+                   ", got '" + v + "'");
     }
-    return static_cast<int>(parsed);
+    return *parsed;
   }
   return fallback;
 }
 
-double Params::get_double(std::string_view key, double fallback) const {
+double Params::get_double(std::string_view key, double fallback, double min,
+                          double max) const {
   for (const auto& [k, v] : kv_) {
     if (k != key) continue;
-    char* end = nullptr;
-    const double parsed = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0') {
-      bad_spec(solver_, "parameter '" + k + "' expects a number, got '" + v +
-                            "'");
+    const std::optional<double> parsed = util::parse_double(v);
+    if (!parsed || *parsed < min || *parsed > max) {
+      std::ostringstream range;
+      if (max < std::numeric_limits<double>::max()) {
+        range << " in [" << min << ", " << max << "]";
+      } else if (min > std::numeric_limits<double>::lowest()) {
+        range << " >= " << min;
+      }
+      bad_spec(solver_, "parameter '" + k + "' expects a finite number" +
+                            range.str() + ", got '" + v + "'");
     }
-    return parsed;
+    return *parsed;
   }
   return fallback;
 }
+
+void Params::reject(const std::string& what) const { bad_spec(solver_, what); }
 
 // ----------------------------------------------------- SolverRegistry ----
 

@@ -12,11 +12,12 @@
 // Examples: "anneal", "qaoa:p=3,shots=512", "gw:rounds=20",
 // "best:qaoa|gw", "best:qaoa:p=2|gw:rounds=10|anneal".
 //
-// Malformed specs (unknown name, unknown key, non-numeric value, empty
-// key/child) throw std::invalid_argument with the offending spec quoted —
-// never crash. Specs longer than kMaxSpecLength characters or nesting
-// combinators deeper than kMaxSpecDepth levels are rejected the same way,
-// so adversarial input ("best:best:best:...") cannot exhaust the stack.
+// Malformed specs (unknown name, unknown key, non-numeric value, a value
+// outside the range its backend accepts, empty key/child) throw
+// std::invalid_argument with the offending spec quoted — never crash.
+// Specs longer than kMaxSpecLength characters or nesting combinators
+// deeper than kMaxSpecDepth levels are rejected the same way, so
+// adversarial input ("best:best:best:...") cannot exhaust the stack.
 //
 // Adding a backend: implement a `solver::Solver`, then
 // `SolverRegistry::global().register_solver(name, summary, params,
@@ -25,6 +26,7 @@
 // the caller's SolverDefaults. See DESIGN.md "Solver registry".
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,14 +55,26 @@ std::string_view trim_spec(std::string_view text) noexcept;
 /// Typed accessor over a spec's "k=v,k=v" parameter text. Construction
 /// validates the syntax and that every key is in `allowed`; getters parse
 /// on demand. All failures throw std::invalid_argument naming the solver.
+/// Factories pass the range their backend accepts, so a spec builds only
+/// if it solves with exactly the values it names.
 class Params {
  public:
   Params(std::string_view solver_name, std::string_view text,
          std::initializer_list<std::string_view> allowed);
 
   bool has(std::string_view key) const noexcept;
-  int get_int(std::string_view key, int fallback) const;
-  double get_double(std::string_view key, double fallback) const;
+  /// The value of `key`, which must be a whole int >= min; `fallback` when
+  /// the key is absent.
+  int get_int(std::string_view key, int fallback,
+              int min = std::numeric_limits<int>::min()) const;
+  /// The value of `key`, which must be a finite number in [min, max];
+  /// `fallback` when the key is absent.
+  double get_double(std::string_view key, double fallback,
+                    double min = std::numeric_limits<double>::lowest(),
+                    double max = std::numeric_limits<double>::max()) const;
+  /// Throws the same std::invalid_argument for a rule that spans several
+  /// parameters.
+  [[noreturn]] void reject(const std::string& what) const;
 
  private:
   std::string solver_;

@@ -1,7 +1,5 @@
 #include "solver/solver.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "util/timer.hpp"
@@ -38,22 +36,8 @@ SolveReport Solver::solve(const SolveRequest& request) const {
     return report;
   }
 
-  // An armed evaluation budget is a hard cap shared by every solve of the
-  // request: the backend sees min(its requested budget, what is left), and
-  // the evaluations it reports are charged back so the NEXT solve of the
-  // same request sees a smaller remainder.
-  SolveRequest effective = request;
-  if (request.context != nullptr && request.context->eval_budget_armed()) {
-    const int remaining = static_cast<int>(std::min<std::int64_t>(
-        request.context->evals_remaining(),
-        std::numeric_limits<int>::max()));
-    effective.eval_budget =
-        request.eval_budget ? std::min(*request.eval_budget, remaining)
-                            : remaining;
-  }
-
   util::Timer timer;
-  SolveReport report = do_solve(effective);
+  SolveReport report = do_solve(request);
   report.wall_seconds = timer.seconds();
   report.solver = name();
   if (report.quantum_solves + report.classical_solves == 0) {
@@ -61,9 +45,11 @@ SolveReport Solver::solve(const SolveRequest& request) const {
     report.quantum_solves = q;
     report.classical_solves = c;
   }
-  // Leaves charge their own evaluations; a combinator's children each went
-  // through this same path already, so charging its aggregated count again
-  // would double-bill the budget.
+  // An armed evaluation budget is shared by every solve of the request:
+  // the evaluations a leaf reports are charged back so the NEXT solve of
+  // the same request sees a smaller remainder. A combinator's children each
+  // went through this same path already, so charging its aggregated count
+  // again would double-bill the budget.
   if (request.context != nullptr && children().empty()) {
     request.context->charge_evals(report.evaluations);
   }

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,15 +41,13 @@ struct SolveRequest {
   /// apply their historical per-backend salts internally), so a request is
   /// exactly reproducible from (spec, seed).
   std::uint64_t seed = 0;
-  /// Objective-evaluation budget; honored by the QAOA/RQAOA backends
-  /// (overrides their configured max_iterations).
-  std::optional<int> eval_budget;
   /// Cooperative stop state of the owning request (service layer). Viewed,
   /// not owned; may be null. `Solver::solve` refuses to start once it has
-  /// tripped (throws util::CancelledError), clamps `eval_budget` to the
-  /// context's remaining evaluation budget, charges the evaluations the
-  /// solve performed, and the adapters hand it to their backends so long
-  /// optimizer loops / sweeps / slicings stop mid-solve.
+  /// tripped (throws util::CancelledError) and charges the evaluations the
+  /// solve performed; the adapters hand it to their backends so long
+  /// optimizer loops / sweeps / slicings stop mid-solve. Its armed
+  /// evaluation budget is the only one a request carries: QAOA's optimize()
+  /// caps each restart's configured budget at what is left of it.
   const util::RequestContext* context = nullptr;
   /// Warm-start parameter vector (viewed, not owned; must outlive the
   /// call). Backends with a parameterized ansatz use it as the optimizer's

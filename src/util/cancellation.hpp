@@ -13,8 +13,10 @@
 // All members are lock-free atomics: one context is read from many engine
 // tasks concurrently while the owning service cancels it from outside.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -71,10 +73,16 @@ class RequestContext {
   }
 
   /// Arm (or move) the deadline `seconds` from now on the steady clock.
+  /// Saturates at +-kMaxDeadlineNs, so a huge, infinite or NaN `seconds`
+  /// arms a deadline that never passes instead of overflowing the clock
+  /// arithmetic.
   void set_deadline_after(double seconds) noexcept {
-    deadline_ns_.store(
-        now_ns() + static_cast<std::int64_t>(seconds * 1e9),
-        std::memory_order_relaxed);
+    const double ns = seconds * 1e9;
+    const double ahead = std::isnan(ns) ? kMaxDeadlineNs
+                                        : std::clamp(ns, -kMaxDeadlineNs,
+                                                     kMaxDeadlineNs);
+    deadline_ns_.store(now_ns() + static_cast<std::int64_t>(ahead),
+                       std::memory_order_relaxed);
   }
 
   bool has_deadline() const noexcept {
@@ -137,6 +145,9 @@ class RequestContext {
  private:
   static constexpr std::int64_t kNoDeadline =
       std::numeric_limits<std::int64_t>::max();
+  /// 2^62 ns, about 146 years. Steady-clock readings stay below it, so
+  /// now_ns() +- this and seconds_until_deadline() fit in int64.
+  static constexpr double kMaxDeadlineNs = 0x1p62;
 
   static std::int64_t now_ns() noexcept {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -1,10 +1,36 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <iostream>
+#include <limits>
 #include <sstream>
-#include <stdexcept>
 
 namespace qq::util {
+
+std::optional<int> parse_int(std::string_view text) {
+  const std::string s(text);
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(s.c_str(), &end, 10);
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE ||
+      parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(parsed);
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  const std::string s(text);
+  char* end = nullptr;
+  const double parsed = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+    return std::nullopt;
+  }
+  return parsed;
+}
 
 namespace {
 bool looks_like_flag(const std::string& s) {
@@ -47,14 +73,27 @@ std::string Args::get(const std::string& key,
   return v && !v->empty() ? *v : fallback;
 }
 
+void Args::usage_error(const std::string& key, const char* expected,
+                       const std::string& value) const {
+  std::cerr << program_ << ": --" << key << " expects " << expected
+            << ", got '" << value << "'\n";
+  std::exit(2);
+}
+
 int Args::get_int(const std::string& key, int fallback) const {
   const auto v = lookup(key);
-  return v && !v->empty() ? std::stoi(*v) : fallback;
+  if (!v || v->empty()) return fallback;
+  const std::optional<int> parsed = parse_int(*v);
+  if (!parsed) usage_error(key, "an integer", *v);
+  return *parsed;
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   const auto v = lookup(key);
-  return v && !v->empty() ? std::stod(*v) : fallback;
+  if (!v || v->empty()) return fallback;
+  const std::optional<double> parsed = parse_double(*v);
+  if (!parsed) usage_error(key, "a number", *v);
+  return *parsed;
 }
 
 namespace {
@@ -68,24 +107,30 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-std::vector<int> parse_int_list(const std::string& spec) {
+/// "a,b,c", "lo..hi" or "lo..hi:step"; nullopt on any malformed token or a
+/// non-positive step.
+std::optional<std::vector<int>> parse_int_list(const std::string& spec) {
   std::vector<int> out;
   const auto range_pos = spec.find("..");
   if (range_pos != std::string::npos) {
-    const int lo = std::stoi(spec.substr(0, range_pos));
     std::string rest = spec.substr(range_pos + 2);
-    int step = 1;
+    std::optional<int> step = 1;
     const auto colon = rest.find(':');
     if (colon != std::string::npos) {
-      step = std::stoi(rest.substr(colon + 1));
+      step = parse_int(rest.substr(colon + 1));
       rest = rest.substr(0, colon);
     }
-    const int hi = std::stoi(rest);
-    if (step <= 0) throw std::invalid_argument("range step must be positive");
-    for (int v = lo; v <= hi; v += step) out.push_back(v);
+    const std::optional<int> lo = parse_int(spec.substr(0, range_pos));
+    const std::optional<int> hi = parse_int(rest);
+    if (!lo || !hi || !step || *step <= 0) return std::nullopt;
+    for (long v = *lo; v <= *hi; v += *step) out.push_back(static_cast<int>(v));
     return out;
   }
-  for (const auto& tok : split(spec, ',')) out.push_back(std::stoi(tok));
+  for (const auto& tok : split(spec, ',')) {
+    const std::optional<int> v = parse_int(tok);
+    if (!v) return std::nullopt;
+    out.push_back(*v);
+  }
   return out;
 }
 }  // namespace
@@ -94,7 +139,11 @@ std::vector<int> Args::get_int_list(const std::string& key,
                                     const std::vector<int>& fallback) const {
   const auto v = lookup(key);
   if (!v || v->empty()) return fallback;
-  return parse_int_list(*v);
+  std::optional<std::vector<int>> parsed = parse_int_list(*v);
+  if (!parsed) {
+    usage_error(key, "an integer list (a,b,c or lo..hi[:step])", *v);
+  }
+  return *std::move(parsed);
 }
 
 std::vector<double> Args::get_double_list(
@@ -102,7 +151,11 @@ std::vector<double> Args::get_double_list(
   const auto v = lookup(key);
   if (!v || v->empty()) return fallback;
   std::vector<double> out;
-  for (const auto& tok : split(*v, ',')) out.push_back(std::stod(tok));
+  for (const auto& tok : split(*v, ',')) {
+    const std::optional<double> parsed = parse_double(tok);
+    if (!parsed) usage_error(key, "a list of numbers", *v);
+    out.push_back(*parsed);
+  }
   return out;
 }
 

@@ -3,13 +3,23 @@
 //
 // Supports `--flag`, `--key value`, and `--key=value`. Integer lists accept
 // both comma syntax ("8,10,12") and range syntax ("8..12" or "8..12:2").
+// A value that is not a number where one is expected is a usage error: the
+// getters print `<program>: --<key> expects ..., got '<value>'` and exit
+// with status 2.
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 namespace qq::util {
+
+/// Strict whole-token parses shared by the CLI and the solver-spec
+/// parameters: nullopt unless all of `text` is one base-10 int in range.
+std::optional<int> parse_int(std::string_view text);
+/// As parse_int, for a finite double (NaN, infinities and overflow fail).
+std::optional<double> parse_double(std::string_view text);
 
 class Args {
  public:
@@ -29,6 +39,8 @@ class Args {
 
  private:
   std::optional<std::string> lookup(const std::string& key) const;
+  [[noreturn]] void usage_error(const std::string& key, const char* expected,
+                                const std::string& value) const;
   std::string program_;
   std::unordered_map<std::string, std::string> kv_;
 };

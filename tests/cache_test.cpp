@@ -29,6 +29,7 @@
 #include "service/service.hpp"
 #include "solver/registry.hpp"
 #include "solver/solver.hpp"
+#include "util/cancellation.hpp"
 #include "util/rng.hpp"
 
 namespace qq::cache {
@@ -346,8 +347,10 @@ TEST(SolveCache, BudgetTruncatedResultsAreNotInserted) {
   const Graph g = graph::erdos_renyi(10, 0.5, rng);
   CountingSolver solver;
   SolveCache cache;
+  util::RequestContext context;
+  context.arm_eval_budget(1);
   solver::SolveRequest budgeted = request_for(g, 1);
-  budgeted.eval_budget = 1;
+  budgeted.context = &context;
   cache.solve_through(solver, budgeted, "counting");
   EXPECT_EQ(cache.stats().uncacheable, 1u);
   EXPECT_EQ(cache.stats().entries, 0u);

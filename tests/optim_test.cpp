@@ -1,14 +1,12 @@
-// Tests for the derivative-free optimizers (COBYLA-style trust region and
-// Nelder-Mead) on standard objectives.
+// Tests for the derivative-free COBYLA-style trust-region optimizer on
+// standard objectives.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <initializer_list>
 #include <stdexcept>
 
 #include "optim/cobyla.hpp"
-#include "optim/nelder_mead.hpp"
 
 namespace qq::optim {
 namespace {
@@ -126,53 +124,7 @@ TEST(Cobyla, InputValidation) {
   EXPECT_THROW(cobyla_minimize(sphere, {1.0}, bad), std::invalid_argument);
 }
 
-// ---------------------------------------------------------- Nelder-Mead ----
-
-TEST(NelderMead, MinimizesSphere) {
-  NelderMeadOptions opts;
-  opts.maxfun = 500;
-  const Result r = nelder_mead_minimize(sphere, {2.0, -1.0, 0.5}, opts);
-  EXPECT_LT(r.fx, 1e-6);
-}
-
-TEST(NelderMead, MinimizesShiftedQuadratic) {
-  NelderMeadOptions opts;
-  opts.maxfun = 800;
-  const Result r = nelder_mead_minimize(shifted_quadratic, {0.0, 0.0}, opts);
-  EXPECT_NEAR(r.fx, 1.5, 1e-5);
-}
-
-TEST(NelderMead, SolvesRosenbrock) {
-  NelderMeadOptions opts;
-  opts.maxfun = 4000;
-  opts.ftol = 1e-12;
-  const Result r = nelder_mead_minimize(rosenbrock2, {-1.2, 1.0}, opts);
-  EXPECT_LT(r.fx, 1e-4);
-}
-
-TEST(NelderMead, RespectsBudgetAndValidates) {
-  int calls = 0;
-  const Objective counted = [&calls](const std::vector<double>& x) {
-    ++calls;
-    return sphere(x);
-  };
-  NelderMeadOptions opts;
-  opts.maxfun = 17;
-  const Result r = nelder_mead_minimize(counted, {1.0, 1.0}, opts);
-  EXPECT_LE(calls, 17 + 3);  // shrink step may finish its sweep
-  EXPECT_GE(r.evaluations, 3);
-  EXPECT_THROW(nelder_mead_minimize(sphere, {}), std::invalid_argument);
-}
-
-TEST(NelderMead, ConvergedFlagOnFlatSpread) {
-  NelderMeadOptions opts;
-  opts.maxfun = 100000;
-  opts.ftol = 1e-10;
-  const Result r = nelder_mead_minimize(sphere, {0.3, -0.2}, opts);
-  EXPECT_TRUE(r.converged);
-}
-
-// Both optimizers on a family of scaled quadratics (parameterized sweep).
+// COBYLA on a family of scaled quadratics (parameterized sweep).
 class OptimizerFamily : public ::testing::TestWithParam<double> {};
 
 TEST_P(OptimizerFamily, BothFindScaledQuadraticMinimum) {
@@ -190,13 +142,7 @@ TEST_P(OptimizerFamily, BothFindScaledQuadraticMinimum) {
   copts.rhoend = 1e-7;
   copts.maxfun = 1500;
   const Result rc = cobyla_minimize(f, {0.0, 0.0, 0.0}, copts);
-  EXPECT_LT(rc.fx, 1e-3) << "cobyla, scale " << scale;
-
-  NelderMeadOptions nopts;
-  nopts.step = std::max(0.1, scale);
-  nopts.maxfun = 1500;
-  const Result rn = nelder_mead_minimize(f, {0.0, 0.0, 0.0}, nopts);
-  EXPECT_LT(rn.fx, 1e-3) << "nelder-mead, scale " << scale;
+  EXPECT_LT(rc.fx, 1e-3) << "scale " << scale;
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, OptimizerFamily,
@@ -208,37 +154,27 @@ TEST(AskTell, StartPointIsFirstAskAndResultBeforeAnyTell) {
   // A caller that stops before the first tell (a cancelled request) still
   // gets a usable result: the start point, with no evaluations counted.
   const std::vector<double> x0 = {0.3, -0.2};
-  Cobyla cobyla(x0);
-  NelderMead nelder_mead(x0);
-  for (AskTellOptimizer* opt :
-       std::initializer_list<AskTellOptimizer*>{&cobyla, &nelder_mead}) {
-    ASSERT_NE(opt->ask(), nullptr);
-    EXPECT_EQ(*opt->ask(), x0);
-    EXPECT_EQ(opt->result().x, x0);
-    EXPECT_EQ(opt->result().evaluations, 0);
-  }
+  const Cobyla cobyla(x0);
+  ASSERT_NE(cobyla.ask(), nullptr);
+  EXPECT_EQ(*cobyla.ask(), x0);
+  EXPECT_EQ(cobyla.result().x, x0);
+  EXPECT_EQ(cobyla.result().evaluations, 0);
 }
 
 TEST(AskTell, TellAfterDoneThrows) {
-  CobylaOptions copts;
-  copts.maxfun = 3;
-  Cobyla cobyla({1.0, 1.0}, copts);
-  minimize(cobyla, sphere);
+  CobylaOptions opts;
+  opts.maxfun = 3;
+  Cobyla cobyla({1.0, 1.0}, opts);
+  while (const std::vector<double>* x = cobyla.ask()) cobyla.tell(sphere(*x));
+  EXPECT_EQ(cobyla.result().evaluations, 3);
   EXPECT_EQ(cobyla.ask(), nullptr);
   EXPECT_THROW(cobyla.tell(0.0), std::logic_error);
-
-  NelderMeadOptions nopts;
-  nopts.maxfun = 3;
-  NelderMead nelder_mead({1.0, 1.0}, nopts);
-  minimize(nelder_mead, sphere);
-  EXPECT_EQ(nelder_mead.ask(), nullptr);
-  EXPECT_THROW(nelder_mead.tell(0.0), std::logic_error);
 }
 
 // --------------------------------------------------------- golden pins ----
 // Exact x, fx, evaluation count and convergence flag of fixed runs.
 // EXPECT_EQ on doubles is deliberate: any change to the order or arithmetic
-// of either optimizer's evaluations moves these values.
+// of the optimizer's evaluations moves these values.
 
 struct Golden {
   std::vector<double> x;
@@ -306,22 +242,6 @@ TEST(CobylaGolden, BudgetEndsMidRebuild) {
                   -0.023235649180458156, 0.0034588852192299294},
                  0.00063122300627411262,
                  25,
-                 false});
-}
-
-TEST(NelderMeadGolden, RosenbrockWithShrinkSteps) {
-  // This run takes shrink steps after 308, 323 and 327 evaluations.
-  NelderMeadOptions opts;
-  opts.maxfun = 500;
-  expect_golden(nelder_mead_minimize(rosenbrock2, {-1.2, 1.0}, opts),
-                {{1.0, 1.0}, 0.0, 329, true});
-  // The budget runs out after the first of the two vertices the shrink
-  // step at 308 evaluations moves.
-  opts.maxfun = 309;
-  expect_golden(nelder_mead_minimize(rosenbrock2, {-1.2, 1.0}, opts),
-                {{1.0000000000000007, 1.0000000000000013},
-                 4.4373425918681914e-31,
-                 309,
                  false});
 }
 

@@ -328,17 +328,6 @@ TEST(Optimize, RespectsIterationBudget) {
   EXPECT_LE(r.evaluations, 25);
 }
 
-TEST(Optimize, NelderMeadBackendWorks) {
-  util::Rng rng(21);
-  const Graph g = graph::erdos_renyi(8, 0.4, rng);
-  QaoaOptions opts;
-  opts.layers = 2;
-  opts.optimizer = OptimizerKind::kNelderMead;
-  opts.max_iterations = 150;
-  const QaoaResult r = solve_qaoa(g, opts);
-  EXPECT_GT(r.expectation, g.total_weight() / 2.0);
-}
-
 TEST(Optimize, RandomInitBackendWorks) {
   util::Rng rng(23);
   const Graph g = graph::erdos_renyi(8, 0.4, rng);
@@ -416,31 +405,6 @@ TEST(Restarts, SizeThresholdFallbackIsBitIdentical) {
   EXPECT_EQ(seq.cut.assignment, lock.cut.assignment);
 }
 
-TEST(Restarts, NelderMeadBackendMatchesSequentialReplay) {
-  util::Rng rng(37);
-  const Graph g = graph::erdos_renyi(7, 0.45, rng);
-  const QaoaSolver solver(g);
-  QaoaOptions opts;
-  opts.layers = 2;
-  opts.seed = 4;
-  opts.restarts = 3;
-  opts.lockstep_min_qubits = 0;
-  opts.optimizer = OptimizerKind::kNelderMead;
-  opts.max_iterations = 80;
-  const QaoaResult batched = solver.optimize(opts);
-
-  QaoaResult best;
-  for (int r = 0; r < opts.restarts; ++r) {
-    QaoaOptions single = opts;
-    single.restarts = 1;
-    single.initial_parameters = restart_initial_parameters(opts, r);
-    const QaoaResult res = solver.optimize(single);
-    if (r == 0 || res.expectation > best.expectation) best = res;
-  }
-  EXPECT_EQ(batched.parameters, best.parameters);
-  EXPECT_EQ(batched.expectation, best.expectation);
-}
-
 TEST(Restarts, NeverWorseThanSingleRun) {
   util::Rng rng(41);
   const Graph g = graph::erdos_renyi(9, 0.35, rng);
@@ -487,22 +451,18 @@ TEST(Restarts, ExpiredDeadlineStillReturnsAValidCut) {
   const QaoaSolver solver(g);
   util::RequestContext context;
   context.set_deadline_after(-1.0);
-  for (const OptimizerKind kind :
-       {OptimizerKind::kCobyla, OptimizerKind::kNelderMead}) {
-    QaoaOptions opts;
-    opts.layers = 2;
-    opts.seed = 3;
-    opts.restarts = 4;
-    opts.lockstep_min_qubits = 0;
-    opts.optimizer = kind;
-    opts.context = &context;
-    const QaoaResult r = solver.optimize(opts);
-    EXPECT_LE(r.evaluations, opts.restarts);
-    ASSERT_EQ(r.cut.assignment.size(), static_cast<std::size_t>(g.num_nodes()));
-    for (const std::uint8_t side : r.cut.assignment) EXPECT_LE(side, 1);
-    EXPECT_NEAR(r.cut.value, maxcut::cut_value(g, r.cut.assignment), 1e-9);
-    EXPECT_EQ(r.parameters.size(), std::size_t{4});
-  }
+  QaoaOptions opts;
+  opts.layers = 2;
+  opts.seed = 3;
+  opts.restarts = 4;
+  opts.lockstep_min_qubits = 0;
+  opts.context = &context;
+  const QaoaResult r = solver.optimize(opts);
+  EXPECT_LE(r.evaluations, opts.restarts);
+  ASSERT_EQ(r.cut.assignment.size(), static_cast<std::size_t>(g.num_nodes()));
+  for (const std::uint8_t side : r.cut.assignment) EXPECT_LE(side, 1);
+  EXPECT_NEAR(r.cut.value, maxcut::cut_value(g, r.cut.assignment), 1e-9);
+  EXPECT_EQ(r.parameters.size(), std::size_t{4});
 }
 
 TEST(Restarts, InitialParametersAreDeterministicAndDiverse) {

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -43,9 +46,9 @@ class SleepySolver final : public solver::Solver {
  protected:
   solver::SolveReport do_solve(
       const solver::SolveRequest& request) const override {
-    int budget = polls_;
-    if (request.eval_budget && *request.eval_budget < budget) {
-      budget = *request.eval_budget;
+    std::int64_t budget = polls_;
+    if (request.context != nullptr && request.context->eval_budget_armed()) {
+      budget = std::min(budget, request.context->evals_remaining());
     }
     int done = 0;
     for (; done < budget; ++done) {
@@ -215,6 +218,41 @@ TEST(Service, TypedRejections) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.rejected, 5u);
   EXPECT_EQ(stats.in_flight, 0u);
+}
+
+TEST(Service, OutOfRangeSpecValueIsRejectedNotFailed) {
+  // The registry refuses qaoa:p=0 at make(), so admission rejects the
+  // request instead of admitting one that can only fail mid-flight.
+  SolveService service(ServiceOptions{});
+  ServiceRequest req;
+  req.graph = ring(6);
+  req.solver_spec = "qaoa:p=0";
+  const RequestTicket t = service.submit(std::move(req));
+  EXPECT_EQ(t.status(), RequestStatus::kRejected);
+  EXPECT_EQ(t.outcome().reject_reason, RejectReason::kInvalidRequest);
+}
+
+TEST(Service, NonFiniteDeadlinesAreInvalidAndHugeOnesComplete) {
+  SolveService service(ServiceOptions{});
+  for (const double deadline : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    ServiceRequest req;
+    req.graph = ring(6);
+    req.solver_spec = "greedy";
+    req.deadline_seconds = deadline;
+    const RequestTicket t = service.submit(std::move(req));
+    EXPECT_EQ(t.status(), RequestStatus::kRejected) << deadline;
+    EXPECT_EQ(t.outcome().reject_reason, RejectReason::kInvalidRequest)
+        << deadline;
+  }
+  ServiceRequest huge;
+  huge.graph = ring(6);
+  huge.solver_spec = "greedy";
+  huge.deadline_seconds = 1e300;
+  const RequestTicket t = service.submit(std::move(huge));
+  service.wait(t);
+  EXPECT_EQ(t.status(), RequestStatus::kCompleted);
+  EXPECT_EQ(t.outcome().cut.assignment.size(), 6u);
 }
 
 TEST(Service, EmptySpecRejectsDirectAndDecomposedAlike) {

@@ -20,6 +20,7 @@
 #include "sdp/gw.hpp"
 #include "solver/registry.hpp"
 #include "test_graphs.hpp"
+#include "util/cancellation.hpp"
 #include "util/rng.hpp"
 
 namespace qq::solver {
@@ -82,6 +83,11 @@ TEST(Registry, SpecWhitespaceAndParamsParse) {
   EXPECT_EQ(registry.make("  anneal  ")->name(), "anneal");
   EXPECT_EQ(registry.make(" qaoa : p = 2 , iters = 10 ")->name(), "qaoa");
   EXPECT_EQ(registry.make("best: qaoa | gw")->name(), "best");
+  // Zero is in range for these: paper schedule, no sampled diagnostic, auto
+  // rank. (Out-of-range values are fuzz::malformed_spec_templates().)
+  for (const char* spec : {"qaoa:iters=0", "qaoa:shots=0", "gw:rank=0"}) {
+    EXPECT_NO_THROW((void)registry.make(spec)) << spec;
+  }
 }
 
 TEST(Registry, MalformedSpecsThrowNotCrash) {
@@ -149,12 +155,14 @@ TEST(Adapters, QaoaMatchesFreeFunctionBitForBit) {
   }
 }
 
-TEST(Adapters, QaoaEvalBudgetOverridesIterations) {
+TEST(Adapters, QaoaEvalBudgetCapsIterations) {
   const Graph g = test_graph();
+  util::RequestContext context;
+  context.arm_eval_budget(12);
   SolveRequest request;
   request.graph = &g;
   request.seed = 5;
-  request.eval_budget = 12;
+  request.context = &context;
   const auto rep =
       SolverRegistry::global().make("qaoa:p=2,iters=40")->solve(request);
   qaoa::QaoaOptions opts;
@@ -165,6 +173,31 @@ TEST(Adapters, QaoaEvalBudgetOverridesIterations) {
   EXPECT_EQ(rep.cut.value, direct.cut.value);
   EXPECT_EQ(rep.cut.assignment, direct.cut.assignment);
   EXPECT_EQ(rep.evaluations, direct.evaluations);
+}
+
+TEST(Adapters, ArmedBudgetNeverRaisesSpecIterations) {
+  // A budget far above the spec's iters must leave the solve exactly as it
+  // is without a budget: the budget caps `iters`, it never replaces it.
+  util::Rng rng(3);
+  const Graph g = graph::erdos_renyi(8, 0.5, rng);
+  const struct {
+    const char* spec;
+    int evaluations;
+  } cases[] = {{"qaoa:p=1,iters=5", 5}, {"rqaoa:p=1,iters=5,cutoff=4", 20}};
+  for (const auto& c : cases) {
+    const SolverPtr solver = SolverRegistry::global().make(c.spec);
+    const SolveReport plain = solver->solve({&g, 1});
+    util::RequestContext context;
+    context.arm_eval_budget(1'000'000);
+    SolveRequest request{&g, 1};
+    request.context = &context;
+    const SolveReport budgeted = solver->solve(request);
+    EXPECT_EQ(plain.evaluations, c.evaluations) << c.spec;
+    EXPECT_EQ(budgeted.evaluations, c.evaluations) << c.spec;
+    EXPECT_EQ(budgeted.cut.value, plain.cut.value) << c.spec;
+    EXPECT_EQ(budgeted.cut.assignment, plain.cut.assignment) << c.spec;
+    EXPECT_EQ(context.evals_remaining(), 1'000'000 - c.evaluations) << c.spec;
+  }
 }
 
 TEST(Adapters, RqaoaMatchesFreeFunctionBitForBit) {

@@ -6,12 +6,14 @@
 #include <atomic>
 #include <cmath>
 #include <chrono>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "util/cancellation.hpp"
 #include "util/cli.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
@@ -458,6 +460,43 @@ TEST(Args, ParsesDoubleLists) {
   Args args(3, argv);
   EXPECT_EQ(args.get_double_list("probs", {}),
             (std::vector<double>{0.1, 0.2, 0.5}));
+}
+
+TEST(Args, BadNumbersAreUsageErrors) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"prog",    "--nodes", "x",        "--seed", "12abc",
+                        "--p",     "0.3x",    "--sizes",  "8,x",    "--range",
+                        "4..6:0",  "--probs", "0.1,nan"};
+  const Args args(13, argv);
+  EXPECT_EXIT(args.get_int("nodes", 0), ::testing::ExitedWithCode(2),
+              "prog: --nodes expects an integer, got 'x'");
+  EXPECT_EXIT(args.get_int("seed", 0), ::testing::ExitedWithCode(2),
+              "prog: --seed expects an integer, got '12abc'");
+  EXPECT_EXIT(args.get_double("p", 0.0), ::testing::ExitedWithCode(2),
+              "prog: --p expects a number, got '0.3x'");
+  EXPECT_EXIT(args.get_int_list("sizes", {}), ::testing::ExitedWithCode(2),
+              "prog: --sizes expects an integer list");
+  EXPECT_EXIT(args.get_int_list("range", {}), ::testing::ExitedWithCode(2),
+              "prog: --range expects an integer list");
+  EXPECT_EXIT(args.get_double_list("probs", {}), ::testing::ExitedWithCode(2),
+              "prog: --probs expects a list of numbers");
+}
+
+// ------------------------------------------------------- cancellation ----
+
+TEST(RequestContext, HugeDeadlinesSaturateInsteadOfOverflowing) {
+  for (const double seconds : {1e300, std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    RequestContext context;
+    context.set_deadline_after(seconds);
+    EXPECT_TRUE(context.has_deadline()) << seconds;
+    EXPECT_FALSE(context.stopped()) << seconds;
+    EXPECT_GT(context.seconds_until_deadline(), 1e9) << seconds;
+  }
+  RequestContext past;
+  past.set_deadline_after(-1e300);
+  EXPECT_EQ(past.stop_reason(), StopReason::kDeadline);
+  EXPECT_LT(past.seconds_until_deadline(), -1e9);
 }
 
 // -------------------------------------------------------------- table ----
