@@ -14,15 +14,17 @@
 //                   classical tasks; measurable even on one core.
 //   nested_kernel   Throughput of a fused mixer layer (20 qubits) executed
 //                   at top level vs inside an engine task — the direct
-//                   measure of the inside_worker() serialization cliff.
+//                   measure of the old serial-inside-a-worker cliff.
 //   alloc_churn     Bytes allocated per COBYLA objective evaluation during
 //                   QaoaSolver::optimize (state-vector workspace reuse).
 //   streamed_components
 //                   Four component-like chains (quantum leaves -> classical
 //                   merge -> quantum coarse solve) with skewed leaf counts,
 //                   run once as per-level barriers (one submit-and-drain
-//                   batch per level) and once as a dependency-streamed
-//                   task graph on the persistent engine. Sleeps model
+//                   batch per level) and once streamed on one persistent
+//                   engine, each chain joined by settle-callback
+//                   countdowns as the QAOA^2 pipeline joins its levels.
+//                   Sleeps model
 //                   device latency, so the overlap win is measurable even
 //                   on one core; the coarse-before-last-leaf count proves
 //                   cross-level overlap structurally.
@@ -40,6 +42,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -258,7 +261,6 @@ struct StreamedResult {
 };
 
 StreamedResult run_streamed_components(int reps) {
-  using qq::sched::TaskHandle;
   // Chain c: leaves[c] quantum leaves (8 ms device latency), one classical
   // merge (20 ms — the phase that idles the quantum slots at a level
   // barrier), one quantum coarse solve (12 ms). Chain 0 is the skewed slow
@@ -302,43 +304,67 @@ StreamedResult run_streamed_components(int reps) {
       qq::bench::run_tasks(engine, std::move(coarse));
       barrier_walls.push_back(timer.seconds());
     }
-    // Streaming: the same chains as a dependency graph on one engine.
+    // Streaming: the same chains on one engine. A chain's last leaf to
+    // settle submits its merge, and the merge's settle submits the coarse
+    // solve; tasks stamp their own start and end on the engine clock.
     {
       WorkflowEngine engine(opts);
       qq::util::Timer timer;
+      const std::size_t chains = leaves.size();
+      std::vector<double> leaf_end;
+      std::vector<double> coarse_start(chains, 0.0);
+      std::vector<std::atomic<int>> pending(chains);
+      std::atomic<std::size_t> chains_done{0};
+      for (std::size_t c = 0; c < chains; ++c) pending[c] = leaves[c];
+      leaf_end.assign(static_cast<std::size_t>(
+                          std::accumulate(leaves.begin(), leaves.end(), 0)),
+                      0.0);
+      auto coarse_of = [&](std::size_t c) {
+        Task t{ResourceKind::kQuantum, [&engine, &coarse_start, c, kCoarseLatency] {
+                 coarse_start[c] = engine.now();
+                 std::this_thread::sleep_for(kCoarseLatency);
+               }};
+        t.on_settled = [&chains_done](std::exception_ptr) { ++chains_done; };
+        return t;
+      };
+      auto merge_of = [&](std::size_t c) {
+        Task t = sleep_task(kMergeLatency, ResourceKind::kClassical);
+        t.on_settled = [&engine, &coarse_of, c](std::exception_ptr) {
+          engine.submit(coarse_of(c));
+        };
+        return t;
+      };
       // Leaves interleave across chains (the pipeline submits component
       // roots together, so no chain's leaves monopolize the front of the
       // ready queue), exactly like the barrier baseline above.
-      std::vector<std::vector<TaskHandle>> chain_leaves(leaves.size());
       const int max_leaves = *std::max_element(leaves.begin(), leaves.end());
+      std::size_t slot = 0;
       for (int i = 0; i < max_leaves; ++i) {
-        for (std::size_t c = 0; c < leaves.size(); ++c) {
-          if (i < leaves[c]) {
-            chain_leaves[c].push_back(engine.submit(
-                sleep_task(kLeafLatency, ResourceKind::kQuantum)));
-          }
+        for (std::size_t c = 0; c < chains; ++c) {
+          if (i >= leaves[c]) continue;
+          Task t{ResourceKind::kQuantum, [&engine, &leaf_end, slot, kLeafLatency] {
+                   std::this_thread::sleep_for(kLeafLatency);
+                   leaf_end[slot] = engine.now();
+                 }};
+          t.on_settled = [&engine, &pending, &merge_of, c](std::exception_ptr) {
+            if (--pending[c] == 0) engine.submit(merge_of(c));
+          };
+          engine.submit(std::move(t));
+          ++slot;
         }
       }
-      std::vector<TaskHandle> leaf_handles;
-      std::vector<TaskHandle> coarse_handles;
-      for (std::size_t c = 0; c < leaves.size(); ++c) {
-        leaf_handles.insert(leaf_handles.end(), chain_leaves[c].begin(),
-                            chain_leaves[c].end());
-        const TaskHandle merge =
-            engine.submit(sleep_task(kMergeLatency, ResourceKind::kClassical),
-                          chain_leaves[c]);
-        coarse_handles.push_back(engine.submit(
-            sleep_task(kCoarseLatency, ResourceKind::kQuantum), {merge}));
+      // A drain can return between a settle and the submission it makes,
+      // so drain until every chain's coarse solve has settled.
+      while (chains_done.load() < chains) {
+        engine.drain();
+        std::this_thread::yield();
       }
-      engine.drain();
       streaming_walls.push_back(timer.seconds());
       if (rep == 0) {
-        double last_leaf_end = 0.0;
-        for (const TaskHandle h : leaf_handles) {
-          last_leaf_end = std::max(last_leaf_end, engine.timing(h).end_s);
-        }
-        for (const TaskHandle h : coarse_handles) {
-          if (engine.timing(h).start_s < last_leaf_end) ++out.overlapped_coarse;
+        const double last_leaf_end =
+            *std::max_element(leaf_end.begin(), leaf_end.end());
+        for (const double start : coarse_start) {
+          if (start < last_leaf_end) ++out.overlapped_coarse;
         }
         out.tasks = static_cast<int>(engine.stats().completed);
       }

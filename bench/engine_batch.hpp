@@ -1,7 +1,7 @@
 #pragma once
 // Run a batch of independent tasks on a WorkflowEngine and wait for all of
 // them: submit each, drain, then derive the batch's wall, busy and
-// coordination times from the engine's per-task timings and counters.
+// coordination times from the deltas of the engine's cumulative counters.
 // Shared by the benches that time plain task batches (bench_fig2_coordinator,
 // bench_scaling, bench_micro_engine).
 
@@ -28,23 +28,19 @@ inline BatchTimes run_tasks(sched::WorkflowEngine& engine,
                             std::vector<sched::Task> tasks) {
   const sched::EngineStats before = engine.stats();
   const double t0 = engine.now();
-  std::vector<sched::TaskHandle> handles;
-  handles.reserve(tasks.size());
-  for (sched::Task& task : tasks) {
-    handles.push_back(engine.submit(std::move(task)));
-  }
+  for (sched::Task& task : tasks) engine.submit(std::move(task));
   engine.drain();
 
   BatchTimes out;
   out.wall_seconds = engine.now() - t0;
-  for (const sched::TaskHandle h : handles) {
-    const sched::TaskTiming t = engine.timing(h);
-    out.busy_seconds += t.end_s - t.start_s;
-  }
   const sched::EngineStats after = engine.stats();
+  const double busy_quantum =
+      after.busy_quantum_seconds - before.busy_quantum_seconds;
+  const double busy_classical =
+      after.busy_classical_seconds - before.busy_classical_seconds;
+  out.busy_seconds = busy_quantum + busy_classical;
   const double ideal = sched::ideal_parallel_seconds(
-      after.busy_quantum_seconds - before.busy_quantum_seconds,
-      after.busy_classical_seconds - before.busy_classical_seconds,
+      busy_quantum, busy_classical,
       after.quantum_tasks - before.quantum_tasks,
       after.classical_tasks - before.classical_tasks, engine.options(),
       engine.pool().size());

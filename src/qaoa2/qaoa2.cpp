@@ -5,6 +5,7 @@
 #include <deque>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "qaoa2/merge.hpp"
@@ -190,12 +191,14 @@ maxcut::CutResult Qaoa2Driver::solve_fitting_level(
 }
 
 // ---------------------------------------------------------------------------
-// Streaming pipeline: one persistent dependency-aware engine carries every
-// component's chain  extract -> [partition -> sub-solves -> merge]* ->
-// coarse solve -> unwind  as tasks; a component whose sub-solves finish
-// starts its coarse level while other components' sub-graphs are still in
-// flight, and the partition / induced-extraction / merge-graph work runs on
-// the engine and pool instead of the coordinator thread.
+// Streaming pipeline: one persistent engine carries every component's chain
+//   extract -> [partition -> sub-solves -> merge]* -> coarse solve -> unwind
+// as independent tasks. The pipeline joins each level itself: the settle
+// callback of a level's last sub-solve submits its merge, so a component
+// whose sub-solves finish starts its coarse level while other components'
+// sub-graphs are still in flight, and the partition / induced-extraction /
+// merge-graph work runs on the engine and pool instead of the coordinator
+// thread.
 
 namespace {
 
@@ -293,11 +296,10 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
   /// still-queued tasks unwind instead of running), and participates in
   /// the outstanding-task count that triggers the done callback. The
   /// settle callback co-owns `this`, so the pipeline outlives its tasks
-  /// even if the caller drops the handle.
-  sched::TaskHandle submit_task(sched::ResourceKind kind,
-                                std::function<void()> body,
-                                const std::vector<sched::TaskHandle>& deps =
-                                    {}) {
+  /// even if the caller drops the handle. `joined`, if given, runs in the
+  /// settle callback after the task's error is recorded.
+  void submit_task(sched::ResourceKind kind, std::function<void()> body,
+                   std::function<void()> joined = nullptr) {
     outstanding_.fetch_add(1, std::memory_order_relaxed);
     ++submitted_;
     sched::Task task;
@@ -313,23 +315,31 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
       // a stopped request never masquerades as completed.
       if (ctx != nullptr) ctx->throw_if_stopped();
     };
-    auto self = shared_from_this();
-    task.on_settled = [self](std::exception_ptr err) {
-      self->task_settled(err);
+    task.on_settled = [self = shared_from_this(),
+                       joined = std::move(joined)](std::exception_ptr err) {
+      self->task_settled(err, joined);
     };
-    return engine_.submit(std::move(task), deps);
+    engine_.submit(std::move(task));
   }
 
   /// Exactly-once per task, outside the engine lock. The LAST settle (no
-  /// task outstanding, and child submissions happen inside parent bodies,
-  /// i.e. before the parent settles — the count can only reach zero when
-  /// the whole chain is done) assembles the result and fires `done_`.
-  void task_settled(std::exception_ptr err) {
+  /// task outstanding; every submission happens inside a task body or a
+  /// settle callback, i.e. before that task's own decrement — so the count
+  /// can only reach zero when the whole chain is done) assembles the
+  /// result and fires `done_`.
+  void task_settled(std::exception_ptr err,
+                    const std::function<void()>& joined) {
     if (err) {
       util::MutexLock lock(error_mutex_);
       if (!first_error_) first_error_ = err;
     }
+    if (joined) joined();
     if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) finish();
+  }
+
+  bool failed() {
+    util::MutexLock lock(error_mutex_);
+    return first_error_ != nullptr;
   }
 
   void finish() {
@@ -391,24 +401,34 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
     const std::size_t n = f.parts.size();
     f.reports.assign(n, std::vector<solver::SolveReport>(f.arms.size()));
 
-    std::vector<sched::TaskHandle> solves;
-    solves.reserve(n * f.arms.size());
+    // The level's join: the last of its parts x arms solves to settle
+    // submits the merge, unless some task of this solve has failed or been
+    // cancelled.
+    auto pending =
+        std::make_shared<std::atomic<std::size_t>>(n * f.arms.size());
+    auto joined = [this, &c, level, pending] {
+      if (pending->fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+          !failed()) {
+        submit_task(sched::ResourceKind::kClassical,
+                    [this, &c, level] { finish_level(c, level); });
+      }
+    };
     for (std::size_t i = 0; i < n; ++i) {
       // Every arm of a part shares the part's seed, exactly as the old
       // hardcoded best-of ran QAOA and GW on one seed.
       const std::uint64_t seed = mix_seed(c.base_seed, level, i);
       for (std::size_t a = 0; a < f.arms.size(); ++a) {
-        solves.push_back(submit_task(
-            f.arms[a]->resource_kind(), [this, &c, level, i, a, seed] {
+        submit_task(
+            f.arms[a]->resource_kind(),
+            [this, &c, level, i, a, seed] {
               StreamFrame& fr = c.frames[static_cast<std::size_t>(level)];
               fr.reports[i][a] = driver_.dispatch_solve(
                   *fr.arms[a], fr.arm_keys[a],
                   make_request(fr.subgraphs[i].graph, seed, tags_.context));
-            }));
+            },
+            joined);
       }
     }
-    submit_task(sched::ResourceKind::kClassical,
-                [this, &c, level] { finish_level(c, level); }, solves);
   }
 
   /// Merge task body: select locals, build the signed coarse graph, start
@@ -489,26 +509,30 @@ Qaoa2Result Qaoa2Driver::solve(const graph::Graph& g) const {
   }
 
   // ONE engine (and one pool) for the entire solve. `done` runs on the
-  // thread that settled the last task, which can be just after drain() saw
-  // the engine idle, so wait for it before touching the result.
+  // thread that settled the last task. A drain can also return early: a
+  // level's merge is submitted by a settle callback, just after the engine
+  // counted the last sub-solve done. So drain again until `done` has run.
   sched::WorkflowEngine engine(options_.engine);
   util::Mutex mutex;
-  util::CondVar settled_cv;
   bool settled = false;
+  std::exception_ptr err;
   SolveTags tags;
   tags.context = options_.context;
   solve_async(engine, g, tags,
-              [&](Qaoa2Result r, std::exception_ptr /*err*/) {
+              [&](Qaoa2Result r, std::exception_ptr e) {
                 util::MutexLock lock(mutex);
                 result = std::move(r);
+                err = std::move(e);
                 settled = true;
-                settled_cv.notify_all();
               });
-  std::exception_ptr err;
-  engine.drain(&err);
-  {
-    util::MutexLock lock(mutex);
-    while (!settled) settled_cv.wait(lock);
+  for (bool done = false; !done;) {
+    std::exception_ptr ignored;  // `done` reports the solve's first error
+    engine.drain(&ignored);
+    {
+      util::MutexLock lock(mutex);
+      done = settled;
+    }
+    if (!done) std::this_thread::yield();
   }
   if (err) std::rethrow_exception(err);
 

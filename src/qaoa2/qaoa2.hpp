@@ -15,8 +15,10 @@
 //
 // The solve is sharded by connected component and STREAMED: every
 // component flows partition -> sub-solves -> merge -> coarse
-// solve/recursion as a chain of dependent tasks on ONE persistent
-// WorkflowEngine, so a component whose sub-solves finish starts its coarse
+// solve/recursion as independent tasks on ONE persistent WorkflowEngine.
+// The pipeline joins each level itself: the settle callback of a level's
+// last sub-solve submits the merge (unless a task has failed or been
+// cancelled), so a component whose sub-solves finish starts its coarse
 // level while other components' sub-graphs are still running. Every
 // sub-problem's seed is a pure function of (component, level, part), so the
 // cut does not depend on the schedule.
@@ -141,8 +143,8 @@ class Qaoa2Driver {
 
   /// Synchronous solve. A graph that fits on one device is solved directly;
   /// a larger one runs solve_async on a private engine built from
-  /// `options().engine`, which is drained before returning. Rethrows the
-  /// first task error.
+  /// `options().engine`, drained until the solve is done. Rethrows the
+  /// solve's first task error.
   Qaoa2Result solve(const graph::Graph& g) const;
 
   /// Asynchronous solve on a CALLER-owned engine: submits a planning task

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace qq::graph {
 
@@ -16,11 +17,17 @@ void write_edge_list(const Graph& g, std::ostream& os) {
 
 Graph read_edge_list(std::istream& is) {
   std::string line;
+  std::size_t line_no = 0;
   auto next_data_line = [&]() -> bool {
     while (std::getline(is, line)) {
+      ++line_no;
       if (!line.empty() && line[0] != '#') return true;
     }
     return false;
+  };
+  auto fail = [&](const std::string& what) {
+    throw std::runtime_error("read_edge_list: line " +
+                             std::to_string(line_no) + ": " + what);
   };
   if (!next_data_line()) {
     throw std::runtime_error("read_edge_list: empty input");
@@ -28,8 +35,10 @@ Graph read_edge_list(std::istream& is) {
   std::istringstream header(line);
   NodeId n = 0;
   std::size_t m = 0;
-  if (!(header >> n >> m)) {
-    throw std::runtime_error("read_edge_list: malformed header");
+  if (!(header >> n >> m)) fail("malformed header");
+  if (n < 0 || n > kMaxEdgeListNodes) {
+    fail("node count " + std::to_string(n) + " is outside [0, " +
+         std::to_string(kMaxEdgeListNodes) + "]");
   }
   Graph g(n);
   for (std::size_t i = 0; i < m; ++i) {
@@ -39,8 +48,10 @@ Graph read_edge_list(std::istream& is) {
     std::istringstream row(line);
     NodeId u = 0, v = 0;
     double w = 1.0;
-    if (!(row >> u >> v >> w)) {
-      throw std::runtime_error("read_edge_list: malformed edge line");
+    if (!(row >> u >> v >> w)) fail("malformed edge line");
+    if (g.has_edge(u, v)) {
+      fail("edge " + std::to_string(u) + " " + std::to_string(v) +
+           " repeats an earlier edge");
     }
     g.add_edge(u, v, w);
   }

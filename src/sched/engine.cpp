@@ -63,27 +63,22 @@ double ideal_parallel_seconds(double busy_quantum, double busy_classical,
 // they reference caller frames — which is why the destructor drains.
 struct WorkflowEngine::Impl {
   enum class Status : std::uint8_t {
-    kBlocked,     ///< waiting on dependencies
     kReady,       ///< in a ready queue, waiting for a slot
     kDispatched,  ///< holds a slot, handed to the pool, claimable
-    kRunning,     ///< claimed by a pool worker or a waiting coordinator
-    kDone,        ///< work returned (possibly via exception; see error)
-    kCancelled,   ///< never ran: dependency failure or group cancel
+    kRunning,     ///< claimed by a pool worker or a draining caller
   };
 
+  /// A live task. Erased from `nodes` the moment it settles.
   struct Node {
     Task task;
-    Status status = Status::kBlocked;
-    int unmet = 0;
-    std::vector<std::size_t> successors;
-    TaskTiming timing;
-    std::exception_ptr error;
+    Status status = Status::kReady;
+    double ready_s = 0.0;  ///< entry into the ready queue
   };
 
   /// One fair-share class: per-kind ready deque + SFQ virtual time. The
-  /// deques may hold STALE entries (tasks group-cancelled while queued);
-  /// `ready_live` counts only live ones, and dispatch skips stale entries
-  /// on pop.
+  /// deques may hold STALE ids (tasks group-cancelled while queued);
+  /// `ready_live` counts only live ones, and dispatch skips stale ids on
+  /// pop.
   struct ClassInfo {
     std::string name;
     double weight = 1.0;
@@ -101,8 +96,8 @@ struct WorkflowEngine::Impl {
 
   struct GroupInfo {
     bool cancelled = false;
-    /// Members submitted so far; pruned only by cancel_group/close_group
-    /// (settled entries go stale, which cancel_group skips).
+    /// Ids submitted so far; pruned only by cancel_group/close_group
+    /// (settled ids go stale, which cancel_group skips).
     std::vector<std::size_t> members;
   };
 
@@ -121,27 +116,12 @@ struct WorkflowEngine::Impl {
   // ---- *_locked helpers: QQ_REQUIRES(mutex) makes the old implicit
   // "called under the lock" convention a compiler-checked contract --------
 
-  /// Move a node into its class's ready queue for kind k. Successors jump
-  /// the queue (depth-first, see run_task); fresh submissions join the
-  /// back.
-  void enqueue_ready_locked(std::size_t i, bool front) QQ_REQUIRES(mutex) {
-    Node& node = nodes[i];
-    const int k = kind_index(node.task.kind);
-    ClassInfo& cls = classes[node.task.fair_class];
-    // SFQ activation: a class going from idle to backlogged re-enters at
-    // the current virtual clock, so an idle tenant cannot bank credit and
-    // later starve the others with a burst.
-    if (cls.ready_live[k] == 0 && cls.running[k] == 0) {
-      cls.vtime[k] = std::max(cls.vtime[k], vclock[k]);
-    }
-    node.status = Status::kReady;
-    node.timing.submit_s = now();
-    if (front) {
-      cls.ready[k].push_front(i);
-    } else {
-      cls.ready[k].push_back(i);
-    }
-    ++cls.ready_live[k];
+  /// The live node `id` if it has status `status`, else null (a missing id
+  /// has settled).
+  Node* find_locked(std::size_t id, Status status) QQ_REQUIRES(mutex) {
+    const auto it = nodes.find(id);
+    return it != nodes.end() && it->second.status == status ? &it->second
+                                                            : nullptr;
   }
 
   /// Hand ready tasks of kind k to the pool while that kind has free slots,
@@ -158,11 +138,12 @@ struct WorkflowEngine::Impl {
         if (best == nullptr || cls.vtime[k] < best->vtime[k]) best = &cls;
       }
       if (best == nullptr) break;
-      std::size_t i = 0;
-      for (;;) {  // skip entries cancelled while queued
-        i = best->ready[k].front();
+      std::size_t id = 0;
+      Node* node = nullptr;
+      while (node == nullptr) {  // skip ids cancelled while queued
+        id = best->ready[k].front();
         best->ready[k].pop_front();
-        if (nodes[i].status == Status::kReady) break;
+        node = find_locked(id, Status::kReady);
       }
       --best->ready_live[k];
       ++best->running[k];
@@ -174,75 +155,67 @@ struct WorkflowEngine::Impl {
       best->vtime[k] +=
           std::max(best->ewma_cost, 1e-9) / std::max(best->weight, 1e-9);
       ++inflight[k];
-      nodes[i].status = Status::kDispatched;
-      dispatched.push_back(i);
-      pool->submit([self, i] {
-        if (Node* node = self->try_claim(i)) self->run_task(self, *node);
+      node->status = Status::kDispatched;
+      // Pool workers claim through try_claim and never pop `dispatched`;
+      // prune the ids they already claimed so the deque stays bounded by
+      // the tasks in flight.
+      while (!dispatched.empty() &&
+             find_locked(dispatched.front(), Status::kDispatched) == nullptr) {
+        dispatched.pop_front();
+      }
+      dispatched.push_back(id);
+      pool->submit([self, id] {
+        if (Node* claimed = self->try_claim(id)) {
+          self->run_task(self, id, *claimed);
+        }
       });
     }
   }
 
-  /// Claim a dispatched task for execution. Returns the node pointer so the
-  /// caller never touches the deque without the lock: element references
-  /// are stable under push_back, but operator[] itself reads the deque's
-  /// internal map, which a concurrent submit may be growing.
-  Node* try_claim(std::size_t i) QQ_EXCLUDES(mutex) {
+  /// Claim a dispatched task for execution. The returned reference stays
+  /// valid outside the lock: unordered_map nodes never move, and the node
+  /// is erased only by the run_task that executes it.
+  Node* try_claim(std::size_t id) QQ_EXCLUDES(mutex) {
     util::MutexLock lock(mutex);
-    if (nodes[i].status != Status::kDispatched) return nullptr;
-    nodes[i].status = Status::kRunning;
-    return &nodes[i];
+    Node* node = find_locked(id, Status::kDispatched);
+    if (node != nullptr) node->status = Status::kRunning;
+    return node;
   }
 
-  /// Cancel a blocked or ready node (and, transitively, its successors)
-  /// because a dependency failed or its group was cancelled. Iterative
-  /// worklist: a dependency chain can be arbitrarily long, so recursion
-  /// would risk the stack. The nodes' on_settled callbacks are collected
-  /// into `settled` for the caller to invoke after unlocking.
-  void cancel_locked(std::size_t root, const std::exception_ptr& err,
-                     std::vector<SettledFn>& settled) QQ_REQUIRES(mutex) {
-    std::vector<std::size_t> worklist{root};
-    while (!worklist.empty()) {
-      const std::size_t i = worklist.back();
-      worklist.pop_back();
-      Node& node = nodes[i];
-      if (node.status != Status::kBlocked && node.status != Status::kReady) {
-        continue;
+  /// Claim the oldest still-dispatched task for a caller that donates its
+  /// thread (drain, try_run_one). Returns null when nothing is claimable.
+  Node* claim_next_locked(std::size_t& id) QQ_REQUIRES(mutex) {
+    while (!dispatched.empty()) {
+      id = dispatched.front();
+      dispatched.pop_front();
+      if (Node* node = find_locked(id, Status::kDispatched)) {
+        node->status = Status::kRunning;
+        return node;
       }
-      ClassInfo& cls = classes[node.task.fair_class];
-      if (node.status == Status::kReady) {
-        // The queue entry stays behind as a stale id; dispatch skips it.
-        --cls.ready_live[kind_index(node.task.kind)];
-      }
-      node.status = Status::kCancelled;
-      node.error = err;
-      const double t = now();
-      node.timing.submit_s = node.timing.start_s = node.timing.end_s = t;
-      node.timing.cancelled = true;
-      node.task.work = nullptr;
-      if (node.task.on_settled) {
-        settled.push_back(std::move(node.task.on_settled));
-        node.task.on_settled = nullptr;
-      }
-      ++cancelled;
-      ++cls.cancelled;
-      --unfinished;
-      worklist.insert(worklist.end(), node.successors.begin(),
-                      node.successors.end());
-      node.successors.clear();
     }
+    return nullptr;
+  }
+
+  /// Count a task that settles without running (its group was cancelled)
+  /// and collect its on_settled for the caller to invoke after unlocking.
+  void count_cancelled_locked(Task& task, std::vector<SettledFn>& settled)
+      QQ_REQUIRES(mutex) {
+    ++cancelled;
+    ++classes[task.fair_class].cancelled;
+    if (task.on_settled) settled.push_back(std::move(task.on_settled));
   }
 
   /// Execute a claimed task (caller holds no lock; `node` was resolved
-  /// under it) and do its completion bookkeeping: timings, slot handoff,
-  /// successor release, settle callbacks.
-  void run_task(const std::shared_ptr<Impl>& self, Node& node)
+  /// under it) and do its completion bookkeeping: counters, slot handoff,
+  /// erasing the node, the settle callback.
+  void run_task(const std::shared_ptr<Impl>& self, std::size_t id, Node& node)
       QQ_EXCLUDES(mutex) {
     const double start = now();
     std::exception_ptr err;
-    // A failing task must not abandon the graph while siblings still
-    // reference caller frames; the error is delivered by wait()/drain()
-    // once everything owed has settled. Its timing and partial runtime are
-    // recorded like any other task's so the report stays accountable.
+    // A failing task must not abandon the batch while siblings still
+    // reference caller frames; the error is delivered by drain() once
+    // everything owed has settled. Its partial runtime is counted like any
+    // other task's so the report stays accountable.
     try {
       node.task.work();
     } catch (...) {
@@ -251,66 +224,34 @@ struct WorkflowEngine::Impl {
     const double end = now();
     // Release the closure's captures outside the completion lock.
     std::function<void()> release = std::move(node.task.work);
-    node.task.work = nullptr;
-
-    SettledFn own_settled;
-    std::vector<SettledFn> cancelled_settled;
+    SettledFn settled = std::move(node.task.on_settled);
     {
       util::MutexLock lock(mutex);
       const int k = kind_index(node.task.kind);
       ClassInfo& cls = classes[node.task.fair_class];
-      node.timing.start_s = start;
-      node.timing.end_s = end;
-      node.timing.wait_s = start - node.timing.submit_s;
-      node.timing.failed = err != nullptr;
-      node.error = err;
-      node.status = Status::kDone;
       const double cost = end - start;
+      const double wait = start - node.ready_s;
       busy[k] += cost;
       cls.busy_seconds += cost;
       cls.ewma_cost =
           (1.0 - kCostEwmaAlpha) * cls.ewma_cost + kCostEwmaAlpha * cost;
-      queue_wait += node.timing.wait_s;
-      cls.queue_wait += node.timing.wait_s;
+      queue_wait += wait;
+      cls.queue_wait += wait;
       ++completed;
       ++cls.completed;
       --cls.running[k];
       if (err && !first_error) first_error = err;
       --inflight[k];
       --unfinished;
-      if (node.task.on_settled) {
-        own_settled = std::move(node.task.on_settled);
-        node.task.on_settled = nullptr;
-      }
-      // Release successors: completion of the last dependency moves a
-      // blocked task straight into its kind's ready queue.
-      for (const std::size_t s : node.successors) {
-        Node& succ = nodes[s];
-        if (succ.status != Status::kBlocked) continue;
-        if (err) {
-          cancel_locked(s, err, cancelled_settled);
-          continue;
-        }
-        if (--succ.unmet == 0) {
-          // Depth-first: a successor that just became ready jumps the
-          // queue. Draining in-flight chains before starting queued
-          // breadth is what lets a fast component's coarse level overlap a
-          // slow component's still-running leaves instead of parking
-          // behind them, and it bounds work-in-progress per chain.
-          enqueue_ready_locked(s, /*front=*/true);
-        }
-      }
-      node.successors.clear();
-      // Slot handoff: release this slot and dispatch whatever is ready —
-      // both kinds, since the released successors may be of either.
-      dispatch_locked(self, 0);
-      dispatch_locked(self, 1);
+      nodes.erase(id);
+      // Slot handoff: release this slot and dispatch the next ready task
+      // of its kind.
+      dispatch_locked(self, k);
     }
     cv.notify_all();
-    // Settle callbacks run outside the lock: they may submit follow-up
-    // tasks (dynamic graphs) or take service-level locks.
-    if (own_settled) own_settled(err);
-    for (SettledFn& fn : cancelled_settled) fn(err);
+    // The settle callback runs outside the lock: it may submit follow-up
+    // tasks or take service-level locks.
+    if (settled) settled(err);
   }
 
   /// Cooperative wait: claim and inline-run THIS engine's dispatched tasks
@@ -322,19 +263,10 @@ struct WorkflowEngine::Impl {
                   const std::function<bool()>& done) QQ_EXCLUDES(mutex) {
     util::MutexLock lock(mutex);
     while (!done()) {
-      Node* mine = nullptr;
-      while (!dispatched.empty()) {
-        const std::size_t i = dispatched.front();
-        dispatched.pop_front();
-        if (nodes[i].status == Status::kDispatched) {
-          nodes[i].status = Status::kRunning;
-          mine = &nodes[i];
-          break;
-        }
-      }
-      if (mine != nullptr) {
+      std::size_t id = 0;
+      if (Node* mine = claim_next_locked(id)) {
         lock.unlock();
-        run_task(self, *mine);
+        run_task(self, id, *mine);
         lock.lock();
         continue;
       }
@@ -355,18 +287,20 @@ struct WorkflowEngine::Impl {
   util::Timer clock;  ///< engine-lifetime clock; all timings are relative
   util::ThreadPool* pool;
   std::array<int, 2> caps;
-  /// Deque: stable element references while growing. A claimed task's
-  /// Node& is deliberately mutated outside the lock (status kRunning fences
-  /// it off); the analysis checks direct `nodes` accesses only.
-  std::deque<Node> nodes QQ_GUARDED_BY(mutex);
+  /// Live tasks by id. A node-based map: element references survive
+  /// rehashing, so a claimed task's Node& is mutated outside the lock
+  /// (status kRunning fences it off); the analysis checks direct `nodes`
+  /// accesses only.
+  std::unordered_map<std::size_t, Node> nodes QQ_GUARDED_BY(mutex);
+  std::size_t next_id QQ_GUARDED_BY(mutex) = 0;
   std::vector<ClassInfo> classes QQ_GUARDED_BY(mutex);  ///< [0] = default
   /// Per-kind SFQ virtual clock.
   std::array<double, 2> vclock QQ_GUARDED_BY(mutex) = {{0.0, 0.0}};
   std::unordered_map<GroupId, GroupInfo> groups QQ_GUARDED_BY(mutex);
   GroupId next_group QQ_GUARDED_BY(mutex) = 1;
-  /// Dispatched-but-not-yet-claimed tasks, coordinator-claimable; a task is
-  /// executed by whichever side (pool worker or waiting coordinator) claims
-  /// it first. Stale entries (already claimed) are skipped on pop.
+  /// Dispatched-but-not-yet-claimed ids, claimable by a draining caller; a
+  /// task is executed by whichever side (pool worker or caller) claims it
+  /// first. Stale ids (already claimed) are skipped on pop.
   std::deque<std::size_t> dispatched QQ_GUARDED_BY(mutex);
   std::array<int, 2> inflight QQ_GUARDED_BY(mutex) = {{0, 0}};
   std::size_t unfinished QQ_GUARDED_BY(mutex) = 0;
@@ -444,29 +378,34 @@ GroupId WorkflowEngine::open_group() {
 std::size_t WorkflowEngine::cancel_group(GroupId group) {
   std::vector<Impl::SettledFn> settled;
   std::size_t newly_cancelled = 0;
-  const std::exception_ptr err = std::make_exception_ptr(
-      util::CancelledError(util::StopReason::kCancelled));
   {
-    util::MutexLock lock(impl_->mutex);
-    auto it = impl_->groups.find(group);
-    if (it == impl_->groups.end()) return 0;
+    Impl& st = *impl_;
+    util::MutexLock lock(st.mutex);
+    auto it = st.groups.find(group);
+    if (it == st.groups.end()) return 0;
     it->second.cancelled = true;
-    const std::size_t before = impl_->cancelled;
+    const std::size_t before = st.cancelled;
     for (const std::size_t id : it->second.members) {
-      impl_->cancel_locked(id, err, settled);
+      const auto node = st.nodes.find(id);
+      if (node == st.nodes.end() ||
+          node->second.status != Impl::Status::kReady) {
+        continue;  // settled, or already holds a slot
+      }
+      Task& task = node->second.task;
+      // The queue entry stays behind as a stale id; dispatch skips it.
+      --st.classes[task.fair_class].ready_live[kind_index(task.kind)];
+      --st.unfinished;
+      st.count_cancelled_locked(task, settled);
+      st.nodes.erase(node);
     }
     it->second.members.clear();
-    newly_cancelled = impl_->cancelled - before;
+    newly_cancelled = st.cancelled - before;
   }
   impl_->cv.notify_all();
+  const std::exception_ptr err = std::make_exception_ptr(
+      util::CancelledError(util::StopReason::kCancelled));
   for (Impl::SettledFn& fn : settled) fn(err);
   return newly_cancelled;
-}
-
-bool WorkflowEngine::group_cancelled(GroupId group) const {
-  util::MutexLock lock(impl_->mutex);
-  const auto it = impl_->groups.find(group);
-  return it != impl_->groups.end() && it->second.cancelled;
 }
 
 void WorkflowEngine::close_group(GroupId group) {
@@ -476,129 +415,65 @@ void WorkflowEngine::close_group(GroupId group) {
 
 bool WorkflowEngine::try_run_one() {
   Impl& st = *impl_;
+  std::size_t id = 0;
   Impl::Node* mine = nullptr;
   {
     util::MutexLock lock(st.mutex);
-    while (!st.dispatched.empty()) {
-      const std::size_t i = st.dispatched.front();
-      st.dispatched.pop_front();
-      if (st.nodes[i].status == Impl::Status::kDispatched) {
-        st.nodes[i].status = Impl::Status::kRunning;
-        mine = &st.nodes[i];
-        break;
-      }
-    }
+    mine = st.claim_next_locked(id);
   }
   if (mine == nullptr) return false;
-  st.run_task(impl_, *mine);
+  st.run_task(impl_, id, *mine);
   return true;
 }
 
-TaskHandle WorkflowEngine::submit(Task task,
-                                  const std::vector<TaskHandle>& deps) {
+void WorkflowEngine::submit(Task task) {
   if (!task.work) {
     throw std::invalid_argument("WorkflowEngine::submit: empty task");
   }
+  Impl& st = *impl_;
   std::vector<Impl::SettledFn> settled;
-  std::exception_ptr settle_err;
-  std::size_t id = 0;
   {
-    util::MutexLock lock(impl_->mutex);
-    id = impl_->nodes.size();
-    for (const TaskHandle dep : deps) {
-      if (dep.id >= id) {
-        // Also catches self-dependency and invalid handles; cycles are
-        // impossible because a task can only depend on earlier submissions.
-        throw std::invalid_argument("WorkflowEngine::submit: bad dependency");
-      }
-    }
-    if (task.fair_class >= impl_->classes.size()) {
+    util::MutexLock lock(st.mutex);
+    if (task.fair_class >= st.classes.size()) {
       throw std::invalid_argument("WorkflowEngine::submit: unknown class");
     }
     Impl::GroupInfo* group_info = nullptr;
     if (task.group != kNoGroup) {
-      const auto it = impl_->groups.find(task.group);
-      if (it == impl_->groups.end()) {
+      const auto it = st.groups.find(task.group);
+      if (it == st.groups.end()) {
         throw std::invalid_argument("WorkflowEngine::submit: unknown group");
       }
       group_info = &it->second;
     }
-    impl_->nodes.emplace_back();
-    Impl::Node& node = impl_->nodes.back();
-    node.task = std::move(task);
-    node.timing.task = id;
-    node.timing.kind = node.task.kind;
-    const int k = kind_index(node.task.kind);
-    ++impl_->task_count[k];
-    ++impl_->unfinished;
-
-    // A submission into an already-cancelled group cancels on arrival —
-    // dynamic pipelines racing a cancel cannot leak tasks past it.
+    const int k = kind_index(task.kind);
+    ++st.task_count[k];
     if (group_info != nullptr && group_info->cancelled) {
-      settle_err = std::make_exception_ptr(
-          util::CancelledError(util::StopReason::kCancelled));
-      impl_->cancel_locked(id, settle_err, settled);
+      // A submission into an already-cancelled group cancels on arrival —
+      // dynamic pipelines racing a cancel cannot leak tasks past it.
+      st.count_cancelled_locked(task, settled);
     } else {
+      const std::size_t id = st.next_id++;
       if (group_info != nullptr) group_info->members.push_back(id);
-      std::exception_ptr dep_error;
-      for (const TaskHandle dep : deps) {
-        Impl::Node& parent = impl_->nodes[dep.id];
-        switch (parent.status) {
-          case Impl::Status::kDone:
-            if (parent.error && !dep_error) dep_error = parent.error;
-            break;
-          case Impl::Status::kCancelled:
-            if (!dep_error) dep_error = parent.error;
-            break;
-          default:
-            parent.successors.push_back(id);
-            ++node.unmet;
-            break;
-        }
+      Impl::ClassInfo& cls = st.classes[task.fair_class];
+      // SFQ activation: a class going from idle to backlogged re-enters at
+      // the current virtual clock, so an idle tenant cannot bank credit and
+      // later starve the others with a burst.
+      if (cls.ready_live[k] == 0 && cls.running[k] == 0) {
+        cls.vtime[k] = std::max(cls.vtime[k], st.vclock[k]);
       }
-      if (dep_error) {
-        settle_err = dep_error;
-        impl_->cancel_locked(id, dep_error, settled);
-      } else if (node.unmet == 0) {
-        impl_->enqueue_ready_locked(id, /*front=*/false);
-        impl_->dispatch_locked(impl_, k);
-      }
+      Impl::Node& node = st.nodes[id];
+      node.task = std::move(task);
+      node.ready_s = st.now();
+      cls.ready[k].push_back(id);
+      ++cls.ready_live[k];
+      ++st.unfinished;
+      st.dispatch_locked(impl_, k);
     }
   }
-  for (Impl::SettledFn& fn : settled) fn(settle_err);
-  return TaskHandle{id};
-}
-
-bool WorkflowEngine::finished(TaskHandle handle) const {
-  util::MutexLock lock(impl_->mutex);
-  if (handle.id >= impl_->nodes.size()) {
-    throw std::out_of_range("WorkflowEngine::finished: unknown handle");
+  if (!settled.empty()) {
+    settled.front()(std::make_exception_ptr(
+        util::CancelledError(util::StopReason::kCancelled)));
   }
-  const auto status = impl_->nodes[handle.id].status;
-  return status == Impl::Status::kDone || status == Impl::Status::kCancelled;
-}
-
-void WorkflowEngine::wait(TaskHandle handle) {
-  {
-    util::MutexLock lock(impl_->mutex);
-    if (handle.id >= impl_->nodes.size()) {
-      throw std::out_of_range("WorkflowEngine::wait: unknown handle");
-    }
-  }
-  Impl& st = *impl_;
-  // help_until evaluates `done` with st.mutex held; the annotation lets the
-  // analysis check the guarded reads inside the closure body.
-  st.help_until(impl_, [&st, handle]() QQ_REQUIRES(st.mutex) {
-    const auto status = st.nodes[handle.id].status;
-    return status == Impl::Status::kDone ||
-           status == Impl::Status::kCancelled;
-  });
-  std::exception_ptr err;
-  {
-    util::MutexLock lock(st.mutex);
-    err = st.nodes[handle.id].error;
-  }
-  if (err) std::rethrow_exception(err);
 }
 
 void WorkflowEngine::drain(std::exception_ptr* error_out) {
@@ -617,21 +492,13 @@ void WorkflowEngine::drain(std::exception_ptr* error_out) {
   }
 }
 
-TaskTiming WorkflowEngine::timing(TaskHandle handle) const {
-  util::MutexLock lock(impl_->mutex);
-  if (handle.id >= impl_->nodes.size()) {
-    throw std::out_of_range("WorkflowEngine::timing: unknown handle");
-  }
-  return impl_->nodes[handle.id].timing;
-}
-
 EngineStats WorkflowEngine::stats() const {
   util::MutexLock lock(impl_->mutex);
   EngineStats out;
   out.busy_quantum_seconds = impl_->busy[0];
   out.busy_classical_seconds = impl_->busy[1];
   out.queue_wait_seconds = impl_->queue_wait;
-  out.submitted = impl_->nodes.size();
+  out.submitted = impl_->task_count[0] + impl_->task_count[1];
   out.completed = impl_->completed;
   out.cancelled = impl_->cancelled;
   out.quantum_tasks = impl_->task_count[0];

@@ -9,37 +9,36 @@
 // tagged kQuantum run concurrently (the simulated QPUs) and at most
 // `classical_slots` tasks tagged kClassical (the CPU partition).
 //
-// The engine is PERSISTENT and DEPENDENCY-AWARE: `submit(task, deps)`
-// returns a TaskHandle immediately; a task enters its resource kind's ready
-// queue once every dependency has completed, and completion of a task hands
-// its slot to the next ready task of that kind AND enqueues any successors
-// that just became ready — the coordinator thread never mediates a
-// dependency edge. One engine (and one thread pool) can therefore stay
-// alive across an entire QAOA^2 solve, streaming tasks of many components
-// and recursion levels through the same slot budget.
+// The engine schedules INDEPENDENT tasks and holds only live ones:
+// `submit(task)` queues a task in its resource kind's ready queue, the
+// completion of a task hands its slot to the next ready task of that kind,
+// and a task's bookkeeping is freed the moment it settles — so one engine
+// (and one thread pool) can stay alive across an entire QAOA^2 solve, or a
+// service's whole lifetime, without growing. A caller that needs a join
+// (the QAOA^2 pipeline's per-level merge) counts settles down in
+// `Task::on_settled` and submits the follow-up task itself.
 //
 // The engine is NON-BLOCKING: at most `slots` tasks of a kind are handed to
 // the thread pool at a time; no pool thread ever parks waiting for a slot,
-// and a waiting caller (`wait`/`drain`) help-runs this engine's dispatched
-// tasks plus bounded pool chunk work, so waits issued from inside a pool
-// worker — or on a pool of one — still complete.
+// and a draining caller help-runs this engine's dispatched tasks plus
+// bounded pool chunk work, so a drain issued from inside a pool worker — or
+// on a pool of one — still completes.
 //
-// A batch of independent tasks is a sequence of `submit` calls followed by
-// `drain`; per-task `timing` and the cumulative `stats` report what ran.
+// A batch is a sequence of `submit` calls followed by `drain`; the
+// cumulative `stats` report what ran.
 //
 // MULTI-TENANCY (the service layer's substrate): tasks carry a fair-share
 // CLASS and a cancellation GROUP. Classes (add_class) are weighted queues
 // feeding each kind's slot queue — dispatch is start-time fair queuing over
 // per-(class, kind) virtual time, so a weight-3 tenant drains ~3x the work
 // of a weight-1 tenant under contention, while the default class 0 alone
-// reproduces the classic FIFO/depth-first order exactly (modeled on
-// ClickHouse's workload resource manager). Groups (open_group /
-// cancel_group) scope one request's tasks: cancel_group cancels every
-// queued member through the same transitive-cancel machinery a failed
-// dependency uses, marks the group so late submissions cancel on arrival,
-// and lets running members finish their current task (cooperative
-// preemption at task-graph boundaries). `Task::on_settled` fires exactly
-// once per task, outside the engine lock, for async completion tracking.
+// is a plain FIFO per kind (modeled on ClickHouse's workload resource
+// manager). Groups (open_group / cancel_group) scope one request's tasks:
+// cancel_group cancels every queued member, marks the group so late
+// submissions cancel on arrival, and lets running members finish their
+// current task (cooperative preemption at task boundaries).
+// `Task::on_settled` fires exactly once per task, outside the engine lock,
+// for async completion tracking.
 
 #include <cstddef>
 #include <cstdint>
@@ -109,30 +108,6 @@ struct Task {
   std::function<void(std::exception_ptr)> on_settled;
 };
 
-/// Opaque reference to a submitted task; valid for the engine's lifetime.
-struct TaskHandle {
-  static constexpr std::size_t kInvalid = static_cast<std::size_t>(-1);
-  std::size_t id = kInvalid;
-  bool valid() const noexcept { return id != kInvalid; }
-};
-
-struct TaskTiming {
-  std::size_t task = 0;
-  ResourceKind kind = ResourceKind::kClassical;
-  double submit_s = 0.0;  ///< entry into the engine's ready queue (for a
-                          ///< dependent task: the moment its last dependency
-                          ///< completed), relative to engine construction
-  double start_s = 0.0;   ///< `work` began executing
-  double end_s = 0.0;     ///< `work` returned (or threw)
-  double wait_s = 0.0;    ///< start_s - submit_s: slot wait + pool queueing
-  /// `work` ran and exited via an exception. Disjoint from `cancelled`: a
-  /// task is either run (and possibly failed) or cancelled, never both.
-  bool failed = false;
-  /// Never ran: a (transitive) dependency failed or its group was
-  /// cancelled.
-  bool cancelled = false;
-};
-
 /// Cumulative engine counters since construction; snapshot via
 /// WorkflowEngine::stats().
 struct EngineStats {
@@ -142,7 +117,7 @@ struct EngineStats {
   double queue_wait_seconds = 0.0;
   std::size_t submitted = 0;
   std::size_t completed = 0;  ///< ran to completion, including failed tasks
-  std::size_t cancelled = 0;  ///< skipped: dependency failure or group cancel
+  std::size_t cancelled = 0;  ///< never ran: its group was cancelled
   std::size_t quantum_tasks = 0;
   std::size_t classical_tasks = 0;
   // Instantaneous gauges (the service's admission/backlog signal).
@@ -178,8 +153,7 @@ class WorkflowEngine {
   /// The pool tasks execute on (options().pool or the global pool).
   util::ThreadPool& pool() const noexcept;
 
-  /// The engine clock (seconds since construction) — the time base of every
-  /// TaskTiming. Thread-safe.
+  /// The engine clock (seconds since construction). Thread-safe.
   double now() const noexcept;
 
   /// Register a fair-share class. Throws std::invalid_argument for a
@@ -190,49 +164,33 @@ class WorkflowEngine {
   /// Open a cancellation group for one request's tasks.
   GroupId open_group();
 
-  /// Cancel every not-yet-running member of `group` (transitively, through
-  /// the same machinery as dependency-failure cancellation) and mark the
-  /// group so tasks submitted into it afterwards cancel on arrival. Members
-  /// already running finish their current task; their successors cancel.
-  /// Returns the number of tasks newly cancelled. Unknown or closed groups
-  /// return 0.
+  /// Cancel every queued member of `group` and mark the group so tasks
+  /// submitted into it afterwards cancel on arrival. Members already
+  /// running finish their current task. Returns the number of tasks newly
+  /// cancelled. Unknown or closed groups return 0.
   std::size_t cancel_group(GroupId group);
-
-  bool group_cancelled(GroupId group) const;
 
   /// Drop a group's bookkeeping once the owning request has settled (its
   /// member list grows with every submission until closed).
   void close_group(GroupId group);
 
   /// Claim and inline-run one dispatched task, if any — lets an external
-  /// waiter donate its thread without entering wait()/drain(). Returns
-  /// false when nothing was claimable.
+  /// waiter donate its thread without entering drain(). Returns false when
+  /// nothing was claimable.
   bool try_run_one();
 
-  /// Enqueue `task` to run once every task in `deps` has completed
-  /// successfully. A task with no (remaining) dependencies enters its
-  /// kind's ready queue immediately. If any dependency failed or was
-  /// cancelled, the task is cancelled instead of run, transitively.
-  /// Thread-safe; callable from inside a running task (dynamic task
-  /// graphs).
-  TaskHandle submit(Task task, const std::vector<TaskHandle>& deps = {});
+  /// Queue `task` in its kind's ready queue (behind the ready tasks of its
+  /// class). Thread-safe; callable from inside a running task or an
+  /// `on_settled` callback.
+  void submit(Task task);
 
-  /// True once the task has run (or been cancelled).
-  bool finished(TaskHandle handle) const;
-
-  /// Cooperatively help-run engine tasks until `handle` completes, then
-  /// rethrow its error if it failed (a cancelled task rethrows the
-  /// dependency's error).
-  void wait(TaskHandle handle);
-
-  /// Cooperatively help-run until every submitted task has completed. The
-  /// first error observed since the last drain is rethrown — unless
-  /// `error_out` is non-null, in which case it is stored there.
+  /// Cooperatively help-run until every submitted task has completed. A
+  /// settle callback runs after its task counts as completed, so a task it
+  /// submits may arrive after drain returns; a caller joining through
+  /// callbacks drains until its own join has fired. The first error
+  /// observed since the last drain is rethrown — unless `error_out` is
+  /// non-null, in which case it is stored there.
   void drain(std::exception_ptr* error_out = nullptr);
-
-  /// Timing of a completed (or cancelled) task, relative to engine
-  /// construction.
-  TaskTiming timing(TaskHandle handle) const;
 
   EngineStats stats() const;
 

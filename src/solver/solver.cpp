@@ -16,9 +16,8 @@ SolveReport Solver::solve(const SolveRequest& request) const {
   if (request.graph == nullptr) {
     throw std::invalid_argument("Solver::solve: request.graph is null");
   }
-  // A stopped request never starts a backend — the CancelledError unwinds
-  // through the engine's transitive-cancel machinery so the rest of the
-  // request's task graph settles as cancelled, not failed.
+  // A stopped request never starts a backend — the CancelledError settles
+  // the task, and with it the request, as cancelled, not failed.
   if (request.context != nullptr) request.context->throw_if_stopped();
   const graph::Graph& g = *request.graph;
 

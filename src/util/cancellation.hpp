@@ -8,8 +8,8 @@
 // The contract is cooperative: nothing is interrupted. Long-running loops
 // poll `stopped()` (optimizer evaluations, anneal sweeps, GW slicings,
 // local-search restarts) and return their best-so-far; task boundaries call
-// `throw_if_stopped()` so a stopped request's remaining task graph unwinds
-// through the engine's transitive-cancel machinery as a CancelledError.
+// `throw_if_stopped()` so a stopped request's remaining tasks settle with
+// a CancelledError, which stops the pipeline submitting further levels.
 // All members are lock-free atomics: one context is read from many engine
 // tasks concurrently while the owning service cancels it from outside.
 

@@ -8,8 +8,6 @@
 namespace qq::util {
 
 namespace {
-thread_local const ThreadPool* tls_owner = nullptr;
-
 std::atomic<std::uint64_t> g_chunk_tasks_executed{0};
 
 std::size_t resolve_thread_count(std::size_t requested) {
@@ -42,8 +40,6 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-bool ThreadPool::inside_worker() const noexcept { return tls_owner == this; }
-
 std::uint64_t ThreadPool::chunk_tasks_executed() noexcept {
   return g_chunk_tasks_executed.load(std::memory_order_relaxed);
 }
@@ -54,7 +50,6 @@ ThreadPool& ThreadPool::global() {
 }
 
 void ThreadPool::worker_loop(std::size_t /*index*/) {
-  tls_owner = this;
   for (;;) {
     ChunkTask chunk{nullptr, nullptr};
     std::function<void()> task;
@@ -115,29 +110,6 @@ bool ThreadPool::try_help_chunk() {
     chunk_queue_.pop_front();
   }
   run_chunk_task(std::move(chunk));
-  return true;
-}
-
-bool ThreadPool::try_help_one() {
-  ChunkTask chunk{nullptr, nullptr};
-  std::function<void()> task;
-  {
-    MutexLock lock(mutex_);
-    if (!chunk_queue_.empty()) {
-      chunk = std::move(chunk_queue_.front());
-      chunk_queue_.pop_front();
-    } else if (!queue_.empty()) {
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    } else {
-      return false;
-    }
-  }
-  if (chunk.group != nullptr) {
-    run_chunk_task(std::move(chunk));
-  } else {
-    task();
-  }
   return true;
 }
 

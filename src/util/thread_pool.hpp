@@ -10,11 +10,9 @@
 // Two kinds of work flow through the pool:
 //
 //  * submit() tasks — coarse, future-returning jobs (e.g. the workflow
-//    engine's sub-graph solves). Only pool workers (or an explicit
-//    try_help_one() caller that accepts running arbitrary foreign work
-//    inline) run these; the engine coordinator deliberately does NOT — it
-//    claims its own batch's tasks and otherwise helps only via
-//    try_help_chunk().
+//    engine's sub-graph solves). Only pool workers run these; the engine
+//    coordinator deliberately does NOT — it claims its own batch's tasks
+//    and otherwise helps only via try_help_chunk().
 //  * TaskGroup tasks — fine-grained chunks produced by parallel_for_chunks /
 //    parallel_reduce. Anybody may run these: pool workers drain them with
 //    priority, and a thread waiting on its own group *helps* by executing
@@ -103,22 +101,11 @@ class ThreadPool {
     std::exception_ptr error_ QQ_GUARDED_BY(pool_->mutex_);
   };
 
-  /// Run one queued task if any is available — chunk tasks first, then
-  /// submitted tasks. Returns whether something was executed. Note that the
-  /// submitted task picked up may be ANY queued work, so only call this
-  /// when executing arbitrary foreign tasks inline is acceptable.
-  bool try_help_one();
-
   /// Run one queued CHUNK task if any is available (never a coarse
   /// submitted task). Chunk bodies are bounded, so this is safe in waits
   /// that must not adopt foreign long-running work — the engine
   /// coordinator's wait loop uses it.
   bool try_help_chunk();
-
-  /// True when called from one of this pool's worker threads. Nested
-  /// parallel regions no longer serialize on this — it remains for
-  /// diagnostics and tests.
-  bool inside_worker() const noexcept;
 
   /// Process-wide count of TaskGroup (chunk) tasks executed, across all
   /// pools. Monotonic; a cheap observability hook used by tests and

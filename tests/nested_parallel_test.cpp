@@ -1,7 +1,7 @@
 // Regression suite for the QAOA^2 serialization bug (ISSUE 3): a QAOA
 // sub-solve dispatched through WorkflowEngine runs ON a pool worker, and
 // the old chunk planner collapsed every nested parallel_for/parallel_reduce
-// to one serial chunk whenever inside_worker() was true — so the PR-2
+// to one serial chunk whenever it ran on a pool worker — so the
 // pair-indexed and fused-mixer kernels ran single-threaded exactly when
 // QAOA^2 used them.
 //
@@ -75,7 +75,7 @@ TEST(NestedParallel, EngineSubSolveSplitsNestedKernels) {
   const std::uint64_t chunks_after = util::ThreadPool::chunk_tasks_executed();
 
   // The state vector has 2^16 amplitudes and the sweeps plan >= 4 chunks
-  // each; with the old inside_worker() cliff this delta was ZERO.
+  // each; with the old serial-inside-a-worker cliff this delta was ZERO.
   const std::uint64_t delta = chunks_after - chunks_before;
   EXPECT_GE(delta, 4u) << "nested kernels did not split inside the engine";
 

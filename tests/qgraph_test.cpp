@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "qgraph/generators.hpp"
 #include "qgraph/graph.hpp"
@@ -450,6 +451,36 @@ TEST(Io, MalformedInputThrows) {
   EXPECT_THROW(read_edge_list(truncated), std::runtime_error);
   std::stringstream garbage("x y\n");
   EXPECT_THROW(read_edge_list(garbage), std::runtime_error);
+}
+
+/// The what() of the runtime_error `text` raises, or "" if it parses.
+std::string edge_list_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    (void)read_edge_list(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Io, HugeNodeCountIsRejectedBeforeAllocating) {
+  // A 12-byte header used to size 2e9 adjacency lists (bad_alloc or an
+  // out-of-memory kill).
+  const std::string err = edge_list_error("2000000000 0");
+  EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+  EXPECT_NE(err.find("node count 2000000000"), std::string::npos) << err;
+  EXPECT_EQ(edge_list_error(std::to_string(kMaxEdgeListNodes) + " 0"), "");
+  EXPECT_NE(edge_list_error("-3 0"), "");
+}
+
+TEST(Io, RepeatedEdgeIsRejected) {
+  // Used to read silently as one edge of weight 2 under a header of 2 edges.
+  const std::string err = edge_list_error("3 2\n0 1 1\n0 1 1\n");
+  EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+  EXPECT_NE(err.find("repeats"), std::string::npos) << err;
+  EXPECT_NE(edge_list_error("3 2\n0 1 1\n1 0 1\n"), "");  // either order
+  EXPECT_EQ(edge_list_error("3 2\n0 1 1\n1 2 1\n"), "");
 }
 
 }  // namespace

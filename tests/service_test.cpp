@@ -90,6 +90,76 @@ void register_sleepy_once() {
 
 Graph ring(graph::NodeId n) { return graph::cycle_graph(n); }
 
+// A leaf backend whose first solve throws — one failing sub-graph inside
+// a decomposed solve — and a merge backend that counts its calls. Both
+// return the alternating assignment otherwise.
+std::atomic<int> g_merge_calls{0};
+
+solver::SolveReport alternating_report(const solver::SolveRequest& request) {
+  solver::SolveReport report;
+  const auto n = static_cast<std::size_t>(request.graph->num_nodes());
+  report.cut.assignment.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    report.cut.assignment[i] = static_cast<int>(i % 2);
+  }
+  report.cut.value = maxcut::cut_value(*request.graph, report.cut.assignment);
+  return report;
+}
+
+class FailOnceSolver final : public solver::Solver {
+ public:
+  std::string_view name() const noexcept override { return "fail_once"; }
+  sched::ResourceKind resource_kind() const noexcept override {
+    return sched::ResourceKind::kClassical;
+  }
+
+ protected:
+  solver::SolveReport do_solve(
+      const solver::SolveRequest& request) const override {
+    if (calls_.fetch_add(1) == 0) throw std::runtime_error("leaf failed");
+    return alternating_report(request);
+  }
+
+ private:
+  mutable std::atomic<int> calls_{0};
+};
+
+class CountingMergeSolver final : public solver::Solver {
+ public:
+  std::string_view name() const noexcept override { return "count_merge"; }
+  sched::ResourceKind resource_kind() const noexcept override {
+    return sched::ResourceKind::kClassical;
+  }
+
+ protected:
+  solver::SolveReport do_solve(
+      const solver::SolveRequest& request) const override {
+    ++g_merge_calls;
+    return alternating_report(request);
+  }
+};
+
+void register_failure_solvers_once() {
+  static const bool registered = [] {
+    solver::SolverRegistry& registry = solver::SolverRegistry::global();
+    registry.register_solver(
+        "fail_once", "test leaf whose first solve throws", {},
+        [](const solver::SolverRegistry&, std::string_view,
+           const solver::SolverDefaults&) -> solver::SolverPtr {
+          return std::make_unique<FailOnceSolver>();
+        });
+    registry.register_solver(
+        "count_merge", "test merge backend that counts its calls", {},
+        [](const solver::SolverRegistry&, std::string_view,
+           const solver::SolverDefaults&) -> solver::SolverPtr {
+          return std::make_unique<CountingMergeSolver>();
+        });
+    return true;
+  }();
+  (void)registered;
+}
+
+
 ServiceRequest sleepy_request(graph::NodeId n, int polls, double ms,
                               const std::string& cls = "") {
   ServiceRequest req;
@@ -156,6 +226,55 @@ TEST(Service, CompletesDirectAndDecomposedRequests) {
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.in_flight, 0u);
   EXPECT_FALSE(render_stats(stats).empty());
+}
+
+TEST(Qaoa2Failure, LeafErrorIsRethrownOnceAndTheMergeNeverRuns) {
+  // ring(30) on 8-qubit devices: one partitioned level whose coarse graph
+  // fits, so the merge backend solves it exactly once per successful solve.
+  register_failure_solvers_once();
+  qaoa2::Qaoa2Options opts;
+  opts.max_qubits = 8;
+  opts.sub_solver_spec = "gw";
+  opts.deeper_solver_spec = "gw";
+  opts.merge_solver_spec = "count_merge";
+  g_merge_calls = 0;
+  EXPECT_GT(qaoa2::solve_qaoa2(ring(30), opts).cut.value, 0.0);
+  EXPECT_EQ(g_merge_calls.load(), 1);  // the control: leaves succeed
+
+  g_merge_calls = 0;
+  opts.sub_solver_spec = "fail_once";
+  int throws = 0;
+  try {
+    (void)qaoa2::solve_qaoa2(ring(30), opts);
+  } catch (const std::runtime_error& e) {
+    ++throws;
+    EXPECT_STREQ(e.what(), "leaf failed");
+  }
+  EXPECT_EQ(throws, 1);
+  EXPECT_EQ(g_merge_calls.load(), 0);
+}
+
+TEST(Service, DecomposedLeafFailureSettlesOnceAsFailed) {
+  register_failure_solvers_once();
+  SolveService service(uncached_options());
+  g_merge_calls = 0;
+  ServiceRequest req;
+  req.graph = ring(30);
+  req.solver_spec = "fail_once";
+  req.deeper_spec = "gw";
+  req.merge_spec = "count_merge";
+  req.max_qubits = 8;
+  const RequestTicket t = service.submit(std::move(req));
+  service.wait(t);
+  ASSERT_EQ(t.status(), RequestStatus::kFailed);
+  EXPECT_EQ(t.outcome().error, "leaf failed");
+  service.drain();
+  EXPECT_EQ(g_merge_calls.load(), 0);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.cancelled, 0u);
+  EXPECT_EQ(stats.in_flight, 0u);
 }
 
 TEST(Service, TicketContractsWhilePendingAndWhenEmpty) {

@@ -291,40 +291,11 @@ TEST(ThreadPool, TaskGroupRunsEverythingAndReportsFirstError) {
   EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(ThreadPool, TryHelpOneExecutesQueuedWork) {
-  ThreadPool pool(1);
-  // Saturate the single worker so the submitted probe stays queued, then
-  // help from this thread — the primitive the engine's coordinator uses.
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  auto blocker = pool.submit([&started, &release] {
-    started = true;
-    while (!release.load()) std::this_thread::yield();
-  });
-  // Make sure the worker owns the blocker before queueing the probe, so
-  // try_help_one below can only ever pick up the probe.
-  while (!started.load()) std::this_thread::yield();
-  std::atomic<bool> probe_ran{false};
-  auto probe = pool.submit([&probe_ran] { probe_ran = true; });
-  while (!pool.try_help_one()) std::this_thread::yield();
-  EXPECT_TRUE(probe_ran.load());
-  release = true;
-  blocker.get();
-  probe.get();
-}
-
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   int calls = 0;
   parallel_for(pool, 5, 5, [&calls](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-}
-
-TEST(ThreadPool, InsideWorkerDetection) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.inside_worker());
-  auto fut = pool.submit([&pool] { return pool.inside_worker(); });
-  EXPECT_TRUE(fut.get());
 }
 
 // ---------------------------------------------------- parallel_reduce ----
