@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const auto nodes = static_cast<qq::graph::NodeId>(args.get_int("nodes", 240));
   const int qubits = args.get_int("qubits", 10);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 16));
+  args.reject_unknown();
 
   std::printf("=== Ablation: QAOA^2 partition method ===\n");
   std::printf("%d-node instances, %d-qubit devices, GW sub-solver (isolates "

@@ -22,6 +22,8 @@ int main(int argc, char** argv) {
   const int instances = args.get_int("instances", 20);
   const int layers = args.get_int("layers", 3);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 14));
+  const std::vector<int> ks = args.get_int_list("k", {1, 2, 4, 8, 16, 64});
+  args.reject_unknown();
 
   std::printf("=== Ablation: top-k amplitude scan (paper section 5 claim) "
               "===\n");
@@ -30,7 +32,6 @@ int main(int argc, char** argv) {
               "argmax string is fallible)\n\n",
               instances, nodes, layers);
 
-  const std::vector<int> ks = args.get_int_list("k", {1, 2, 4, 8, 16, 64});
   std::vector<qq::util::RunningStats> ratio(ks.size());
   std::vector<int> optimal_hits(ks.size(), 0);
 

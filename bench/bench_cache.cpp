@@ -228,6 +228,7 @@ int main(int argc, char** argv) {
   const qq::util::Args args(argc, argv);
   const bool smoke = args.has("smoke");
   const std::string json_path = args.get("json", "");
+  args.reject_unknown();
   qq::util::Rng rng(2024);
 
   std::printf("=== Solve cache: miss -> hit latency (%s) ===\n\n",

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const int n = args.get_int("qubits", 16);
   const int layers = args.get_int("layers", 3);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 22));
+  args.reject_unknown();
 
   qq::util::Rng rng(seed);
   const auto g = qq::graph::erdos_renyi(

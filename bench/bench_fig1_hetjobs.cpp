@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   const int jobs = args.get_int("jobs", 24);
   const int devices = args.get_int("devices", 1);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 6));
+  args.reject_unknown();
 
   std::printf("=== Fig. 1 quantification: MPMD vs heterogeneous jobs ===\n");
   std::printf("%d jobs, %d quantum device(s); classical/quantum ratio swept "

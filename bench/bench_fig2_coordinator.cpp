@@ -26,19 +26,22 @@
 
 int main(int argc, char** argv) {
   const qq::util::Args args(argc, argv);
-  if (args.has("list-solvers")) {
-    std::printf("%s", qq::solver::SolverRegistry::global().help().c_str());
-    return 0;
-  }
+  const bool list_solvers = args.has("list-solvers");
   const int nodes = args.get_int("nodes", 400);
   const double prob = args.get_double("prob", 0.1);
   const int qubits = args.get_int("qubits", 14);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 8));
+  const int num_components = args.get_int("components", 4);
   // Optional restriction of the sub-solver series (default: the paper's
   // three — all-QAOA, all-classic, best-of).
   std::vector<std::string> solvers = {"qaoa", "gw", "best"};
   if (args.has("solver")) {
     solvers = {args.get("solver", "")};
+  }
+  args.reject_unknown();
+  if (list_solvers) {
+    std::printf("%s", qq::solver::SolverRegistry::global().help().c_str());
+    return 0;
   }
   for (const std::string& spec : solvers) {
     try {
@@ -107,7 +110,6 @@ int main(int argc, char** argv) {
   // Part 3: the streaming pipeline on a multi-component graph with skewed
   // component sizes — the shape where cross-level streaming keeps the slots
   // saturated while a slow component's sub-graphs drain.
-  const int num_components = args.get_int("components", 4);
   qq::util::Rng comp_rng(seed + 99);
   std::vector<qq::graph::Graph> blobs;
   int total_nodes = 0;

@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
   config.rhobeg_grid =
       args.get_double_list("rhobeg", {0.1, 0.2, 0.3, 0.4, 0.5});
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.reject_unknown();
 
   std::printf("=== Fig. 3 reproduction: QAOA-vs-GW knowledge base ===\n");
   std::printf("nodes: %zu values | edge probs: %zu | grid: %zu layers x %zu "
@@ -133,15 +134,5 @@ int main(int argc, char** argv) {
   std::printf("check (paper: best grid point at high rhobeg, mid/high p): "
               "best cell rhobeg=%.1f, p=%d\n",
               config.rhobeg_grid[best_r], config.layer_grid[best_l]);
-
-  // Persist the knowledge base (--kb <path>): one record per graph with
-  // features, the winning (p, rhobeg, parameters) and the GW reference —
-  // the dataset the ML selector and kNN warm start consume.
-  const std::string kb_path = args.get("kb", "");
-  if (!kb_path.empty()) {
-    result.knowledge_base.save_file(kb_path);
-    std::printf("knowledge base: %zu records written to %s\n",
-                result.knowledge_base.size(), kb_path.c_str());
-  }
   return 0;
 }

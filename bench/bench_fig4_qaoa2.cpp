@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   const int instances = args.get_int("instances", args.has("full") ? 1 : 3);
   const int restarts = args.get_int("restarts", 1);
   const int workers = args.get_int("workers", 4);
+  args.reject_unknown();
   // The leaf QAOA configuration of the "QAOA" and "Best" series.
   const std::string qaoa_spec =
       "qaoa:p=2,iters=40,restarts=" + std::to_string(restarts);

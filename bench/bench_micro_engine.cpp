@@ -466,6 +466,7 @@ int main(int argc, char** argv) {
   const int threads = args.get_int("threads", 8);
   const bool quick = args.has("quick");
   const int reps = args.get_int("reps", quick ? 1 : 5);
+  args.reject_unknown();
   // The pool reads QQ_THREADS at first use; set it before anything touches
   // the global pool so the bench actually runs at the requested width.
   if (!std::getenv("QQ_THREADS")) {

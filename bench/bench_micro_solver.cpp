@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   const bool quick = args.has("quick");
   const int reps = args.get_int("reps", quick ? 2 : 5);
   const int iters = args.get_int("iters", quick ? 2000 : 20000);
+  args.reject_unknown();
 
   qq::util::Rng rng(11);
   const auto g = qq::graph::erdos_renyi(12, 0.3, rng);

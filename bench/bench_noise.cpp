@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const int layers = args.get_int("layers", 3);
   const int trajectories = args.get_int("trajectories", 64);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 18));
+  args.reject_unknown();
 
   qq::util::Rng rng(seed);
   const auto g = qq::graph::erdos_renyi(nodes, 0.4, rng);

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   const auto nodes = static_cast<qq::graph::NodeId>(args.get_int("nodes", 10));
   const int layers = args.get_int("layers", 2);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 10));
+  args.reject_unknown();
 
   std::printf("=== Scaling of the parallel sub-graph fan-out ===\n");
   std::printf("%d QAOA sub-graph solves (%d nodes each, p=%d) across a "

@@ -283,6 +283,7 @@ int main(int argc, char** argv) {
   const qq::util::Args args(argc, argv);
   const bool smoke = args.has("smoke");
   const std::string json_path = args.get("json", "");
+  args.reject_unknown();
 
   qq::util::Rng rng(42);
   const qq::graph::Graph g =

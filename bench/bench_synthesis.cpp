@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   const qq::util::Args args(argc, argv);
   const int layers = args.get_int("layers", 3);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 12));
+  args.reject_unknown();
   qq::util::Rng rng(seed);
 
   std::printf("=== Synthesis-engine substitute: naive vs optimized QAOA "

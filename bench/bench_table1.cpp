@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   config.rhobeg_grid =
       args.get_double_list("rhobeg", {0.1, 0.2, 0.3, 0.4, 0.5});
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2));
+  args.reject_unknown();
 
   std::printf("=== Table 1 reproduction: QAOA vs GW at larger node counts "
               "===\n\n");

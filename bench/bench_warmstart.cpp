@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   const int layers = args.get_int("layers", 4);
   const int budget = args.get_int("budget", 60);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20));
+  args.reject_unknown();
 
   std::printf("=== Warm-start ablation at equal budget (%d evaluations, "
               "p = %d) ===\n\n",
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
     qq::qaoa::QaoaOptions shallow_opts = opts;
     shallow_opts.layers = shallow;
     const auto rs = qq::qaoa::solve_qaoa(g, shallow_opts);
-    advisor.record(f, shallow, rs.parameters, rs.expectation);
+    advisor.record(f, shallow, rs.parameters);
   }
 
   qq::util::RunningStats cold, ramp, interp, knn, cached;

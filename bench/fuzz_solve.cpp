@@ -79,6 +79,7 @@ int replay_paths(const std::vector<std::string>& paths,
 int main(int argc, char** argv) {
   const qq::util::Args args(argc, argv);
   if (args.has("help")) {
+    args.reject_unknown();
     print_usage(argv[0]);
     return 0;
   }
@@ -95,10 +96,13 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("replay")) {
-    return replay_paths({args.get("replay", "")}, oracle);
+    const std::string path = args.get("replay", "");
+    args.reject_unknown();
+    return replay_paths({path}, oracle);
   }
   if (args.has("replay-dir")) {
     const std::string dir = args.get("replay-dir", "");
+    args.reject_unknown();
     std::vector<std::string> paths;
     std::error_code ec;
     for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
@@ -127,6 +131,7 @@ int main(int argc, char** argv) {
     service_options.wall_budget_seconds = args.get_double(
         "time-budget", service_options.wall_budget_seconds);
     service_options.verbose = args.has("verbose");
+    args.reject_unknown();
     const qq::fuzz::ServiceFuzzReport report =
         qq::fuzz::run_service_fuzz(service_options, &std::cout);
     std::cout << qq::fuzz::summarize_service_report(report);
@@ -152,6 +157,7 @@ int main(int argc, char** argv) {
   options.artifact_dir = args.get("artifacts", "");
   options.reduce_failures = !args.has("no-reduce");
   options.verbose = args.has("verbose");
+  args.reject_unknown();
 
   const qq::fuzz::FuzzReport report = qq::fuzz::run_fuzz(options, &std::cout);
   std::cout << qq::fuzz::summarize_report(report);

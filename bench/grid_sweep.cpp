@@ -4,7 +4,6 @@
 #include <atomic>
 #include <stdexcept>
 
-#include "ml/features.hpp"
 #include "qaoa/qaoa.hpp"
 #include "qgraph/generators.hpp"
 #include "solver/registry.hpp"
@@ -39,7 +38,6 @@ SweepResult run_grid_sweep(const SweepConfig& config) {
       solver::SolverRegistry::global().make(config.classical_spec);
 
   SweepResult result;
-  result.knowledge_base.set_solver_specs("qaoa", config.classical_spec);
   for (auto* grids : {&result.win_proportion, &result.near_proportion}) {
     grids->assign(2, std::vector<std::vector<double>>(
                          n_nodes, std::vector<double>(n_probs, 0.0)));
@@ -97,10 +95,6 @@ SweepResult run_grid_sweep(const SweepConfig& config) {
         std::vector<std::vector<int>> local_grid_wins(
             n_rho, std::vector<int>(n_layers, 0));
         int wins = 0, nears = 0;
-        ml::KbRecord record;
-        record.features = ml::graph_features(g);
-        record.gw_value = gw_avg;
-        record.qaoa_value = -1.0;
         for (std::size_t li = 0; li < n_layers; ++li) {
           for (std::size_t ri = 0; ri < n_rho; ++ri) {
             qaoa::QaoaOptions qopts;
@@ -115,15 +109,8 @@ SweepResult run_grid_sweep(const SweepConfig& config) {
             // init would make every grid point succeed alike.
             qopts.init = qaoa::InitKind::kRandom;
             qopts.seed = config.seed + 31ULL * task_idx + 7ULL * li + ri;
-            const qaoa::QaoaResult qres = solver.optimize(qopts);
-            const double value = qres.cut.value;
+            const double value = solver.optimize(qopts).cut.value;
             ++qaoa_runs;
-            if (value > record.qaoa_value) {
-              record.qaoa_value = value;
-              record.layers = config.layer_grid[li];
-              record.rhobeg = config.rhobeg_grid[ri];
-              record.parameters = qres.parameters;
-            }
             if (value > gw_avg) {
               ++wins;
               ++local_grid_wins[ri][li];
@@ -146,7 +133,6 @@ SweepResult run_grid_sweep(const SweepConfig& config) {
                 local_grid_wins[ri][li];
           }
         }
-        result.knowledge_base.add(std::move(record));
         ++result.graphs_evaluated;
       },
       outer_grain);

@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "ml/knowledge_base.hpp"
-
 namespace qq::bench {
 
 struct SweepConfig {
@@ -40,10 +38,6 @@ struct SweepResult {
   std::vector<std::vector<std::vector<double>>> near_proportion;  // [95,100)%
   // Indexing: [weighted][rhobeg_idx][layer_idx], proportions over graphs.
   std::vector<std::vector<std::vector<double>>> grid_win_proportion;
-  /// One record per graph instance: features, the best grid point's
-  /// (p, rhobeg, value, optimized parameters), and the GW reference — the
-  /// "large dataset of QAOA results" (§5) the ML layer trains on.
-  ml::KnowledgeBase knowledge_base;
   int graphs_evaluated = 0;
   int qaoa_runs = 0;
 };

@@ -20,6 +20,10 @@ int main(int argc, char** argv) {
   const double prob = args.get_double("prob", 0.2);
   const bool weighted = args.has("weighted");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
+  const std::vector<int> layer_grid = args.get_int_list("layers", {1, 2, 3, 4});
+  const std::vector<double> rhobeg_grid =
+      args.get_double_list("rhobeg", {0.1, 0.3, 0.5});
+  args.reject_unknown();
 
   qq::util::Rng rng(seed);
   const auto g = qq::graph::erdos_renyi(
@@ -36,10 +40,6 @@ int main(int argc, char** argv) {
   std::printf("exact optimum: %.4f | GW avg of 30 slicings: %.4f | GW best: "
               "%.4f | SDP bound: %.4f\n\n",
               exact, gw.average_value, gw.best.value, gw.sdp_bound);
-
-  const std::vector<int> layer_grid = args.get_int_list("layers", {1, 2, 3, 4});
-  const std::vector<double> rhobeg_grid =
-      args.get_double_list("rhobeg", {0.1, 0.3, 0.5});
 
   const qq::qaoa::QaoaSolver solver(g);
   qq::util::Table table({"p", "rhobeg", "iters", "F_p", "cut", "vs GWavg"});

@@ -57,15 +57,17 @@ qq::graph::Graph random_instance(qq::util::Rng& rng, int index) {
 
 int main(int argc, char** argv) {
   const qq::util::Args args(argc, argv);
-  if (args.has("list-solvers")) {
-    std::printf("%s", qq::solver::SolverRegistry::global().help().c_str());
-    return 0;
-  }
+  const bool list_solvers = args.has("list-solvers");
   const int train_count = args.get_int("train", 40);
   const int test_count = args.get_int("test", 12);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
   const std::string quantum_spec = args.get("quantum", "qaoa:p=2,iters=40");
   const std::string classical_spec = args.get("classical", "gw");
+  args.reject_unknown();
+  if (list_solvers) {
+    std::printf("%s", qq::solver::SolverRegistry::global().help().c_str());
+    return 0;
+  }
   qq::util::Rng rng(seed);
 
   qq::solver::SolverPtr quantum, classical;

@@ -22,6 +22,11 @@ int main(int argc, char** argv) {
   const auto nodes = static_cast<qq::graph::NodeId>(args.get_int("nodes", 10));
   const int layers = args.get_int("layers", 3);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 21));
+  qq::circuit::NoiseModel noise;
+  noise.depolarizing_1q = args.get_double("p1q", 0.005);
+  noise.depolarizing_2q = args.get_double("p2q", 0.02);
+  noise.readout_flip = args.get_double("readout", 0.02);
+  args.reject_unknown();
 
   qq::util::Rng rng(seed);
   const auto g = qq::graph::erdos_renyi(nodes, 0.4, rng);
@@ -48,10 +53,6 @@ int main(int argc, char** argv) {
               optimized.stats().depth_2q);
 
   // 3. Execute under noise.
-  qq::circuit::NoiseModel noise;
-  noise.depolarizing_1q = args.get_double("p1q", 0.005);
-  noise.depolarizing_2q = args.get_double("p2q", 0.02);
-  noise.readout_flip = args.get_double("readout", 0.02);
   const auto table = qq::qaoa::build_cut_table(g);
 
   qq::util::Rng noise_rng(seed + 1);

@@ -21,15 +21,17 @@
 
 int main(int argc, char** argv) {
   const qq::util::Args args(argc, argv);
-  if (args.has("list-solvers")) {
-    std::printf("%s", qq::solver::SolverRegistry::global().help().c_str());
-    return 0;
-  }
+  const bool list_solvers = args.has("list-solvers");
   const int nodes = args.get_int("nodes", 150);
   const double prob = args.get_double("prob", 0.08);
   const int qubits = args.get_int("qubits", 10);
   const std::string solver = args.get("solver", "best");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  args.reject_unknown();
+  if (list_solvers) {
+    std::printf("%s", qq::solver::SolverRegistry::global().help().c_str());
+    return 0;
+  }
   try {
     (void)qq::solver::SolverRegistry::global().make(solver);
   } catch (const std::invalid_argument& e) {

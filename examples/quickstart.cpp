@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   const double prob = args.get_double("prob", 0.4);
   const int layers = args.get_int("layers", 3);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.reject_unknown();
 
   // 1. Generate a problem instance (Erdős–Rényi, unit weights).
   qq::util::Rng rng(seed);

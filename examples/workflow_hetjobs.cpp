@@ -16,7 +16,9 @@ int main(int argc, char** argv) {
   const int job_count = args.get_int("jobs", 16);
   const int devices = args.get_int("devices", 1);
   const int cpus = args.get_int("cpus", 8);
-  qq::util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 5)));
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+  args.reject_unknown();
+  qq::util::Rng rng(seed);
 
   // Hybrid jobs: classical prep (graph partitioning, circuit synthesis),
   // quantum execution, classical post-processing (merge bookkeeping).

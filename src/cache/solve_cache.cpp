@@ -259,7 +259,7 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
   if (!report.parameters.empty() && report.parameters.size() % 2 == 0) {
     advisor_.record(ml::graph_features(g),
                     static_cast<int>(report.parameters.size() / 2),
-                    report.parameters, report.cut.value);
+                    report.parameters);
   }
 
   {

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "ml/knn.hpp"
-#include "ml/knowledge_base.hpp"
 #include "qaoa/interp.hpp"
 
 namespace qq::cache {
@@ -73,7 +72,7 @@ WarmStartAdvisor::WarmStartAdvisor(WarmStartOptions options)
 
 void WarmStartAdvisor::record(
     const std::array<double, ml::kNumFeatures>& features, int layers,
-    const std::vector<double>& parameters, double value) {
+    const std::vector<double>& parameters) {
   if (layers <= 0 ||
       parameters.size() != static_cast<std::size_t>(2 * layers)) {
     return;
@@ -82,7 +81,6 @@ void WarmStartAdvisor::record(
   obs.features = features;
   obs.layers = layers;
   obs.parameters = parameters;
-  obs.value = value;
   util::MutexLock lock(mutex_);
   if (ring_.size() < options_.capacity) {
     ring_.push_back(std::move(obs));
@@ -125,24 +123,6 @@ std::vector<double> WarmStartAdvisor::predict(
 std::size_t WarmStartAdvisor::size() const {
   util::MutexLock lock(mutex_);
   return ring_.size();
-}
-
-void WarmStartAdvisor::import_knowledge(const ml::KnowledgeBase& kb) {
-  for (const ml::KbRecord& rec : kb.records()) {
-    record(rec.features, rec.layers, rec.parameters, rec.qaoa_value);
-  }
-}
-
-void WarmStartAdvisor::export_knowledge(ml::KnowledgeBase& kb) const {
-  util::MutexLock lock(mutex_);
-  for (const Observation& obs : ring_) {
-    ml::KbRecord rec;
-    rec.features = obs.features;
-    rec.layers = obs.layers;
-    rec.parameters = obs.parameters;
-    rec.qaoa_value = obs.value;
-    kb.add(std::move(rec));
-  }
 }
 
 }  // namespace qq::cache

@@ -5,7 +5,7 @@
 // cold COBYLA start.
 //
 // The advisor is a bounded ring of (ml::graph_features, layers, optimized
-// parameters, value) observations recorded on every cache fill whose report
+// parameters) observations recorded on every cache fill whose report
 // carried a parameter vector. On a miss it picks the stored layer count
 // closest to the requested one, runs an inverse-distance-weighted kNN over
 // the standardized features (ml::ParameterKnn), and reshapes the predicted
@@ -24,10 +24,6 @@
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
-namespace qq::ml {
-class KnowledgeBase;
-}
-
 namespace qq::cache {
 
 struct WarmStartOptions {
@@ -44,8 +40,7 @@ class WarmStartAdvisor {
   /// Record an optimized schedule: `parameters` is [gamma..., beta...] of
   /// size 2 * layers. Ignored when layers <= 0 or the size disagrees.
   void record(const std::array<double, ml::kNumFeatures>& features,
-              int layers, const std::vector<double>& parameters,
-              double value);
+              int layers, const std::vector<double>& parameters);
 
   /// Predict a [gamma..., beta...] schedule of size 2 * target_layers for a
   /// graph with the given features. Returns empty when nothing applicable
@@ -56,18 +51,11 @@ class WarmStartAdvisor {
 
   std::size_t size() const;
 
-  /// Seed the ring from a persisted ml::KnowledgeBase (qaoa_value becomes
-  /// the stored value) and export the ring into one — the bridge between
-  /// the in-memory fleet cache and the on-disk dataset.
-  void import_knowledge(const ml::KnowledgeBase& kb);
-  void export_knowledge(ml::KnowledgeBase& kb) const;
-
  private:
   struct Observation {
     std::array<double, ml::kNumFeatures> features{};
     int layers = 0;
     std::vector<double> parameters;
-    double value = 0.0;
   };
 
   WarmStartOptions options_;

@@ -152,14 +152,6 @@ bool is_connected(const Graph& g) {
   return connected_components(g).size() == 1;
 }
 
-std::vector<Subgraph> component_subgraphs(const Graph& g) {
-  const auto comps = connected_components(g);
-  std::vector<Subgraph> out;
-  out.reserve(comps.size());
-  for (const auto& comp : comps) out.push_back(g.induced(comp));
-  return out;
-}
-
 std::vector<Subgraph> induced_batch(
     const Graph& g, const std::vector<std::vector<NodeId>>& parts,
     util::ThreadPool* pool) {

@@ -77,12 +77,6 @@ std::vector<std::vector<NodeId>> connected_components(const Graph& g);
 
 bool is_connected(const Graph& g);
 
-/// Shard `g` by connected component: one induced Subgraph per component, in
-/// connected_components order. A connected graph yields a single shard that
-/// is structurally identical to `g` (same node order, same edge insertion
-/// order), so sharding is a no-op for it.
-std::vector<Subgraph> component_subgraphs(const Graph& g);
-
 /// Extract the induced subgraph of every node set in `parts`, fanning the
 /// extractions out across `pool` (nullptr selects the global pool). Output
 /// order matches `parts`; each extraction is identical to

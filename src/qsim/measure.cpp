@@ -1,7 +1,6 @@
 #include "qsim/measure.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <stdexcept>
 
@@ -155,18 +154,6 @@ void sample_counts_into(const StateVector& sv, int shots, util::Rng& rng,
     out.push_back(std::min<BasisState>(
         static_cast<BasisState>(it - begin), static_cast<BasisState>(last)));
   }
-}
-
-std::vector<std::pair<BasisState, int>> histogram(
-    const std::vector<BasisState>& shots) {
-  std::map<BasisState, int> counts;
-  for (const BasisState s : shots) ++counts[s];
-  std::vector<std::pair<BasisState, int>> out(counts.begin(), counts.end());
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  return out;
 }
 
 double expectation_diagonal(const StateVector& sv,

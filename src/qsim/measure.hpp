@@ -37,10 +37,6 @@ void sample_counts_into(const StateVector& sv, int shots, util::Rng& rng,
                         std::vector<double>& cdf,
                         std::vector<BasisState>& out);
 
-/// Aggregate shot counts into (state, count) pairs sorted by count desc.
-std::vector<std::pair<BasisState, int>> histogram(
-    const std::vector<BasisState>& shots);
-
 /// Σ_s |amp_s|^2 * values[s] — expectation of any diagonal observable
 /// (H_C evaluation uses the per-state cut table).
 double expectation_diagonal(const StateVector& sv,

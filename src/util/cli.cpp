@@ -46,26 +46,39 @@ Args::Args(int argc, const char* const* argv) {
     tok = tok.substr(2);
     const auto eq = tok.find('=');
     if (eq != std::string::npos) {
-      kv_[tok.substr(0, eq)] = tok.substr(eq + 1);
+      kv_.emplace_back(tok.substr(0, eq), tok.substr(eq + 1));
       continue;
     }
     // `--key value` when the next token is not itself a flag.
     if (i + 1 < argc && !looks_like_flag(argv[i + 1])) {
-      kv_[tok] = argv[i + 1];
+      kv_.emplace_back(tok, argv[i + 1]);
       ++i;
     } else {
-      kv_[tok] = "";  // boolean flag
+      kv_.emplace_back(tok, "");  // boolean flag
     }
   }
 }
 
 std::optional<std::string> Args::lookup(const std::string& key) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return std::nullopt;
-  return it->second;
+  looked_up_.insert(key);
+  for (auto it = kv_.rbegin(); it != kv_.rend(); ++it) {
+    if (it->first == key) return it->second;
+  }
+  return std::nullopt;
 }
 
-bool Args::has(const std::string& key) const { return kv_.count(key) > 0; }
+bool Args::has(const std::string& key) const {
+  return lookup(key).has_value();
+}
+
+void Args::reject_unknown() const {
+  for (const auto& [key, value] : kv_) {
+    if (looked_up_.count(key) == 0) {
+      std::cerr << program_ << ": unknown flag '--" << key << "'\n";
+      std::exit(2);
+    }
+  }
+}
 
 std::string Args::get(const std::string& key,
                       const std::string& fallback) const {
@@ -73,7 +86,7 @@ std::string Args::get(const std::string& key,
   return v && !v->empty() ? *v : fallback;
 }
 
-void Args::usage_error(const std::string& key, const char* expected,
+void Args::usage_error(const std::string& key, const std::string& expected,
                        const std::string& value) const {
   std::cerr << program_ << ": --" << key << " expects " << expected
             << ", got '" << value << "'\n";
@@ -97,6 +110,11 @@ double Args::get_double(const std::string& key, double fallback) const {
 }
 
 namespace {
+/// The most values a range flag may expand to. The count is checked before
+/// the range is expanded, so `0..2000000000` is a usage error, not an 8 GB
+/// vector.
+constexpr long kMaxListValues = 1 << 16;
+
 std::vector<std::string> split(const std::string& s, char sep) {
   std::vector<std::string> out;
   std::stringstream ss(s);
@@ -107,8 +125,8 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-/// "a,b,c", "lo..hi" or "lo..hi:step"; nullopt on any malformed token or a
-/// non-positive step.
+/// "a,b,c", "lo..hi" or "lo..hi:step"; nullopt on any malformed token, a
+/// non-positive step, an empty result or a range over kMaxListValues values.
 std::optional<std::vector<int>> parse_int_list(const std::string& spec) {
   std::vector<int> out;
   const auto range_pos = spec.find("..");
@@ -122,7 +140,10 @@ std::optional<std::vector<int>> parse_int_list(const std::string& spec) {
     }
     const std::optional<int> lo = parse_int(spec.substr(0, range_pos));
     const std::optional<int> hi = parse_int(rest);
-    if (!lo || !hi || !step || *step <= 0) return std::nullopt;
+    if (!lo || !hi || !step || *step <= 0 || *hi < *lo) return std::nullopt;
+    if ((static_cast<long>(*hi) - *lo) / *step >= kMaxListValues) {
+      return std::nullopt;
+    }
     for (long v = *lo; v <= *hi; v += *step) out.push_back(static_cast<int>(v));
     return out;
   }
@@ -131,6 +152,7 @@ std::optional<std::vector<int>> parse_int_list(const std::string& spec) {
     if (!v) return std::nullopt;
     out.push_back(*v);
   }
+  if (out.empty()) return std::nullopt;
   return out;
 }
 }  // namespace
@@ -141,7 +163,10 @@ std::vector<int> Args::get_int_list(const std::string& key,
   if (!v || v->empty()) return fallback;
   std::optional<std::vector<int>> parsed = parse_int_list(*v);
   if (!parsed) {
-    usage_error(key, "an integer list (a,b,c or lo..hi[:step])", *v);
+    usage_error(key,
+                "an integer list (a,b,c or lo..hi[:step]) of 1 to " +
+                    std::to_string(kMaxListValues) + " values",
+                *v);
   }
   return *std::move(parsed);
 }
@@ -153,9 +178,10 @@ std::vector<double> Args::get_double_list(
   std::vector<double> out;
   for (const auto& tok : split(*v, ',')) {
     const std::optional<double> parsed = parse_double(tok);
-    if (!parsed) usage_error(key, "a list of numbers", *v);
+    if (!parsed) usage_error(key, "a list of numbers, at least one", *v);
     out.push_back(*parsed);
   }
+  if (out.empty()) usage_error(key, "a list of numbers, at least one", *v);
   return out;
 }
 

@@ -3,14 +3,17 @@
 //
 // Supports `--flag`, `--key value`, and `--key=value`. Integer lists accept
 // both comma syntax ("8,10,12") and range syntax ("8..12" or "8..12:2").
-// A value that is not a number where one is expected is a usage error: the
-// getters print `<program>: --<key> expects ..., got '<value>'` and exit
-// with status 2.
+// A value that is not a number where one is expected, an empty list, or a
+// range of more than 65536 values is a usage error: the getters print
+// `<program>: --<key> expects ..., got '<value>'` and exit with status 2.
+// A flag that no has/get* call looked up is one too, once the program
+// calls reject_unknown().
 
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace qq::util {
@@ -37,12 +40,20 @@ class Args {
 
   const std::string& program() const { return program_; }
 
+  /// Exit 2 with `<program>: unknown flag '--<name>'` when the command line
+  /// holds a flag that no has/get* call has looked up. Call it after the
+  /// program's last lookup and before it does any work.
+  void reject_unknown() const;
+
  private:
   std::optional<std::string> lookup(const std::string& key) const;
-  [[noreturn]] void usage_error(const std::string& key, const char* expected,
+  [[noreturn]] void usage_error(const std::string& key,
+                                const std::string& expected,
                                 const std::string& value) const;
   std::string program_;
-  std::unordered_map<std::string, std::string> kv_;
+  /// (key, value) in command-line order; a repeated key's last value wins.
+  std::vector<std::pair<std::string, std::string>> kv_;
+  mutable std::unordered_set<std::string> looked_up_;
 };
 
 }  // namespace qq::util

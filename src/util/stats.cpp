@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <stdexcept>
 
 namespace qq::util {
 
@@ -43,20 +41,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double mean(const std::vector<double>& xs) {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.mean();
-}
-
-double variance(const std::vector<double>& xs) {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.variance();
-}
-
-double stddev(const std::vector<double>& xs) { return std::sqrt(variance(xs)); }
-
 double median(std::vector<double> xs) {
   if (xs.empty()) return 0.0;
   const std::size_t mid = xs.size() / 2;
@@ -79,39 +63,6 @@ double percentile(std::vector<double> xs, double q) {
   const auto hi = static_cast<std::size_t>(std::ceil(rank));
   const double frac = rank - static_cast<double>(lo);
   return xs[lo] + frac * (xs[hi] - xs[lo]);
-}
-
-double correlation(const std::vector<double>& xs,
-                   const std::vector<double>& ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  const double denom = std::sqrt(sxx * syy);
-  return denom > 0.0 ? sxy / denom : 0.0;
-}
-
-Histogram::Histogram(double lo_, double hi_, std::size_t bins)
-    : lo(lo_), hi(hi_), counts(bins, 0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: need bins > 0 and hi > lo");
-  }
-}
-
-void Histogram::add(double x) noexcept {
-  const double t = (x - lo) / (hi - lo);
-  auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts.size()) - 1);
-  ++counts[static_cast<std::size_t>(idx)];
-  ++total;
 }
 
 }  // namespace qq::util

@@ -29,25 +29,9 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-double mean(const std::vector<double>& xs);
-double variance(const std::vector<double>& xs);
-double stddev(const std::vector<double>& xs);
 /// Median via nth_element on a copy; average of middle pair for even sizes.
 double median(std::vector<double> xs);
 /// Linear-interpolated percentile, q in [0, 100].
 double percentile(std::vector<double> xs, double q);
-
-/// Pearson correlation of two equal-length series (0 if degenerate).
-double correlation(const std::vector<double>& xs,
-                   const std::vector<double>& ys);
-
-/// Fixed-width histogram over [lo, hi); values outside clamp to end bins.
-struct Histogram {
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x) noexcept;
-  double lo, hi;
-  std::vector<std::size_t> counts;
-  std::size_t total = 0;
-};
 
 }  // namespace qq::util

@@ -538,8 +538,7 @@ TEST(WarmStart, AdvisorPredictsFromRecordedObservations) {
       << "empty advisor must predict nothing";
   for (int i = 0; i < 8; ++i) {
     const Graph g = graph::erdos_renyi(10 + i, 0.5, rng);
-    advisor.record(ml::graph_features(g), 2, {0.1, 0.2, 0.3, 0.4},
-                   static_cast<double>(i));
+    advisor.record(ml::graph_features(g), 2, {0.1, 0.2, 0.3, 0.4});
   }
   EXPECT_EQ(advisor.size(), 8u);
   const Graph probe = graph::erdos_renyi(12, 0.5, rng);
@@ -560,7 +559,7 @@ TEST(WarmStart, CacheMissConsultsAdvisorForQaoaBackend) {
   ASSERT_EQ(qaoa->warm_start_dimension(), 2);
 
   // Prime the advisor with one observation so predict() has material.
-  cache.advisor().record(ml::graph_features(g), 1, {0.4, 0.7}, 1.0);
+  cache.advisor().record(ml::graph_features(g), 1, {0.4, 0.7});
   CachePolicy warm;
   warm.warm_start = true;
   const solver::SolveReport report = cache.solve_through(

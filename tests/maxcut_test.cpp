@@ -1,5 +1,5 @@
 // Tests for the MaxCut core: cut evaluation, the exact solver, classical
-// baselines, simulated annealing, and the Ising/QUBO mappings.
+// baselines, and simulated annealing.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "maxcut/baselines.hpp"
 #include "maxcut/cut.hpp"
 #include "maxcut/exact.hpp"
-#include "maxcut/qubo.hpp"
 #include "qgraph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -246,33 +245,6 @@ TEST(Anneal, RejectsBadOptions) {
   bad = AnnealOptions{};
   bad.t_final = 3.0;  // > t_initial
   EXPECT_THROW(simulated_annealing(g, rng, bad), std::invalid_argument);
-}
-
-// ----------------------------------------------------------------- qubo ----
-
-class MappingProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(MappingProperty, IsingAndQuboAgreeWithCutEverywhere) {
-  util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 31);
-  const Graph g =
-      graph::erdos_renyi(8, 0.5, rng, graph::WeightMode::kUniform01);
-  const IsingModel ising = maxcut_to_ising(g);
-  const auto qubo = maxcut_to_qubo(g);
-  for (std::uint64_t bits = 0; bits < (1ULL << 8); ++bits) {
-    const Assignment a = assignment_from_bits(bits, 8);
-    const double cut = cut_value(g, a);
-    EXPECT_NEAR(ising.cut_from_energy(ising.energy(a)), cut, 1e-9);
-    EXPECT_NEAR(qubo_value(qubo, a), cut, 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MappingProperty, ::testing::Range(0, 6));
-
-TEST(Qubo, SizeValidation) {
-  const Graph g = graph::cycle_graph(4);
-  const IsingModel ising = maxcut_to_ising(g);
-  EXPECT_THROW(ising.energy({0, 1}), std::invalid_argument);
-  EXPECT_THROW(qubo_value({1.0, 2.0}, {0, 1, 0}), std::invalid_argument);
 }
 
 }  // namespace

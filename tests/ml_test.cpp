@@ -5,11 +5,8 @@
 
 #include <cmath>
 
-#include <sstream>
-
 #include "ml/features.hpp"
 #include "ml/knn.hpp"
-#include "ml/knowledge_base.hpp"
 #include "ml/logreg.hpp"
 #include "qgraph/generators.hpp"
 #include "util/rng.hpp"
@@ -177,124 +174,6 @@ TEST(Knn, NearestDominatesWeighting) {
   store.add({5.0}, {0.0});
   const auto p = store.predict({0.1}, 2);
   EXPECT_GT(p[0], 90.0);
-}
-
-// --------------------------------------------------------- knowledge base ----
-
-KbRecord make_record(double scale, int layers, bool qaoa_wins) {
-  KbRecord r;
-  for (std::size_t i = 0; i < kNumFeatures; ++i) {
-    r.features[i] = scale * static_cast<double>(i + 1);
-  }
-  r.layers = layers;
-  r.rhobeg = 0.3;
-  r.qaoa_value = qaoa_wins ? 10.0 : 5.0;
-  r.gw_value = 7.0;
-  r.parameters.assign(static_cast<std::size_t>(2 * layers), scale);
-  return r;
-}
-
-TEST(KnowledgeBase, AddValidatesParameterCount) {
-  KnowledgeBase kb;
-  KbRecord bad = make_record(1.0, 3, true);
-  bad.parameters.pop_back();
-  EXPECT_THROW(kb.add(bad), std::invalid_argument);
-  kb.add(make_record(1.0, 3, true));
-  EXPECT_EQ(kb.size(), 1u);
-}
-
-TEST(KnowledgeBase, CsvRoundTrip) {
-  KnowledgeBase kb;
-  kb.add(make_record(1.0, 2, true));
-  kb.add(make_record(2.5, 3, false));
-  std::stringstream ss;
-  kb.save(ss);
-  const KnowledgeBase back = KnowledgeBase::load(ss);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back.records()[0].layers, 2);
-  EXPECT_EQ(back.records()[1].layers, 3);
-  EXPECT_DOUBLE_EQ(back.records()[1].features[0], 2.5);
-  EXPECT_DOUBLE_EQ(back.records()[0].qaoa_value, 10.0);
-  EXPECT_EQ(back.records()[1].parameters.size(), 6u);
-  EXPECT_TRUE(back.records()[0].qaoa_won());
-  EXPECT_FALSE(back.records()[1].qaoa_won());
-}
-
-TEST(KnowledgeBase, LoadRejectsCorruptRecords) {
-  std::stringstream short_row("1,2,3\n");
-  EXPECT_THROW(KnowledgeBase::load(short_row), std::runtime_error);
-  // 10 features + layers=2 + rhobeg + values, but only 3 parameters.
-  std::stringstream bad_params(
-      "1,2,3,4,5,6,7,8,9,10,2,0.3,9.0,7.0,0.1,0.2,0.3\n");
-  EXPECT_THROW(KnowledgeBase::load(bad_params), std::runtime_error);
-}
-
-TEST(KnowledgeBase, DatasetAndKnnAdapters) {
-  KnowledgeBase kb;
-  kb.add(make_record(1.0, 2, true));
-  kb.add(make_record(2.0, 2, false));
-  kb.add(make_record(3.0, 4, true));
-  std::vector<std::vector<double>> X;
-  std::vector<int> y;
-  kb.to_dataset(X, y);
-  ASSERT_EQ(X.size(), 3u);
-  EXPECT_EQ(y, (std::vector<int>{1, 0, 1}));
-
-  const ParameterKnn knn2 = kb.to_parameter_knn(2);
-  EXPECT_EQ(knn2.size(), 2u);
-  const ParameterKnn knn4 = kb.to_parameter_knn(4);
-  EXPECT_EQ(knn4.size(), 1u);
-  // Nearest record to scale 1.0 features carries parameters all = 1.0.
-  const KbRecord probe = make_record(1.0, 2, true);
-  const auto params = knn2.predict(
-      std::vector<double>(probe.features.begin(), probe.features.end()), 1);
-  ASSERT_EQ(params.size(), 4u);
-  EXPECT_NEAR(params[0], 1.0, 1e-6);
-}
-
-TEST(KnowledgeBase, SkipsCommentsAndBlankLines) {
-  KnowledgeBase kb;
-  kb.add(make_record(1.0, 1, true));
-  std::stringstream ss;
-  kb.save(ss);
-  std::string with_noise = "# header comment\n\n" + ss.str() + "\n";
-  std::stringstream in(with_noise);
-  EXPECT_EQ(KnowledgeBase::load(in).size(), 1u);
-}
-
-TEST(KnowledgeBase, SolverSpecsDefaultAndRoundTrip) {
-  KnowledgeBase kb;
-  // Defaults preserve the historical qaoa-vs-gw meaning of the columns.
-  EXPECT_EQ(kb.quantum_spec(), "qaoa");
-  EXPECT_EQ(kb.classical_spec(), "gw");
-  kb.set_solver_specs("qaoa:p=3,shots=512", "best:gw|anneal");
-  kb.add(make_record(1.0, 2, true));
-  std::stringstream ss;
-  kb.save(ss);
-  const KnowledgeBase back = KnowledgeBase::load(ss);
-  EXPECT_EQ(back.quantum_spec(), "qaoa:p=3,shots=512");
-  EXPECT_EQ(back.classical_spec(), "best:gw|anneal");
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back.records()[0].layers, 2);
-}
-
-TEST(KnowledgeBase, SolverSpecsValidation) {
-  KnowledgeBase kb;
-  EXPECT_THROW(kb.set_solver_specs("", "gw"), std::invalid_argument);
-  EXPECT_THROW(kb.set_solver_specs("qaoa", "g\nw"), std::invalid_argument);
-  // " vs " is the persisted header's delimiter; a spec containing it would
-  // silently corrupt the round trip.
-  EXPECT_THROW(kb.set_solver_specs("a vs b", "gw"), std::invalid_argument);
-  // A pre-specs file (no "# solvers:" header) loads with the defaults; a
-  // malformed header is rejected.
-  std::stringstream legacy("# qq knowledge base v1: old header\n");
-  EXPECT_EQ(KnowledgeBase::load(legacy).quantum_spec(), "qaoa");
-  std::stringstream malformed("# solvers: qaoa-only\n");
-  EXPECT_THROW(KnowledgeBase::load(malformed), std::runtime_error);
-  // A header the setter rejects (ambiguous delimiter) is file corruption
-  // and surfaces as load's runtime_error, not as invalid_argument.
-  std::stringstream ambiguous("# solvers: a vs b vs c\n");
-  EXPECT_THROW(KnowledgeBase::load(ambiguous), std::runtime_error);
 }
 
 }  // namespace

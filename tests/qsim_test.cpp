@@ -395,18 +395,6 @@ TEST(Measure, SamplingDeterministicPerSeed) {
   EXPECT_EQ(sample_counts(sv, 100, a), sample_counts(sv, 100, b));
 }
 
-TEST(Measure, HistogramAggregatesAndSorts) {
-  const std::vector<BasisState> shots = {3, 1, 3, 3, 1, 0};
-  const auto hist = histogram(shots);
-  ASSERT_EQ(hist.size(), 3u);
-  EXPECT_EQ(hist[0].first, 3u);
-  EXPECT_EQ(hist[0].second, 3);
-  EXPECT_EQ(hist[1].first, 1u);
-  EXPECT_EQ(hist[1].second, 2);
-  EXPECT_EQ(hist[2].first, 0u);
-  EXPECT_EQ(hist[2].second, 1);
-}
-
 TEST(Measure, ExpectationZOnBasisAndSuperposition) {
   StateVector sv(1);
   EXPECT_NEAR(expectation_z(sv, 0), 1.0, kTol);  // |0>

@@ -155,32 +155,6 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 10.0);
 }
 
-TEST(Stats, CorrelationSignsAndDegenerate) {
-  const std::vector<double> xs = {1, 2, 3, 4};
-  const std::vector<double> up = {2, 4, 6, 8};
-  const std::vector<double> down = {8, 6, 4, 2};
-  const std::vector<double> flat = {5, 5, 5, 5};
-  EXPECT_NEAR(correlation(xs, up), 1.0, 1e-12);
-  EXPECT_NEAR(correlation(xs, down), -1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(correlation(xs, flat), 0.0);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // clamps into bin 0
-  h.add(0.5);
-  h.add(9.9);
-  h.add(100.0);  // clamps into last bin
-  EXPECT_EQ(h.total, 4u);
-  EXPECT_EQ(h.counts[0], 2u);
-  EXPECT_EQ(h.counts[4], 2u);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 // -------------------------------------------------------- thread pool ----
 
 TEST(ThreadPool, SubmitReturnsValues) {
@@ -451,6 +425,37 @@ TEST(Args, BadNumbersAreUsageErrors) {
               "prog: --range expects an integer list");
   EXPECT_EXIT(args.get_double_list("probs", {}), ::testing::ExitedWithCode(2),
               "prog: --probs expects a list of numbers");
+}
+
+TEST(Args, EmptyAndOversizedListsAreUsageErrors) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"prog",   "--down", "5..3",       "--commas",
+                        ",",      "--huge", "0..1000000", "--probs",
+                        ",",      "--edge", "1..65536"};
+  const Args args(11, argv);
+  EXPECT_EXIT(args.get_int_list("down", {}), ::testing::ExitedWithCode(2),
+              "prog: --down expects an integer list");
+  EXPECT_EXIT(args.get_int_list("commas", {}), ::testing::ExitedWithCode(2),
+              "prog: --commas expects an integer list");
+  // Rejected before expansion: no million-element vector is built.
+  EXPECT_EXIT(args.get_int_list("huge", {}), ::testing::ExitedWithCode(2),
+              "prog: --huge expects an integer list .* of 1 to 65536 values");
+  EXPECT_EXIT(args.get_double_list("probs", {}), ::testing::ExitedWithCode(2),
+              "prog: --probs expects a list of numbers, at least one");
+  EXPECT_EQ(args.get_int_list("edge", {}).size(), 65536u);
+}
+
+TEST(Args, UnknownFlagsAreUsageErrors) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"prog", "--nodes", "12", "--full", "--help",
+                        "--nodes", "14"};
+  const Args args(7, argv);
+  EXPECT_EQ(args.get_int("nodes", 0), 14) << "the last repeat wins";
+  EXPECT_TRUE(args.has("full"));
+  EXPECT_EXIT(args.reject_unknown(), ::testing::ExitedWithCode(2),
+              "prog: unknown flag '--help'");
+  EXPECT_TRUE(args.has("help"));
+  args.reject_unknown();  // every flag on the line has now been looked up
 }
 
 // ------------------------------------------------------- cancellation ----
