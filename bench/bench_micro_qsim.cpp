@@ -3,7 +3,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include "qaoa/cost_table.hpp"
+#include "qgraph/generators.hpp"
 #include "qsim/batched.hpp"
+#include "qsim/level_table.hpp"
 #include "qsim/measure.hpp"
 #include "qsim/statevector.hpp"
 #include "util/rng.hpp"
@@ -11,7 +14,24 @@
 namespace {
 
 using qq::sim::BatchedStateVector;
+using qq::sim::LevelTable;
 using qq::sim::StateVector;
+
+/// Cut table of an ER(n, 0.5) unit-weight graph: the QAOA leaf's cost
+/// diagonal, with at most |E| + 1 distinct values.
+std::vector<double> er_cut_table(int n) {
+  qq::util::Rng rng(1);
+  return qq::qaoa::build_cut_table(qq::graph::erdos_renyi(n, 0.5, rng));
+}
+
+/// The random table of BM_DiagonalPhaseSweep: every value distinct, the
+/// level sweep's worst case.
+std::vector<double> distinct_table(int n) {
+  std::vector<double> table(std::size_t{1} << n);
+  qq::util::Rng rng(1);
+  for (double& v : table) v = qq::util::uniform(rng, 0.0, 10.0);
+  return table;
+}
 
 void BM_ApplyH(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -134,9 +154,7 @@ void BM_DiagonalPhaseSweep(benchmark::State& state) {
   // the grid searches feasible.
   const int n = static_cast<int>(state.range(0));
   StateVector sv = StateVector::plus_state(n);
-  std::vector<double> table(sv.size());
-  qq::util::Rng rng(1);
-  for (double& v : table) v = qq::util::uniform(rng, 0.0, 10.0);
+  const std::vector<double> table = distinct_table(n);
   for (auto _ : state) {
     sv.apply_diagonal_phase(table, 0.37);
   }
@@ -144,6 +162,69 @@ void BM_DiagonalPhaseSweep(benchmark::State& state) {
                           static_cast<std::int64_t>(sv.size()));
 }
 BENCHMARK(BM_DiagonalPhaseSweep)->Arg(10)->Arg(14)->Arg(18)->Arg(20);
+
+// The same cost layer from a level table: one sincos per distinct cut value
+// and a table lookup per amplitude. The dense sweep's cost does not depend
+// on the table's values, so BM_DiagonalPhaseSweep is its "before".
+void BM_PhaseLevelSweep(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  StateVector sv = StateVector::plus_state(n);
+  const LevelTable levels(er_cut_table(n));
+  for (auto _ : state) {
+    sv.apply_diagonal_phase(levels, 0.37);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sv.size()));
+}
+BENCHMARK(BM_PhaseLevelSweep)->Arg(10)->Arg(14)->Arg(18)->Arg(20);
+
+// Worst case: BM_DiagonalPhaseSweep's table, one level per amplitude.
+void BM_PhaseLevelSweepAllDistinct(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  StateVector sv = StateVector::plus_state(n);
+  const LevelTable levels(distinct_table(n));
+  for (auto _ : state) {
+    sv.apply_diagonal_phase(levels, 0.37);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sv.size()));
+}
+BENCHMARK(BM_PhaseLevelSweepAllDistinct)->Arg(14)->Arg(18);
+
+// The batched cost layer on an ER cut table, dense and from levels: the
+// lockstep restart sweep that dominates multi-restart leaf solves.
+void BM_BatchedDiagonalPhaseSweep(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int batch = static_cast<int>(state.range(1));
+  BatchedStateVector sv(n, batch);
+  sv.reset_to_plus();
+  const std::vector<double> table = er_cut_table(n);
+  std::vector<double> scales(batch);
+  for (int b = 0; b < batch; ++b) scales[b] = 0.31 + 0.01 * b;
+  for (auto _ : state) {
+    sv.apply_diagonal_phase(table, scales);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sv.size()) * batch);
+}
+BENCHMARK(BM_BatchedDiagonalPhaseSweep)
+    ->ArgsProduct({{10, 14, 16}, {8, 16}});
+
+void BM_BatchedPhaseLevelSweep(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int batch = static_cast<int>(state.range(1));
+  BatchedStateVector sv(n, batch);
+  sv.reset_to_plus();
+  const LevelTable levels(er_cut_table(n));
+  std::vector<double> scales(batch);
+  for (int b = 0; b < batch; ++b) scales[b] = 0.31 + 0.01 * b;
+  for (auto _ : state) {
+    sv.apply_diagonal_phase(levels, scales);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sv.size()) * batch);
+}
+BENCHMARK(BM_BatchedPhaseLevelSweep)->ArgsProduct({{10, 14, 16}, {8, 16}});
 
 // One QAOA objective evaluation (cost layer + mixer layer + expectation)
 // for B parameter sets at once through BatchedStateVector — the lockstep

@@ -67,7 +67,7 @@ std::vector<double> restart_initial_parameters(const QaoaOptions& options,
 }
 
 QaoaSolver::QaoaSolver(const graph::Graph& g)
-    : graph_(&g), cut_table_(build_cut_table(g)) {
+    : graph_(&g), cut_table_(build_cut_table(g)), cut_levels_(cut_table_) {
   exact_optimum_ =
       cut_table_.empty()
           ? 0.0
@@ -89,8 +89,8 @@ void QaoaSolver::prepare_state(const circuit::QaoaAngles& angles,
   if (sv.num_qubits() != n) sv = sim::StateVector(n);
   sv.reset_to_plus();
   for (std::size_t layer = 0; layer < angles.layers(); ++layer) {
-    // Cost layer e^{-i gamma H_C}: one diagonal sweep over the cut table.
-    sv.apply_diagonal_phase(cut_table_, angles.gammas[layer]);
+    // Cost layer e^{-i gamma H_C}: one diagonal sweep over the cut levels.
+    sv.apply_diagonal_phase(cut_levels_, angles.gammas[layer]);
     // Mixer e^{-i beta H_M} = Prod_q RX_q(2 beta), fused into one
     // cache-blocked pass instead of n separate sweeps.
     sv.apply_rx_layer(2.0 * angles.betas[layer]);
@@ -131,11 +131,13 @@ double QaoaSolver::sampled_expectation(const circuit::QaoaAngles& angles,
 namespace {
 
 /// Writes -F_p of every point into `values` from one BatchedStateVector
-/// sweep over the shared cut table. Each lane is bit-for-bit the flat
+/// evaluation: cost layers sweep the shared level table, the expectation
+/// reads the shared cut table. Each lane is bit-for-bit the flat
 /// StateVector evaluation (batched_test), so batching never changes a
 /// restart's trajectory. `batch` is reallocated when the point count
 /// changes.
-void evaluate_batched(const std::vector<double>& cut_table, int num_qubits,
+void evaluate_batched(const std::vector<double>& cut_table,
+                      const sim::LevelTable& cut_levels, int num_qubits,
                       int layers,
                       const std::vector<const std::vector<double>*>& points,
                       std::unique_ptr<sim::BatchedStateVector>& batch,
@@ -157,7 +159,7 @@ void evaluate_batched(const std::vector<double>& cut_table, int num_qubits,
       scales[b] = (*points[b])[gamma];
       thetas[b] = 2.0 * (*points[b])[beta];
     }
-    batch->apply_diagonal_phase(cut_table, scales);
+    batch->apply_diagonal_phase(cut_levels, scales);
     batch->apply_rx_layer(thetas);
   }
   const std::vector<double> fp = batch->expectation_diagonal(cut_table);
@@ -229,8 +231,8 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
     if (live.empty()) break;
     values.resize(live.size());
     if (batchable && live.size() > 1) {
-      evaluate_batched(cut_table_, num_qubits, options.layers, points, batch,
-                       values);
+      evaluate_batched(cut_table_, cut_levels_, num_qubits, options.layers,
+                       points, batch, values);
     } else {
       for (std::size_t i = 0; i < live.size(); ++i) {
         const circuit::QaoaAngles angles = circuit::unpack_angles(*points[i]);

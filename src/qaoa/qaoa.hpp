@@ -14,6 +14,7 @@
 #include "maxcut/cut.hpp"
 #include "qcircuit/ansatz.hpp"
 #include "qgraph/graph.hpp"
+#include "qsim/level_table.hpp"
 #include "qsim/statevector.hpp"
 #include "util/cancellation.hpp"
 
@@ -105,8 +106,10 @@ int paper_iteration_schedule(int layers);
 std::vector<double> restart_initial_parameters(const QaoaOptions& options,
                                                int restart);
 
-/// Precomputes the cut table for one graph so that repeated optimizations
-/// (grid searches, restarts) share it.
+/// Precomputes the cut table for one graph, and its level table (distinct
+/// cut values plus a per-basis-state level index), so that repeated
+/// optimizations (grid searches, restarts) share both. Cost layers sweep the
+/// level table; expectations and sampling read the dense table.
 class QaoaSolver {
  public:
   /// Reusable per-optimize evaluation scratch: the state vector plus the
@@ -160,6 +163,7 @@ class QaoaSolver {
 
   const graph::Graph* graph_;
   std::vector<double> cut_table_;
+  sim::LevelTable cut_levels_;
   double exact_optimum_ = 0.0;
 };
 

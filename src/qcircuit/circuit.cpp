@@ -24,7 +24,6 @@ bool is_rotation(GateKind kind) noexcept {
     case GateKind::kRx:
     case GateKind::kRy:
     case GateKind::kRz:
-    case GateKind::kPhase:
     case GateKind::kRzz:
       return true;
     default:
@@ -36,12 +35,10 @@ const char* gate_name(GateKind kind) noexcept {
   switch (kind) {
     case GateKind::kH: return "h";
     case GateKind::kX: return "x";
-    case GateKind::kY: return "y";
     case GateKind::kZ: return "z";
     case GateKind::kRx: return "rx";
     case GateKind::kRy: return "ry";
     case GateKind::kRz: return "rz";
-    case GateKind::kPhase: return "p";
     case GateKind::kCx: return "cx";
     case GateKind::kCz: return "cz";
     case GateKind::kSwap: return "swap";
@@ -70,7 +67,6 @@ void Circuit::check_qubit(int q) const {
 
 Circuit& Circuit::h(int q) { append({GateKind::kH, q}); return *this; }
 Circuit& Circuit::x(int q) { append({GateKind::kX, q}); return *this; }
-Circuit& Circuit::y(int q) { append({GateKind::kY, q}); return *this; }
 Circuit& Circuit::z(int q) { append({GateKind::kZ, q}); return *this; }
 Circuit& Circuit::rx(int q, double theta) {
   append({GateKind::kRx, q, -1, theta});
@@ -82,10 +78,6 @@ Circuit& Circuit::ry(int q, double theta) {
 }
 Circuit& Circuit::rz(int q, double theta) {
   append({GateKind::kRz, q, -1, theta});
-  return *this;
-}
-Circuit& Circuit::phase(int q, double phi) {
-  append({GateKind::kPhase, q, -1, phi});
   return *this;
 }
 Circuit& Circuit::cx(int control, int target) {

@@ -15,12 +15,10 @@ namespace qq::circuit {
 enum class GateKind : std::uint8_t {
   kH,
   kX,
-  kY,
   kZ,
   kRx,
   kRy,
   kRz,
-  kPhase,
   kCx,
   kCz,
   kSwap,
@@ -60,12 +58,10 @@ class Circuit {
   // Fluent emitters; all validate qubit indices.
   Circuit& h(int q);
   Circuit& x(int q);
-  Circuit& y(int q);
   Circuit& z(int q);
   Circuit& rx(int q, double theta);
   Circuit& ry(int q, double theta);
   Circuit& rz(int q, double theta);
-  Circuit& phase(int q, double phi);
   Circuit& cx(int control, int target);
   Circuit& cz(int a, int b);
   Circuit& swap(int a, int b);

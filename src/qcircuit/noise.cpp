@@ -67,12 +67,10 @@ void apply_gate(sim::StateVector& sv, const Gate& g) {
   switch (g.kind) {
     case GateKind::kH: sv.apply_h(g.q0); break;
     case GateKind::kX: sv.apply_x(g.q0); break;
-    case GateKind::kY: sv.apply_y(g.q0); break;
     case GateKind::kZ: sv.apply_z(g.q0); break;
     case GateKind::kRx: sv.apply_rx(g.q0, g.param); break;
     case GateKind::kRy: sv.apply_ry(g.q0, g.param); break;
     case GateKind::kRz: sv.apply_rz(g.q0, g.param); break;
-    case GateKind::kPhase: sv.apply_phase(g.q0, g.param); break;
     case GateKind::kCx: sv.apply_cx(g.q0, g.q1); break;
     case GateKind::kCz: sv.apply_cz(g.q0, g.q1); break;
     case GateKind::kSwap: sv.apply_swap(g.q0, g.q1); break;

@@ -19,7 +19,6 @@ bool self_inverse(GateKind kind) {
   switch (kind) {
     case GateKind::kH:
     case GateKind::kX:
-    case GateKind::kY:
     case GateKind::kZ:
     case GateKind::kCx:
     case GateKind::kCz:

@@ -95,6 +95,46 @@ void BatchedStateVector::apply_diagonal_phase(
       std::max<std::size_t>(1, kParallelGrain / lanes));
 }
 
+void BatchedStateVector::apply_diagonal_phase(
+    const LevelTable& levels, const std::vector<double>& scales) {
+  if (levels.size() != size_) {
+    throw std::invalid_argument(
+        "BatchedStateVector::apply_diagonal_phase: level table size must "
+        "equal 2^n");
+  }
+  check_scales(scales);
+  const std::size_t lanes = static_cast<std::size_t>(batch_);
+  const std::vector<double>& values = levels.values();
+  if (levels.all_distinct()) {
+    apply_diagonal_phase(values, scales);
+    return;
+  }
+  phase_.resize(2 * lanes * values.size());
+  // The dense overload's per-lane std::polar expression, once per level.
+  util::parallel_for_chunks(
+      0, values.size(),
+      [this, &values, &scales, lanes](std::size_t lo, std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) {
+          double* row = phase_.data() + 2 * lanes * k;
+          for (std::size_t b = 0; b < lanes; ++b) {
+            const std::complex<double> ph =
+                std::polar(1.0, -scales[b] * values[k]);
+            row[2 * b] = ph.real();
+            row[2 * b + 1] = ph.imag();
+          }
+        }
+      },
+      std::max<std::size_t>(1, detail::kPhaseGrain / lanes));
+  const std::uint32_t* level = levels.level().data();
+  util::parallel_for_chunks(
+      0, size_,
+      [this, level, lanes](std::size_t lo, std::size_t hi) {
+        simd::mul_level_phase_lanes(data_.data(), lanes, phase_.data(), level,
+                                    lo, hi);
+      },
+      std::max<std::size_t>(1, kParallelGrain / lanes));
+}
+
 void BatchedStateVector::apply_rx_layer(const std::vector<double>& thetas) {
   check_scales(thetas);
   if (num_qubits_ == 0) return;

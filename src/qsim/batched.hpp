@@ -47,6 +47,11 @@ class BatchedStateVector {
   /// must equal batch().
   void apply_diagonal_phase(const std::vector<double>& values,
                             const std::vector<double>& scales);
+  /// The same layer from a level table: std::polar once per (level, lane),
+  /// then each row times its level's phase row. Bit-for-bit the dense
+  /// overload on the table `levels` was built from, under every SIMD ISA.
+  void apply_diagonal_phase(const LevelTable& levels,
+                            const std::vector<double>& scales);
 
   /// Lane b: RX(thetas[b]) on every qubit (the fused mixer layer).
   /// thetas.size() must equal batch().
@@ -74,6 +79,9 @@ class BatchedStateVector {
   /// simd::rx_butterfly_lanes consumes. Sized 2 * batch_.
   std::vector<double> cdup_;
   std::vector<double> sdup_;
+  /// Level-sweep scratch: 2 * batch_ doubles per level, row k holding each
+  /// lane's [re, im] phase for level k. Grown once and reused.
+  std::vector<double> phase_;
 };
 
 }  // namespace qq::sim

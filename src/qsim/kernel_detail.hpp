@@ -19,6 +19,12 @@ namespace qq::sim::detail {
 /// vanishes against 2^14 complex updates.
 inline constexpr std::size_t kParallelGrain = 1 << 14;
 
+/// Chunk grain for the per-level std::polar loops of the level-table cost
+/// sweeps. A sincos costs an order of magnitude more than an amplitude
+/// update, so a table with many levels (random real weights reach
+/// 2^(n-1)) still spreads over the pool.
+inline constexpr std::size_t kPhaseGrain = 1 << 11;
+
 /// Spread index t over the bit positions excluding `q`: returns the basis
 /// index with bit q forced to zero whose remaining bits enumerate t.
 inline BasisState insert_zero_bit(std::uint64_t t, int q) noexcept {

@@ -43,6 +43,7 @@
 #include <atomic>
 #include <bit>
 #include <cstddef>
+#include <cstdint>
 
 #if defined(QQ_SIMD_ENABLED) && (defined(__x86_64__) || defined(__amd64__)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -410,6 +411,27 @@ inline void sum_norms_weighted_lanes(double* acc, const double* data,
       a += (q[0] * q[0] + q[1] * q[1]) * values[i];
     }
     acc[b] = a;
+  }
+}
+
+/// Row i of `data` (at data + 2*lanes*i) times phase row level[i] (at
+/// phase + 2*lanes*level[i]), lane by lane, for i in [lo, hi): the batched
+/// cost layer from a level table. Per lane this is std::complex<double>'s
+/// finite-operand multiply, (a*c - b*d) + i(a*d + b*c).
+inline void mul_level_phase_lanes(double* data, std::size_t lanes,
+                                  const double* phase,
+                                  const std::uint32_t* level, std::size_t lo,
+                                  std::size_t hi) noexcept {
+  const std::size_t nd = 2 * lanes;
+  for (std::size_t i = lo; i < hi; ++i) {
+    double* row = data + nd * i;
+    const double* ph = phase + nd * level[i];
+    for (std::size_t j = 0; j < nd; j += 2) {
+      const double re = row[j];
+      const double im = row[j + 1];
+      row[j] = re * ph[j] - im * ph[j + 1];
+      row[j + 1] = re * ph[j + 1] + im * ph[j];
+    }
   }
 }
 
@@ -831,6 +853,31 @@ QQ_SIMD_TARGET_AVX2 inline void sum_norms_weighted_lanes(
   }
 }
 
+QQ_SIMD_TARGET_AVX2 inline void mul_level_phase_lanes(
+    double* data, std::size_t lanes, const double* phase,
+    const std::uint32_t* level, std::size_t lo, std::size_t hi) noexcept {
+  const std::size_t nd = 2 * lanes;
+  if (nd % 4 != 0) {
+    scalar::mul_level_phase_lanes(data, lanes, phase, level, lo, hi);
+    return;
+  }
+  const __m256d meven = flip_even();
+  for (std::size_t i = lo; i < hi; ++i) {
+    double* row = data + nd * i;
+    const double* ph = phase + nd * level[i];
+    for (std::size_t j = 0; j < nd; j += 4) {
+      // [pr pr] and [-pi pi] per lane: v*pr + swap(v)*(+-pi) is the scalar
+      // (re*pr - im*pi, im*pr + re*pi) through x + (-y) == x - y.
+      const __m256d t = _mm256_loadu_pd(ph + j);
+      const __m256d tr = _mm256_permute_pd(t, 0b0000);
+      const __m256d ti = _mm256_xor_pd(_mm256_permute_pd(t, 0b1111), meven);
+      const __m256d v = _mm256_loadu_pd(row + j);
+      _mm256_storeu_pd(row + j, _mm256_add_pd(_mm256_mul_pd(v, tr),
+                                              _mm256_mul_pd(swap_pairs(v), ti)));
+    }
+  }
+}
+
 }  // namespace avx2
 
 // ---- AVX-512 backend -----------------------------------------------------
@@ -1124,6 +1171,29 @@ QQ_SIMD_TARGET_AVX512 inline void rx_butterfly2_lanes(
   }
 }
 
+QQ_SIMD_TARGET_AVX512 inline void mul_level_phase_lanes(
+    double* data, std::size_t lanes, const double* phase,
+    const std::uint32_t* level, std::size_t lo, std::size_t hi) noexcept {
+  const std::size_t nd = 2 * lanes;
+  if (nd % 8 != 0) {
+    avx2::mul_level_phase_lanes(data, lanes, phase, level, lo, hi);
+    return;
+  }
+  const __m512d meven = flip_even();
+  for (std::size_t i = lo; i < hi; ++i) {
+    double* row = data + nd * i;
+    const double* ph = phase + nd * level[i];
+    for (std::size_t j = 0; j < nd; j += 8) {
+      const __m512d t = _mm512_loadu_pd(ph + j);
+      const __m512d tr = _mm512_permute_pd(t, 0x00);
+      const __m512d ti = _mm512_xor_pd(_mm512_permute_pd(t, 0xff), meven);
+      const __m512d v = _mm512_loadu_pd(row + j);
+      _mm512_storeu_pd(row + j, _mm512_add_pd(_mm512_mul_pd(v, tr),
+                                              _mm512_mul_pd(swap_pairs(v), ti)));
+    }
+  }
+}
+
 }  // namespace avx512
 
 #endif  // QQ_SIMD_X86
@@ -1392,6 +1462,25 @@ inline void sum_norms_weighted_lanes(double* acc, const double* data,
   }
 #endif
   scalar::sum_norms_weighted_lanes(acc, data, lanes, values, lo, hi);
+}
+
+inline void mul_level_phase_lanes(double* data, std::size_t lanes,
+                                  const double* phase,
+                                  const std::uint32_t* level, std::size_t lo,
+                                  std::size_t hi) noexcept {
+#if QQ_SIMD_X86
+  switch (active_isa()) {
+    case Isa::kAvx512:
+      avx512::mul_level_phase_lanes(data, lanes, phase, level, lo, hi);
+      return;
+    case Isa::kAvx2:
+      avx2::mul_level_phase_lanes(data, lanes, phase, level, lo, hi);
+      return;
+    case Isa::kScalar:
+      break;
+  }
+#endif
+  scalar::mul_level_phase_lanes(data, lanes, phase, level, lo, hi);
 }
 
 }  // namespace qq::sim::simd

@@ -26,7 +26,6 @@ using simd::rx_block_levels;
 using simd::rx_butterfly2_runs;
 using simd::rx_butterfly_runs;
 using simd::rx_interleaved_pairs;
-using simd::scale_run;
 using simd::scale_runs_pattern;
 
 namespace {
@@ -214,25 +213,6 @@ void StateVector::apply_rz(int q, double theta) {
         mul_table16_blocks(d + 16 * lo, hi - lo, tbl);
       },
       kParallelGrain / 8);
-}
-
-void StateVector::apply_phase(int q, double phi) {
-  check_qubit(q);
-  const Amplitude e = std::polar(1.0, phi);
-  const BasisState bit = BasisState{1} << q;
-  const std::size_t half = amps_.size() >> 1;
-  double* d = reinterpret_cast<double*>(amps_.data());
-  util::parallel_for_chunks(
-      0, half,
-      [d, q, bit, e](std::size_t lo, std::size_t hi) {
-        walk_runs(
-            lo, hi, bit,
-            [q, bit](std::size_t t) { return insert_zero_bit(t, q) | bit; },
-            [d, e](BasisState i0, std::size_t len) {
-              scale_run(d + 2 * i0, len, e.real(), e.imag());
-            });
-      },
-      kParallelGrain);
 }
 
 void StateVector::apply_cx(int control, int target) {
@@ -487,6 +467,37 @@ void StateVector::apply_diagonal_phase(const std::vector<double>& values,
         for (std::size_t i = lo; i < hi; ++i) {
           amps_[i] *= std::polar(1.0, -scale * values[i]);
         }
+      },
+      kParallelGrain);
+}
+
+void StateVector::apply_diagonal_phase(const LevelTable& levels,
+                                       double scale) {
+  if (levels.size() != amps_.size()) {
+    throw std::invalid_argument(
+        "apply_diagonal_phase: level table size must equal 2^n");
+  }
+  const std::vector<double>& values = levels.values();
+  if (levels.all_distinct()) {
+    apply_diagonal_phase(values, scale);
+    return;
+  }
+  // Same std::polar expression as the dense overload, evaluated once per
+  // distinct value instead of once per amplitude.
+  phase_.resize(values.size());
+  util::parallel_for_chunks(
+      0, values.size(),
+      [this, &values, scale](std::size_t lo, std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) {
+          phase_[k] = std::polar(1.0, -scale * values[k]);
+        }
+      },
+      detail::kPhaseGrain);
+  const std::uint32_t* level = levels.level().data();
+  util::parallel_for_chunks(
+      0, amps_.size(),
+      [this, level](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) amps_[i] *= phase_[level[i]];
       },
       kParallelGrain);
 }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "qsim/level_table.hpp"
 #include "util/rng.hpp"
 
 namespace qq::sim {
@@ -61,7 +62,6 @@ class StateVector {
   void apply_rx_layer(double theta);
   void apply_ry(int q, double theta);  ///< exp(-i θ Y/2)
   void apply_rz(int q, double theta);  ///< exp(-i θ Z/2)
-  void apply_phase(int q, double phi); ///< diag(1, e^{iφ})
   /// Arbitrary 2x2 unitary, row-major {m00, m01, m10, m11}.
   void apply_unitary1(int q, const std::array<Amplitude, 4>& m);
 
@@ -76,12 +76,18 @@ class StateVector {
   /// `values` must have 2^n entries. One bandwidth-bound sweep implements a
   /// full QAOA cost layer when `values` is the per-state cut table.
   void apply_diagonal_phase(const std::vector<double>& values, double scale);
+  /// The same sweep from a level table: one std::polar per level, then
+  /// amp[s] *= phase[level[s]]. Bit-for-bit the dense overload on the table
+  /// `levels` was built from. levels.size() must be 2^n.
+  void apply_diagonal_phase(const LevelTable& levels, double scale);
 
  private:
   void check_qubit(int q) const;
 
   int num_qubits_;
   std::vector<Amplitude> amps_;
+  /// Level-sweep scratch: one phase per level, grown once and reused.
+  std::vector<Amplitude> phase_;
 };
 
 }  // namespace qq::sim

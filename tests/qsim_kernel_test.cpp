@@ -62,14 +62,6 @@ void ref_z(std::vector<Amp>& a, int q) {
   }
 }
 
-void ref_phase(std::vector<Amp>& a, int q, double phi) {
-  const std::uint64_t bit = std::uint64_t{1} << q;
-  const Amp e = std::polar(1.0, phi);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (i & bit) a[i] *= e;
-  }
-}
-
 void ref_rz(std::vector<Amp>& a, int q, double theta) {
   const std::uint64_t bit = std::uint64_t{1} << q;
   const Amp e0 = std::polar(1.0, -theta * 0.5);
@@ -122,7 +114,6 @@ TEST_P(KernelEquivalence, SingleQubitDiagonalsMatchDenseUnitary1) {
   util::Rng rng(1000 + static_cast<std::uint64_t>(n));
   for (int q = 0; q < n; ++q) {
     const double theta = util::uniform(rng, -3.0, 3.0);
-    const double phi = util::uniform(rng, -3.0, 3.0);
     const auto amps = random_amplitudes(n, rng);
 
     // apply_z vs apply_unitary1(diag(1, -1))
@@ -130,14 +121,6 @@ TEST_P(KernelEquivalence, SingleQubitDiagonalsMatchDenseUnitary1) {
     StateVector dense = make_state(n, amps);
     fast.apply_z(q);
     dense.apply_unitary1(q, {Amp{1, 0}, Amp{0, 0}, Amp{0, 0}, Amp{-1, 0}});
-    expect_state_near(fast, {dense.data().begin(), dense.data().end()});
-
-    // apply_phase vs apply_unitary1(diag(1, e^{i phi}))
-    fast = make_state(n, amps);
-    dense = make_state(n, amps);
-    fast.apply_phase(q, phi);
-    dense.apply_unitary1(q,
-                         {Amp{1, 0}, Amp{0, 0}, Amp{0, 0}, std::polar(1.0, phi)});
     expect_state_near(fast, {dense.data().begin(), dense.data().end()});
 
     // apply_rz vs apply_unitary1(diag(e^{-i theta/2}, e^{i theta/2}))
@@ -161,12 +144,6 @@ TEST_P(KernelEquivalence, SingleQubitDiagonalsMatchNaiveSweep) {
     auto ref = amps;
     sv.apply_z(q);
     ref_z(ref, q);
-    expect_state_near(sv, ref);
-
-    sv = make_state(n, amps);
-    ref = amps;
-    sv.apply_phase(q, theta);
-    ref_phase(ref, q, theta);
     expect_state_near(sv, ref);
 
     sv = make_state(n, amps);

@@ -100,9 +100,6 @@ std::array<Amp, 4> y_gate() {
 std::array<Amp, 4> z_gate() {
   return {Amp{1, 0}, Amp{0, 0}, Amp{0, 0}, Amp{-1, 0}};
 }
-std::array<Amp, 4> phase_gate(double t) {
-  return {Amp{1, 0}, Amp{0, 0}, Amp{0, 0}, std::polar(1.0, t)};
-}
 
 }  // namespace ref
 
@@ -276,11 +273,6 @@ TEST_P(ReferenceValidation, RandomCircuitMatchesDenseModel) {
         sv.apply_rz(q, theta);
         ref_state =
             ref::apply(ref::one_qubit(n, q, ref::rz_gate(theta)), ref_state);
-        break;
-      case 7:
-        sv.apply_phase(q, theta);
-        ref_state =
-            ref::apply(ref::one_qubit(n, q, ref::phase_gate(theta)), ref_state);
         break;
       case 8:
         if (n < 2) continue;

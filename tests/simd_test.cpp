@@ -46,7 +46,7 @@ bool bits_equal(const StateVector& a, const StateVector& b) {
                      a.size() * sizeof(Amplitude)) == 0;
 }
 
-/// Deterministic circuit exercising every dispatched kernel: z / phase / rz
+/// Deterministic circuit exercising every dispatched kernel: z / rz
 /// (low-qubit table AND high-qubit run paths) / rzz (all qubit-pair
 /// geometries) / cz / the fused mixer, interleaved with h gates so the
 /// amplitudes stay dense and irrational.
@@ -56,7 +56,6 @@ void run_kernel_circuit(StateVector& sv, std::uint64_t seed) {
   sv.reset_to_plus();
   for (int q = 0; q < n; ++q) {
     sv.apply_rz(q, util::uniform(rng, -2.0, 2.0));
-    sv.apply_phase(q, util::uniform(rng, -1.0, 1.0));
   }
   sv.apply_rx_layer(util::uniform(rng, -2.0, 2.0));
   for (int a = 0; a < n; ++a) {
