@@ -24,8 +24,16 @@ std::vector<double> er_cut_table(int n) {
   return qq::qaoa::build_cut_table(qq::graph::erdos_renyi(n, 0.5, rng));
 }
 
-/// The random table of BM_DiagonalPhaseSweep: every value distinct, the
-/// level sweep's worst case.
+/// Cut table of an ER(n, 0.5) graph with uniform [0, 1) weights: 2^(n-1)
+/// distinct values, one per complementary pair z, ~z. The most levels a
+/// cut table has, so the level sweep's worst case.
+std::vector<double> er_real_cut_table(int n) {
+  qq::util::Rng rng(1);
+  return qq::qaoa::build_cut_table(qq::graph::erdos_renyi(
+      n, 0.5, rng, qq::graph::WeightMode::kUniform01));
+}
+
+/// The random table of BM_DiagonalPhaseSweep: every value distinct.
 std::vector<double> distinct_table(int n) {
   std::vector<double> table(std::size_t{1} << n);
   qq::util::Rng rng(1);
@@ -178,18 +186,18 @@ void BM_PhaseLevelSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_PhaseLevelSweep)->Arg(10)->Arg(14)->Arg(18)->Arg(20);
 
-// Worst case: BM_DiagonalPhaseSweep's table, one level per amplitude.
-void BM_PhaseLevelSweepAllDistinct(benchmark::State& state) {
+// Worst case: a random-real-weight cut table, one level per pair z, ~z.
+void BM_PhaseLevelSweepRealWeights(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   StateVector sv = StateVector::plus_state(n);
-  const LevelTable levels(distinct_table(n));
+  const LevelTable levels(er_real_cut_table(n));
   for (auto _ : state) {
     sv.apply_diagonal_phase(levels, 0.37);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(sv.size()));
 }
-BENCHMARK(BM_PhaseLevelSweepAllDistinct)->Arg(14)->Arg(18);
+BENCHMARK(BM_PhaseLevelSweepRealWeights)->Arg(14)->Arg(18);
 
 // The batched cost layer on an ER cut table, dense and from levels: the
 // lockstep restart sweep that dominates multi-restart leaf solves.

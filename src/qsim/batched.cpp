@@ -105,10 +105,6 @@ void BatchedStateVector::apply_diagonal_phase(
   check_scales(scales);
   const std::size_t lanes = static_cast<std::size_t>(batch_);
   const std::vector<double>& values = levels.values();
-  if (levels.all_distinct()) {
-    apply_diagonal_phase(values, scales);
-    return;
-  }
   phase_.resize(2 * lanes * values.size());
   // The dense overload's per-lane std::polar expression, once per level.
   util::parallel_for_chunks(

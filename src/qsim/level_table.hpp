@@ -31,12 +31,6 @@ class LevelTable {
   const std::vector<double>& values() const noexcept { return values_; }
   /// level()[z] indexes values(); every index is < values().size().
   const std::vector<std::uint32_t>& level() const noexcept { return level_; }
-  /// Every entry distinct: level()[z] == z, so values() is the diagonal
-  /// itself and a phase table would save no sincos. Never a cut table,
-  /// which repeats every value (Cut(z) == Cut(~z)).
-  bool all_distinct() const noexcept {
-    return values_.size() == level_.size();
-  }
 
  private:
   std::vector<double> values_;

@@ -415,9 +415,9 @@ inline void sum_norms_weighted_lanes(double* acc, const double* data,
 }
 
 /// Row i of `data` (at data + 2*lanes*i) times phase row level[i] (at
-/// phase + 2*lanes*level[i]), lane by lane, for i in [lo, hi): the batched
-/// cost layer from a level table. Per lane this is std::complex<double>'s
-/// finite-operand multiply, (a*c - b*d) + i(a*d + b*c).
+/// phase + 2*lanes*level[i]), lane by lane, for i in [lo, hi): the cost
+/// layer from a level table, batched or (lanes == 1) flat. Per lane this is
+/// std::complex<double>'s finite-operand multiply, (a*c - b*d) + i(a*d + b*c).
 inline void mul_level_phase_lanes(double* data, std::size_t lanes,
                                   const double* phase,
                                   const std::uint32_t* level, std::size_t lo,

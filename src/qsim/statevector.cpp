@@ -478,10 +478,6 @@ void StateVector::apply_diagonal_phase(const LevelTable& levels,
         "apply_diagonal_phase: level table size must equal 2^n");
   }
   const std::vector<double>& values = levels.values();
-  if (levels.all_distinct()) {
-    apply_diagonal_phase(values, scale);
-    return;
-  }
   // Same std::polar expression as the dense overload, evaluated once per
   // distinct value instead of once per amplitude.
   phase_.resize(values.size());
@@ -493,11 +489,15 @@ void StateVector::apply_diagonal_phase(const LevelTable& levels,
         }
       },
       detail::kPhaseGrain);
+  // The batched sweep's row multiply with one lane: the dense overload's
+  // complex multiply, operand for operand.
   const std::uint32_t* level = levels.level().data();
+  double* d = reinterpret_cast<double*>(amps_.data());
+  const double* ph = reinterpret_cast<const double*>(phase_.data());
   util::parallel_for_chunks(
       0, amps_.size(),
-      [this, level](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) amps_[i] *= phase_[level[i]];
+      [d, ph, level](std::size_t lo, std::size_t hi) {
+        simd::mul_level_phase_lanes(d, 1, ph, level, lo, hi);
       },
       kParallelGrain);
 }

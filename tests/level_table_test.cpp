@@ -1,10 +1,9 @@
 // Level-table cost sweeps against the dense sweeps they replace. The dense
 // apply_diagonal_phase overloads are the oracle: on every table kind a QAOA
 // leaf meets (unit-weight, integer-weight, random real weights with
-// 2^(n-1) distinct values, and a signed QAOA² merge graph), and on a
-// diagonal with no repeated entry, the level overloads must leave every
-// amplitude bit-for-bit identical, flat and batched, under every SIMD
-// backend the machine supports.
+// 2^(n-1) distinct values, and a signed QAOA² merge graph), the level
+// overloads must leave every amplitude bit-for-bit identical, flat and
+// batched, under every SIMD backend the machine supports.
 
 #include <gtest/gtest.h>
 
@@ -54,8 +53,7 @@ struct Table {
   std::vector<double> values;
 };
 
-/// The four cut-table kinds on n qubits, then a diagonal whose every entry
-/// is distinct (no cut table; the level sweeps run the dense sweep on it).
+/// The four cut-table kinds on n qubits.
 std::vector<Table> diagonals(int n) {
   util::Rng rng(static_cast<std::uint64_t>(n) * 131 + 7);
   const graph::Graph unit = graph::erdos_renyi(n, 0.5, rng);
@@ -82,14 +80,10 @@ std::vector<Table> diagonals(int n) {
   }
   const graph::Graph merge = qaoa2::build_merge_graph(big, parts, local);
 
-  std::vector<double> distinct(std::size_t{1} << n);
-  for (double& v : distinct) v = util::uniform(rng, -4.0, 4.0);
-
   return {{"unit-weight ER", qaoa::build_cut_table(unit)},
           {"integer weights", qaoa::build_cut_table(integer)},
           {"random real weights", qaoa::build_cut_table(real)},
-          {"signed merge graph", qaoa::build_cut_table(merge)},
-          {"all-distinct diagonal", distinct}};
+          {"signed merge graph", qaoa::build_cut_table(merge)}};
 }
 
 bool bits_equal(const StateVector& a, const StateVector& b) {
@@ -116,16 +110,6 @@ TEST(LevelTable, LevelCountsFollowTheGraph) {
   // complementary pair z, ~z shares one value and no other pair collides.
   EXPECT_LE(LevelTable(tables[0].values).values().size(), 46u);
   EXPECT_EQ(LevelTable(tables[2].values).values().size(), 512u);
-  for (std::size_t k = 0; k < 4; ++k) {
-    EXPECT_FALSE(LevelTable(tables[k].values).all_distinct()) << tables[k].name;
-  }
-  // Levels number in order of first appearance, so an all-distinct
-  // diagonal maps every state to itself.
-  const LevelTable distinct(tables[4].values);
-  ASSERT_TRUE(distinct.all_distinct());
-  for (std::size_t z = 0; z < distinct.size(); ++z) {
-    ASSERT_EQ(distinct.level()[z], z);
-  }
 }
 
 TEST(LevelTable, SignedZerosAreDistinctLevels) {

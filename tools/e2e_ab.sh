@@ -3,23 +3,23 @@
 # revision and the working tree.
 #
 #   tools/e2e_ab.sh <base-rev> [--workload W[,W...]] [--pairs N]
-#                   [--seconds T] [--seed S] [--cpus LIST] [--json FILE]
+#                   [--cpus LIST]
 #
 # Run from the repository root. The base revision is exported with
 # `git archive` into .bench_build/ab/<sha>/ (a plain directory, no network,
 # no worktree metadata left in .git) and the working tree is the change, so
 # uncommitted edits are measured. Each side builds and runs its OWN
 # bench/e2e/run.sh, so a change to the benchmark itself is compared as
-# shipped. Each side first runs its smoke check for the workload (which also
-# builds it); then N pairs of full runs alternate base and change, the side
-# that goes first alternating too.
+# shipped, with run.sh's own run length and seed. Each side first runs its
+# smoke check for the workload (which also builds it); then N pairs of full
+# runs alternate base and change, the side that goes first alternating too.
 #
 # For every metric both sides report, it prints the median of the per-pair
 # ratios change/base and their range, the number of pairs in which the
 # change was better, and, for the end-to-end metrics BENCHMARK.json bounds,
-# whether the median ratio crosses the bound. The same goes to --json
-# (default .bench_build/ab/result.json); build output and every run's
-# report go to .bench_build/ab/runs.log. --cpus pins both sides with
+# whether the median ratio crosses the bound. The same goes to
+# .bench_build/ab/result.json; build output and every run's report go to
+# .bench_build/ab/runs.log. --cpus pins both sides with
 # `taskset -c LIST`; run.sh sizes its pool as min(nproc, 4) under that
 # affinity, and the tool states the width it ran with. The exit status is 1
 # when a run failed or a bound was crossed for the worse, 2 on a usage error.
@@ -35,18 +35,12 @@ base_rev="$1"
 shift
 workloads="fig4_er500,er1000_warm,pp16_r16,service_openloop"
 pairs=5
-seconds=22
-seed=1
 cpus=""
-json=".bench_build/ab/result.json"
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) workloads="${2:?--workload needs a value}"; shift 2 ;;
     --pairs) pairs="${2:?--pairs needs a value}"; shift 2 ;;
-    --seconds) seconds="${2:?--seconds needs a value}"; shift 2 ;;
-    --seed) seed="${2:?--seed needs a value}"; shift 2 ;;
     --cpus) cpus="${2:?--cpus needs a value}"; shift 2 ;;
-    --json) json="${2:?--json needs a value}"; shift 2 ;;
     *) echo "e2e_ab.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
 done
@@ -70,7 +64,7 @@ if [ ! -f "$base_dir/bench/e2e/run.sh" ]; then
   mkdir -p "$base_dir"
   git archive "$base_sha" | tar -x -C "$base_dir"
 fi
-mkdir -p "$(dirname "$json")"
+json="$root/.bench_build/ab/result.json"
 raw=$(mktemp "$root/.bench_build/ab/runs.XXXXXX")
 trap 'rm -f "$raw"' EXIT
 # Build output and each run's report go here, not to the terminal.
@@ -82,17 +76,16 @@ pin=()
 nproc_pinned=$("${pin[@]}" nproc)
 width=$(( nproc_pinned < 4 ? nproc_pinned : 4 ))
 echo "e2e_ab: base $base_sha vs working tree at $(git rev-parse --short HEAD)," \
-     "$pairs pairs, ${seconds}s windows, pool width $width" \
+     "$pairs pairs, pool width $width" \
      "(nproc $nproc_pinned${cpus:+, cpus $cpus})" >&2
 
-# run_side <side> <dir> <workload> [run.sh args...]: one run, JSON line to
-# $raw tagged with side and workload; returns run.sh's status.
+# run_side <side> <dir> <workload>: one full run, JSON line to $raw tagged
+# with side and workload; returns run.sh's status.
 run_side() {
   local side="$1" dir="$2" w="$3"
-  shift 3
   local out status=0
   out=$(cd "$dir" && env -u CARGO_TARGET_DIR "${pin[@]}" \
-          bash bench/e2e/run.sh --workload "$w" --seed "$seed" "$@" \
+          bash bench/e2e/run.sh --workload "$w" \
           2>>"$log") || status=$?
   printf '%s\n' "$out" >>"$log"
   local last
@@ -122,7 +115,7 @@ for w in "${wl[@]}"; do
     for side in "${order[@]}"; do
       dir="$root"
       [ "$side" = base ] && dir="$base_dir"
-      run_side "$side" "$dir" "$w" --seconds "$seconds" ||
+      run_side "$side" "$dir" "$w" ||
         { echo "e2e_ab: $side run $((i + 1)) of $w failed (see $log)" >&2
           status=1; }
     done
@@ -130,11 +123,11 @@ for w in "${wl[@]}"; do
   done
 done
 
-python3 - "$raw" "$json" "$base_sha" "$width" "$pairs" "$seconds" \
-    "${cpus:-}" <<'PY' || status=1
+python3 - "$raw" "$json" "$base_sha" "$width" "$pairs" "${cpus:-}" \
+    <<'PY' || status=1
 import json, statistics, sys
 
-raw, out, base_sha, width, pairs, seconds, cpus = sys.argv[1:8]
+raw, out, base_sha, width, pairs, cpus = sys.argv[1:7]
 bench = json.load(open("BENCHMARK.json"))
 bounds = {m["name"]: m for m in bench["end_to_end"]}
 better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
@@ -146,8 +139,7 @@ for line in open(raw):
         (int(code), json.loads(doc)))
 
 report = {"base": base_sha, "change": "working tree", "pool_width": int(width),
-          "cpus": cpus or None, "pairs": int(pairs), "seconds": float(seconds),
-          "workloads": {}}
+          "cpus": cpus or None, "pairs": int(pairs), "workloads": {}}
 crossed_worse = False
 for w, sides in runs.items():
     entry = {"failed_runs": {s: sum(1 for c, d in sides[s]
