@@ -118,32 +118,6 @@ void BM_ApplyCx(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyCx)->Arg(10)->Arg(14)->Arg(18)->Arg(20)->Arg(22);
 
-void BM_ApplyCz(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  StateVector sv = StateVector::plus_state(n);
-  int q = 0;
-  for (auto _ : state) {
-    sv.apply_cz(q, (q + 1) % n);
-    q = (q + 1) % n;
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sv.size()));
-}
-BENCHMARK(BM_ApplyCz)->Arg(10)->Arg(14)->Arg(18)->Arg(20)->Arg(22);
-
-void BM_ApplySwap(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  StateVector sv = StateVector::plus_state(n);
-  int q = 0;
-  for (auto _ : state) {
-    sv.apply_swap(q, (q + 1) % n);
-    q = (q + 1) % n;
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sv.size()));
-}
-BENCHMARK(BM_ApplySwap)->Arg(10)->Arg(14)->Arg(18)->Arg(20)->Arg(22);
-
 void BM_ApplyRzz(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   StateVector sv = StateVector::plus_state(n);

@@ -15,6 +15,13 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
+/// Refinement work budget (roughly node visits) of the
+/// individualization-refinement search. Exhaustion degrades to a
+/// deterministic-but-label-dependent completion (`canonical = false`),
+/// never to an error. It comfortably canonicalizes every device-sized leaf
+/// (<= ~32 nodes) exactly.
+constexpr std::size_t kWorkBudget = 200000;
+
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
   util::SplitMix64 sm(h ^ (v * 0x9e3779b97f4a7c15ULL));
   return sm.next();
@@ -33,7 +40,7 @@ struct Canonicalizer {
   /// allocation-free after construction.
   std::vector<std::size_t> off;
   std::vector<std::pair<NodeId, std::uint64_t>> flat;
-  std::size_t budget;
+  std::size_t budget = kWorkBudget;
   bool exhausted = false;
 
   // refine() scratch, reused across the search's refinement calls.
@@ -45,8 +52,8 @@ struct Canonicalizer {
   std::vector<CanonicalEdge> best_edges;
   std::vector<NodeId> best_canon_to_orig;
 
-  explicit Canonicalizer(const Graph& graph, std::size_t work_budget)
-      : g(graph), n(graph.num_nodes()), budget(work_budget) {
+  explicit Canonicalizer(const Graph& graph)
+      : g(graph), n(graph.num_nodes()) {
     const std::vector<graph::Edge>& es = g.edges();
     off.assign(static_cast<std::size_t>(n) + 1, 0);
     for (const graph::Edge& e : es) {
@@ -326,13 +333,12 @@ std::uint64_t weight_bits(double w) noexcept {
   return bits;
 }
 
-Fingerprint fingerprint_graph(const graph::Graph& g,
-                              const FingerprintOptions& options) {
+Fingerprint fingerprint_graph(const graph::Graph& g) {
   Fingerprint fp;
   fp.num_nodes = g.num_nodes();
   const NodeId n = g.num_nodes();
   if (n > 0) {
-    Canonicalizer canon(g, options.work_budget);
+    Canonicalizer canon(g);
     // Initial colors: (degree, incident-weight multiset) via one refinement
     // pass from the uniform coloring — the WL signal the search refines.
     std::vector<int> colors(static_cast<std::size_t>(n), 0);

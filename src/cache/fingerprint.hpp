@@ -28,15 +28,6 @@
 
 namespace qq::cache {
 
-struct FingerprintOptions {
-  /// Refinement work budget (roughly node visits) of the
-  /// individualization-refinement search. Exhaustion degrades to a
-  /// deterministic-but-label-dependent completion (`canonical = false`),
-  /// never to an error. The default comfortably canonicalizes every
-  /// device-sized leaf (<= ~32 nodes) exactly.
-  std::size_t work_budget = 200000;
-};
-
 /// One edge of the canonical form: endpoints in canonical labels (u < v),
 /// weight as a normalized bit pattern (exact comparison, no tolerance).
 struct CanonicalEdge {
@@ -74,8 +65,7 @@ struct Fingerprint {
 std::uint64_t weight_bits(double w) noexcept;
 
 /// Compute the canonical fingerprint of `g`.
-Fingerprint fingerprint_graph(const graph::Graph& g,
-                              const FingerprintOptions& options = {});
+Fingerprint fingerprint_graph(const graph::Graph& g);
 
 /// True when two fingerprints denote the SAME canonical graph (exact node
 /// count + edge-list + digest equality; hash equality is necessary but not

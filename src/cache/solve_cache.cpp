@@ -126,7 +126,7 @@ solver::SolveReport SolveCache::solve_through(const solver::Solver& s,
   if (request.context != nullptr) request.context->throw_if_stopped();
 
   const Clock::time_point lookup_start = Clock::now();
-  const Fingerprint fp = fingerprint_graph(g, options_.fingerprint);
+  const Fingerprint fp = fingerprint_graph(g);
   std::uint64_t hash = mix(fp.key, fp.digest);
   hash = mix(hash, fnv1a(solver_key));
   hash = mix(hash, request.seed);

@@ -60,7 +60,6 @@ struct CacheOptions {
   /// Total entry capacity across all shards (>= shard count enforced).
   std::size_t capacity = 4096;
   WarmStartOptions warm_start;
-  FingerprintOptions fingerprint;
 };
 
 /// Per-call cache behavior, carried by the caller (the service, Qaoa2Options)

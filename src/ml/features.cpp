@@ -79,20 +79,4 @@ std::array<double, kNumFeatures> graph_features(const graph::Graph& g) {
   return f;
 }
 
-const char* feature_name(std::size_t index) noexcept {
-  switch (index) {
-    case 0: return "nodes";
-    case 1: return "edges";
-    case 2: return "density";
-    case 3: return "mean_degree";
-    case 4: return "degree_std";
-    case 5: return "max_degree";
-    case 6: return "mean_weight";
-    case 7: return "weight_std";
-    case 8: return "clustering";
-    case 9: return "weighted";
-  }
-  return "?";
-}
-
 }  // namespace qq::ml

@@ -25,6 +25,4 @@ inline constexpr std::size_t kNumFeatures = 10;
 ///   9: 1 if weighted else 0
 std::array<double, kNumFeatures> graph_features(const graph::Graph& g);
 
-const char* feature_name(std::size_t index) noexcept;
-
 }  // namespace qq::ml

@@ -502,7 +502,7 @@ Qaoa2Result Qaoa2Driver::solve(const graph::Graph& g) const {
     result.components =
         static_cast<int>(graph::connected_components(g).size());
     result.cut.assignment =
-        solve_fitting_level(g, 0, options_.seed, result, options_.context)
+        solve_fitting_level(g, 0, options_.seed, result, nullptr)
             .assignment;
     result.cut.value = maxcut::cut_value(g, result.cut.assignment);
     return result;
@@ -516,9 +516,7 @@ Qaoa2Result Qaoa2Driver::solve(const graph::Graph& g) const {
   util::Mutex mutex;
   bool settled = false;
   std::exception_ptr err;
-  SolveTags tags;
-  tags.context = options_.context;
-  solve_async(engine, g, tags,
+  solve_async(engine, g, SolveTags{},
               [&](Qaoa2Result r, std::exception_ptr e) {
                 util::MutexLock lock(mutex);
                 result = std::move(r);

@@ -63,10 +63,6 @@ struct Qaoa2Options {
   /// Simulated device count / classical worker slots for the parallel
   /// sub-graph fan-out (Fig. 2).
   sched::EngineOptions engine;
-  /// Cooperative stop state threaded into every sub-solve (viewed, not
-  /// owned; may be null). A stopped context unwinds the remaining task
-  /// graph as cancelled; results are unchanged while it never trips.
-  const util::RequestContext* context = nullptr;
   std::uint64_t seed = 0;
   /// Fleet-wide solve cache every leaf/coarse solve routes through (viewed,
   /// not owned; may be null = uncached). Entries are keyed on (subgraph,

@@ -1,7 +1,6 @@
 #include "qcircuit/circuit.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,8 +9,6 @@ namespace qq::circuit {
 bool is_two_qubit(GateKind kind) noexcept {
   switch (kind) {
     case GateKind::kCx:
-    case GateKind::kCz:
-    case GateKind::kSwap:
     case GateKind::kRzz:
       return true;
     default:
@@ -22,7 +19,6 @@ bool is_two_qubit(GateKind kind) noexcept {
 bool is_rotation(GateKind kind) noexcept {
   switch (kind) {
     case GateKind::kRx:
-    case GateKind::kRy:
     case GateKind::kRz:
     case GateKind::kRzz:
       return true;
@@ -34,16 +30,10 @@ bool is_rotation(GateKind kind) noexcept {
 const char* gate_name(GateKind kind) noexcept {
   switch (kind) {
     case GateKind::kH: return "h";
-    case GateKind::kX: return "x";
-    case GateKind::kZ: return "z";
     case GateKind::kRx: return "rx";
-    case GateKind::kRy: return "ry";
     case GateKind::kRz: return "rz";
     case GateKind::kCx: return "cx";
-    case GateKind::kCz: return "cz";
-    case GateKind::kSwap: return "swap";
     case GateKind::kRzz: return "rzz";
-    case GateKind::kBarrier: return "barrier";
   }
   return "?";
 }
@@ -66,14 +56,8 @@ void Circuit::check_qubit(int q) const {
 }
 
 Circuit& Circuit::h(int q) { append({GateKind::kH, q}); return *this; }
-Circuit& Circuit::x(int q) { append({GateKind::kX, q}); return *this; }
-Circuit& Circuit::z(int q) { append({GateKind::kZ, q}); return *this; }
 Circuit& Circuit::rx(int q, double theta) {
   append({GateKind::kRx, q, -1, theta});
-  return *this;
-}
-Circuit& Circuit::ry(int q, double theta) {
-  append({GateKind::kRy, q, -1, theta});
   return *this;
 }
 Circuit& Circuit::rz(int q, double theta) {
@@ -84,28 +68,12 @@ Circuit& Circuit::cx(int control, int target) {
   append({GateKind::kCx, control, target});
   return *this;
 }
-Circuit& Circuit::cz(int a, int b) {
-  append({GateKind::kCz, a, b});
-  return *this;
-}
-Circuit& Circuit::swap(int a, int b) {
-  append({GateKind::kSwap, a, b});
-  return *this;
-}
 Circuit& Circuit::rzz(int a, int b, double theta) {
   append({GateKind::kRzz, a, b, theta});
   return *this;
 }
-Circuit& Circuit::barrier() {
-  gates_.push_back({GateKind::kBarrier, -1, -1, 0.0});
-  return *this;
-}
 
 void Circuit::append(const Gate& gate) {
-  if (gate.kind == GateKind::kBarrier) {
-    gates_.push_back(gate);
-    return;
-  }
   check_qubit(gate.q0);
   if (is_two_qubit(gate.kind)) {
     check_qubit(gate.q1);
@@ -127,18 +95,7 @@ CircuitStats Circuit::stats() const {
   CircuitStats s;
   std::vector<int> busy(static_cast<std::size_t>(num_qubits_), 0);
   std::vector<int> busy_2q(static_cast<std::size_t>(num_qubits_), 0);
-  int barrier_floor = 0;
-  int barrier_floor_2q = 0;
   for (const Gate& g : gates_) {
-    if (g.kind == GateKind::kBarrier) {
-      for (int level : busy) barrier_floor = std::max(barrier_floor, level);
-      for (int level : busy_2q) {
-        barrier_floor_2q = std::max(barrier_floor_2q, level);
-      }
-      for (auto& level : busy) level = barrier_floor;
-      for (auto& level : busy_2q) level = barrier_floor_2q;
-      continue;
-    }
     ++s.total_gates;
     if (is_rotation(g.kind)) ++s.rotations;
     const auto q0 = static_cast<std::size_t>(g.q0);
@@ -161,12 +118,9 @@ CircuitStats Circuit::stats() const {
 std::string Circuit::str() const {
   std::ostringstream os;
   for (const Gate& g : gates_) {
-    os << gate_name(g.kind);
-    if (g.kind != GateKind::kBarrier) {
-      os << " q" << g.q0;
-      if (g.q1 >= 0) os << ", q" << g.q1;
-      if (is_rotation(g.kind)) os << " (" << g.param << ')';
-    }
+    os << gate_name(g.kind) << " q" << g.q0;
+    if (g.q1 >= 0) os << ", q" << g.q1;
+    if (is_rotation(g.kind)) os << " (" << g.param << ')';
     os << '\n';
   }
   return os.str();

@@ -12,18 +12,14 @@
 
 namespace qq::circuit {
 
+/// The gates programs emit: `qaoa_ansatz` builds H, RZZ and RX, and
+/// `transpile_to_cx_basis` lowers RZZ to CX and RZ.
 enum class GateKind : std::uint8_t {
   kH,
-  kX,
-  kZ,
   kRx,
-  kRy,
   kRz,
   kCx,
-  kCz,
-  kSwap,
   kRzz,
-  kBarrier,  ///< scheduling fence across all qubits
 };
 
 bool is_two_qubit(GateKind kind) noexcept;
@@ -43,7 +39,7 @@ struct CircuitStats {
   std::size_t total_gates = 0;
   std::size_t two_qubit_gates = 0;
   std::size_t rotations = 0;
-  int depth = 0;      ///< greedy ASAP layering, barriers respected
+  int depth = 0;      ///< greedy ASAP layering
   int depth_2q = 0;   ///< depth counting only two-qubit layers
 };
 
@@ -57,16 +53,10 @@ class Circuit {
 
   // Fluent emitters; all validate qubit indices.
   Circuit& h(int q);
-  Circuit& x(int q);
-  Circuit& z(int q);
   Circuit& rx(int q, double theta);
-  Circuit& ry(int q, double theta);
   Circuit& rz(int q, double theta);
   Circuit& cx(int control, int target);
-  Circuit& cz(int a, int b);
-  Circuit& swap(int a, int b);
   Circuit& rzz(int a, int b, double theta);
-  Circuit& barrier();
 
   void append(const Gate& gate);
   void append(const Circuit& other);

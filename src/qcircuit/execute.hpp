@@ -6,8 +6,11 @@
 
 namespace qq::circuit {
 
-/// Apply every gate of `qc` to `sv` in order (barriers are no-ops at
-/// simulation time).
+/// Apply one gate to `sv` — the single gate executor, shared by the ideal
+/// run below and the noisy trajectories in noise.hpp.
+void apply_gate(const Gate& g, sim::StateVector& sv);
+
+/// Apply every gate of `qc` to `sv` in order.
 void apply(const Circuit& qc, sim::StateVector& sv);
 
 /// Run `qc` from |0...0> and return the final state.

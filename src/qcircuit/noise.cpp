@@ -63,22 +63,6 @@ void maybe_damp(sim::StateVector& sv, int qubit, double gamma,
   sv.normalize();
 }
 
-void apply_gate(sim::StateVector& sv, const Gate& g) {
-  switch (g.kind) {
-    case GateKind::kH: sv.apply_h(g.q0); break;
-    case GateKind::kX: sv.apply_x(g.q0); break;
-    case GateKind::kZ: sv.apply_z(g.q0); break;
-    case GateKind::kRx: sv.apply_rx(g.q0, g.param); break;
-    case GateKind::kRy: sv.apply_ry(g.q0, g.param); break;
-    case GateKind::kRz: sv.apply_rz(g.q0, g.param); break;
-    case GateKind::kCx: sv.apply_cx(g.q0, g.q1); break;
-    case GateKind::kCz: sv.apply_cz(g.q0, g.q1); break;
-    case GateKind::kSwap: sv.apply_swap(g.q0, g.q1); break;
-    case GateKind::kRzz: sv.apply_rzz(g.q0, g.q1, g.param); break;
-    case GateKind::kBarrier: break;
-  }
-}
-
 }  // namespace
 
 sim::StateVector run_trajectory(const Circuit& qc, const NoiseModel& noise,
@@ -86,8 +70,7 @@ sim::StateVector run_trajectory(const Circuit& qc, const NoiseModel& noise,
   noise.validate();
   sim::StateVector sv(qc.num_qubits());
   for (const Gate& g : qc.gates()) {
-    apply_gate(sv, g);
-    if (g.kind == GateKind::kBarrier) continue;
+    apply_gate(g, sv);
     if (is_two_qubit(g.kind)) {
       maybe_pauli(sv, g.q0, noise.depolarizing_2q, rng);
       maybe_pauli(sv, g.q1, noise.depolarizing_2q, rng);

@@ -1,6 +1,5 @@
 #include "qcircuit/passes.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -9,33 +8,16 @@ namespace qq::circuit {
 
 namespace {
 
-constexpr int kBlocked = -2;  // barrier sentinel for last-op tracking
-
 bool same_pair_unordered(const Gate& a, const Gate& b) {
   return (a.q0 == b.q0 && a.q1 == b.q1) || (a.q0 == b.q1 && a.q1 == b.q0);
 }
 
-bool self_inverse(GateKind kind) {
-  switch (kind) {
-    case GateKind::kH:
-    case GateKind::kX:
-    case GateKind::kZ:
-    case GateKind::kCx:
-    case GateKind::kCz:
-    case GateKind::kSwap:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// For CX the (control, target) order is semantic; for CZ/SWAP/RZZ the pair
-/// is symmetric.
+/// The self-inverse kinds are H and CX; for CX the (control, target) order
+/// is semantic.
 bool cancels_with(const Gate& a, const Gate& b) {
-  if (a.kind != b.kind || !self_inverse(a.kind)) return false;
-  if (a.kind == GateKind::kCx) return a.q0 == b.q0 && a.q1 == b.q1;
-  if (is_two_qubit(a.kind)) return same_pair_unordered(a, b);
-  return a.q0 == b.q0;
+  if (a.kind != b.kind) return false;
+  if (a.kind == GateKind::kH) return a.q0 == b.q0;
+  return a.kind == GateKind::kCx && a.q0 == b.q0 && a.q1 == b.q1;
 }
 
 }  // namespace
@@ -46,11 +28,6 @@ Circuit merge_rotations(const Circuit& qc) {
   std::vector<int> last(static_cast<std::size_t>(qc.num_qubits()), -1);
 
   for (const Gate& g : qc.gates()) {
-    if (g.kind == GateKind::kBarrier) {
-      gates.push_back(g);
-      std::fill(last.begin(), last.end(), kBlocked);
-      continue;
-    }
     const auto q0 = static_cast<std::size_t>(g.q0);
     if (is_rotation(g.kind)) {
       const bool two = is_two_qubit(g.kind);
@@ -100,10 +77,6 @@ Circuit cancel_pairs(const Circuit& qc) {
     std::vector<int> last(static_cast<std::size_t>(qc.num_qubits()), -1);
     for (std::size_t i = 0; i < gates.size(); ++i) {
       const Gate& g = gates[i];
-      if (g.kind == GateKind::kBarrier) {
-        std::fill(last.begin(), last.end(), kBlocked);
-        continue;
-      }
       const auto q0 = static_cast<std::size_t>(g.q0);
       const bool two = is_two_qubit(g.kind);
       const int prev0 = last[q0];
@@ -185,25 +158,12 @@ Circuit schedule_commuting_rzz(const Circuit& qc) {
 Circuit transpile_to_cx_basis(const Circuit& qc) {
   Circuit out(qc.num_qubits());
   for (const Gate& g : qc.gates()) {
-    switch (g.kind) {
-      case GateKind::kRzz:
-        out.cx(g.q0, g.q1);
-        out.rz(g.q1, g.param);
-        out.cx(g.q0, g.q1);
-        break;
-      case GateKind::kCz:
-        out.h(g.q1);
-        out.cx(g.q0, g.q1);
-        out.h(g.q1);
-        break;
-      case GateKind::kSwap:
-        out.cx(g.q0, g.q1);
-        out.cx(g.q1, g.q0);
-        out.cx(g.q0, g.q1);
-        break;
-      default:
-        out.append(g);
-        break;
+    if (g.kind == GateKind::kRzz) {
+      out.cx(g.q0, g.q1);
+      out.rz(g.q1, g.param);
+      out.cx(g.q0, g.q1);
+    } else {
+      out.append(g);
     }
   }
   return out;

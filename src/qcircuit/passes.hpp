@@ -12,8 +12,8 @@
 namespace qq::circuit {
 
 /// Fuse runs of equal-kind rotations acting on the same qubit (pair) with
-/// no interposed gate on those qubits: RZ(a) RZ(b) -> RZ(a+b), likewise RX,
-/// RY, Phase and RZZ on the identical unordered pair.
+/// no interposed gate on those qubits: RZ(a) RZ(b) -> RZ(a+b), likewise RX
+/// and RZZ on the identical unordered pair.
 Circuit merge_rotations(const Circuit& qc);
 
 /// Drop rotations whose angle is a multiple of 2*pi (within tol) and other
@@ -21,7 +21,7 @@ Circuit merge_rotations(const Circuit& qc);
 Circuit drop_identities(const Circuit& qc, double tol = 1e-12);
 
 /// Cancel adjacent self-inverse pairs on the same qubits with nothing in
-/// between: H H, X X, Y Y, Z Z, CX CX, CZ CZ, SWAP SWAP.
+/// between: H H and CX CX (same control and target).
 Circuit cancel_pairs(const Circuit& qc);
 
 /// Reorder each run of mutually commuting RZZ gates (a QAOA cost layer) by
@@ -30,8 +30,7 @@ Circuit cancel_pairs(const Circuit& qc);
 /// commute).
 Circuit schedule_commuting_rzz(const Circuit& qc);
 
-/// Lower to a {CX, 1q} hardware basis: RZZ(t) -> CX RZ(t) CX,
-/// CZ -> H CX H, SWAP -> 3 CX.
+/// Lower to a {CX, 1q} hardware basis: RZZ(t) -> CX RZ(t) CX.
 Circuit transpile_to_cx_basis(const Circuit& qc);
 
 /// The full "synthesis engine": merge -> drop -> cancel -> schedule.

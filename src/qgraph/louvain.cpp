@@ -10,6 +10,11 @@ namespace qq::graph {
 
 namespace {
 
+/// Minimum modularity gain to accept a local move.
+constexpr double kMinGain = 1e-9;
+/// Safety cap on local-moving passes per level.
+constexpr int kMaxPasses = 64;
+
 // The aggregated graphs of Louvain carry self-loops (intra-community
 // weight), which the Graph type does not represent; they are tracked in a
 // side vector. A self-loop of weight w contributes 2w to its node's degree
@@ -19,8 +24,7 @@ namespace {
 /// empty vector when no node ever moved (fixed point).
 std::vector<int> local_moving(const Graph& g,
                               const std::vector<double>& self_weight,
-                              util::Rng& rng, double min_gain,
-                              int max_passes) {
+                              util::Rng& rng) {
   const NodeId n = g.num_nodes();
   double total_weight = g.total_weight();
   for (const double w : self_weight) total_weight += w;
@@ -41,7 +45,7 @@ std::vector<int> local_moving(const Graph& g,
   std::iota(order.begin(), order.end(), 0);
 
   bool any_move_ever = false;
-  for (int pass = 0; pass < max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     // Shuffle the visit order (seeded) to avoid pathological sweeps.
     for (std::size_t i = order.size(); i > 1; --i) {
       std::swap(order[i - 1], order[util::uniform_u64(rng, i)]);
@@ -68,7 +72,7 @@ std::vector<int> local_moving(const Graph& g,
         if (c == old_comm) continue;
         const double gain =
             w_uc - k_u * sigma_tot[static_cast<std::size_t>(c)] / m2;
-        if (gain > best_gain + min_gain) {
+        if (gain > best_gain + kMinGain) {
           best_gain = gain;
           best_comm = c;
         }
@@ -142,8 +146,8 @@ std::vector<std::vector<NodeId>> louvain_communities(
   Graph level_graph = g;
   std::vector<double> self_weight(static_cast<std::size_t>(n), 0.0);
   for (;;) {
-    const std::vector<int> community = local_moving(
-        level_graph, self_weight, rng, options.min_gain, options.max_passes);
+    const std::vector<int> community =
+        local_moving(level_graph, self_weight, rng);
     if (community.empty()) break;  // fixed point
     std::vector<int> old_to_new;
     std::vector<double> next_self_weight;

@@ -16,10 +16,6 @@ struct LouvainOptions {
   /// Node-visit order is shuffled per pass with this seed (Louvain's
   /// result is order-dependent; seeding keeps it reproducible).
   std::uint64_t seed = 0;
-  /// Minimum modularity gain to accept a local move.
-  double min_gain = 1e-9;
-  /// Safety cap on local-moving passes per level.
-  int max_passes = 64;
 };
 
 /// Communities sorted like greedy_modularity_communities: by size

@@ -8,10 +8,10 @@
 
 namespace qq::sim {
 
-// The diagonal kernels stream constant-phase runs through simd::scale_run —
-// the same dispatched primitive the flat StateVector's rz/rzz/phase paths
-// use — so a blocked state stays bit-for-bit identical to the flat one under
-// every backend. The non-diagonal kernels keep the generic complex 2x2 form,
+// The diagonal kernel (apply_rzz) streams constant-phase runs through
+// simd::scale_run — the same dispatched primitive the flat StateVector's
+// rzz path uses — so a blocked state stays bit-for-bit identical to the flat
+// one under every backend. apply_rx keeps the generic complex 2x2 form,
 // which is the flat apply_unitary1's exact expression.
 using simd::scale_run;
 
@@ -78,10 +78,6 @@ void BlockedStateVector::apply_global_1q(int q,
 }
 
 namespace {
-std::array<Amplitude, 4> h_matrix() {
-  const double s = 1.0 / std::sqrt(2.0);
-  return {Amplitude{s, 0}, Amplitude{s, 0}, Amplitude{s, 0}, Amplitude{-s, 0}};
-}
 std::array<Amplitude, 4> rx_matrix(double theta) {
   const double c = std::cos(theta * 0.5);
   const double s = std::sin(theta * 0.5);
@@ -89,50 +85,12 @@ std::array<Amplitude, 4> rx_matrix(double theta) {
 }
 }  // namespace
 
-void BlockedStateVector::apply_h(int q) {
-  if (q < 0 || q >= num_qubits_) {
-    throw std::out_of_range("BlockedStateVector::apply_h: bad qubit");
-  }
-  is_global(q) ? apply_global_1q(q, h_matrix()) : apply_local_1q(q, h_matrix());
-}
-
 void BlockedStateVector::apply_rx(int q, double theta) {
   if (q < 0 || q >= num_qubits_) {
     throw std::out_of_range("BlockedStateVector::apply_rx: bad qubit");
   }
   const auto m = rx_matrix(theta);
   is_global(q) ? apply_global_1q(q, m) : apply_local_1q(q, m);
-}
-
-void BlockedStateVector::apply_rz(int q, double theta) {
-  if (q < 0 || q >= num_qubits_) {
-    throw std::out_of_range("BlockedStateVector::apply_rz: bad qubit");
-  }
-  // Diagonal: never needs communication (Doi & Horii's key saving) — for a
-  // global qubit the phase is constant per block.
-  const Amplitude e0 = std::polar(1.0, -theta * 0.5);
-  const Amplitude e1 = std::polar(1.0, theta * 0.5);
-  if (is_global(q)) {
-    // Global qubit: the phase is constant per block — one streaming run.
-    const std::size_t gbit = std::size_t{1} << (q - local_bits_);
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-      const Amplitude phase = (b & gbit) ? e1 : e0;
-      scale_run(reinterpret_cast<double*>(blocks_[b].data()),
-                blocks_[b].size(), phase.real(), phase.imag());
-    }
-  } else {
-    // Local qubit: alternating e0/e1 runs of 2^q amplitudes inside each
-    // block, exactly the flat kernel's run structure.
-    const std::size_t bit = std::size_t{1} << q;
-    for (auto& block : blocks_) {
-      double* d = reinterpret_cast<double*>(block.data());
-      for (std::size_t i = 0; i < block.size(); i += bit) {
-        const Amplitude phase = (i & bit) ? e1 : e0;
-        scale_run(d + 2 * i, bit, phase.real(), phase.imag());
-      }
-    }
-  }
-  ++stats_.local_gates;
 }
 
 void BlockedStateVector::apply_rzz(int a, int b, double theta) {
@@ -162,61 +120,6 @@ void BlockedStateVector::apply_rzz(int a, int b, double theta) {
     }
   }
   ++stats_.local_gates;
-}
-
-void BlockedStateVector::apply_cx(int control, int target) {
-  if (control < 0 || control >= num_qubits_ || target < 0 ||
-      target >= num_qubits_ || control == target) {
-    throw std::invalid_argument("BlockedStateVector::apply_cx: bad qubits");
-  }
-  if (!is_global(target)) {
-    // Target-local: each block permutes internally; a global control just
-    // selects which blocks act. No communication.
-    const std::size_t tbit = std::size_t{1} << target;
-    if (is_global(control)) {
-      const std::size_t gbit = std::size_t{1} << (control - local_bits_);
-      for (std::size_t blk = 0; blk < blocks_.size(); ++blk) {
-        if (!(blk & gbit)) continue;
-        auto& block = blocks_[blk];
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          if (!(i & tbit)) std::swap(block[i], block[i | tbit]);
-        }
-      }
-    } else {
-      const std::size_t cbit = std::size_t{1} << control;
-      for (auto& block : blocks_) {
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          if ((i & cbit) && !(i & tbit)) std::swap(block[i], block[i | tbit]);
-        }
-      }
-    }
-    ++stats_.local_gates;
-    return;
-  }
-  // Target-global: blocks pair across the target bit.
-  const std::size_t tgbit = std::size_t{1} << (target - local_bits_);
-  if (is_global(control)) {
-    // Both global: participating block pairs swap wholesale.
-    const std::size_t cgbit = std::size_t{1} << (control - local_bits_);
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-      if ((b & cgbit) && !(b & tgbit)) {
-        blocks_[b].swap(blocks_[b | tgbit]);
-      }
-    }
-  } else {
-    // Control local: each pair exchanges the control=1 half.
-    const std::size_t cbit = std::size_t{1} << control;
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-      if (b & tgbit) continue;
-      auto& lo = blocks_[b];
-      auto& hi = blocks_[b | tgbit];
-      for (std::size_t i = 0; i < lo.size(); ++i) {
-        if (i & cbit) std::swap(lo[i], hi[i]);
-      }
-    }
-  }
-  ++stats_.global_gates;
-  stats_.amps_exchanged += std::uint64_t{1} << (num_qubits_ - 1);
 }
 
 StateVector BlockedStateVector::to_statevector() const {

@@ -44,11 +44,8 @@ class BlockedStateVector {
   /// Initialize to |+>^n (the QAOA input state).
   void set_plus_state();
 
-  void apply_h(int q);
   void apply_rx(int q, double theta);
-  void apply_rz(int q, double theta);
   void apply_rzz(int a, int b, double theta);
-  void apply_cx(int control, int target);
 
   /// Gather into a flat state vector (tests / final measurement).
   StateVector to_statevector() const;

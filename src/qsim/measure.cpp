@@ -10,7 +10,6 @@
 
 namespace qq::sim {
 
-using detail::insert_zero_bit;
 using detail::kParallelGrain;
 using detail::walk_runs;
 
@@ -168,33 +167,6 @@ double expectation_diagonal(const StateVector& sv,
       0, amps.size(), 0.0,
       [d, v](std::size_t lo, std::size_t hi) {
         return simd::sum_norms_weighted(0.0, d + 2 * lo, v + lo, hi - lo);
-      },
-      [](double a, double b) { return a + b; }, kParallelGrain);
-}
-
-double expectation_z(const StateVector& sv, int q) {
-  if (q < 0 || q >= sv.num_qubits()) {
-    throw std::out_of_range("expectation_z: bad qubit");
-  }
-  const auto& amps = sv.data();
-  const BasisState bit = BasisState{1} << q;
-  const double* d = reinterpret_cast<const double*>(amps.data());
-  // Pair enumeration: each t visits the (bit=0, bit=1) pair; both streams
-  // are contiguous over aligned runs of 2^q values of t, so the body walks
-  // maximal runs and hands each to the ordered SIMD difference reduction
-  // (per-element accumulation order is unchanged).
-  return util::parallel_reduce(
-      0, amps.size() >> 1, 0.0,
-      [d, q, bit](std::size_t lo, std::size_t hi) {
-        double partial = 0.0;
-        walk_runs(
-            lo, hi, bit,
-            [q](std::size_t t) { return insert_zero_bit(t, q); },
-            [d, bit, &partial](BasisState i0, std::size_t len) {
-              partial = simd::sum_norm_diffs(partial, d + 2 * i0,
-                                             d + 2 * (i0 | bit), len);
-            });
-        return partial;
       },
       [](double a, double b) { return a + b; }, kParallelGrain);
 }

@@ -42,9 +42,6 @@ void sample_counts_into(const StateVector& sv, int shots, util::Rng& rng,
 double expectation_diagonal(const StateVector& sv,
                             const std::vector<double>& values);
 
-/// <Z_q> in the computational basis convention Z|0> = +|0>.
-double expectation_z(const StateVector& sv, int q);
-
 /// <Z_a Z_b>.
 double expectation_zz(const StateVector& sv, int a, int b);
 

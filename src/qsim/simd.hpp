@@ -314,16 +314,6 @@ inline double sum_norms_weighted(double acc, const double* p, const double* w,
   return acc;
 }
 
-/// acc += |p0[i]|^2 - |p1[i]|^2 (the <Z> pair body), order preserved.
-inline double sum_norm_diffs(double acc, const double* p0, const double* p1,
-                             std::size_t n_amps) noexcept {
-  for (std::size_t i = 0; i < n_amps; ++i) {
-    acc += (p0[2 * i] * p0[2 * i] + p0[2 * i + 1] * p0[2 * i + 1]) -
-           (p1[2 * i] * p1[2 * i] + p1[2 * i + 1] * p1[2 * i + 1]);
-  }
-  return acc;
-}
-
 /// acc += |p00|^2 - |p01|^2 - |p10|^2 + |p11|^2 (the <ZZ> quarter body).
 inline double sum_norm_quads(double acc, const double* p00, const double* p01,
                              const double* p10, const double* p11,
@@ -721,23 +711,6 @@ QQ_SIMD_TARGET_AVX2 inline double sum_norms_weighted(
     acc += lane[3];
   }
   return scalar::sum_norms_weighted(acc, p + 2 * i, w + i, n_amps - i);
-}
-
-QQ_SIMD_TARGET_AVX2 inline double sum_norm_diffs(double acc, const double* p0,
-                                                 const double* p1,
-                                                 std::size_t n_amps) noexcept {
-  std::size_t i = 0;
-  alignas(32) double lane[4];
-  for (; i + 4 <= n_amps; i += 4) {
-    const __m256d d = _mm256_sub_pd(norms4_shuffled(p0 + 2 * i),
-                                    norms4_shuffled(p1 + 2 * i));
-    _mm256_store_pd(lane, d);
-    acc += lane[0];
-    acc += lane[2];
-    acc += lane[1];
-    acc += lane[3];
-  }
-  return scalar::sum_norm_diffs(acc, p0 + 2 * i, p1 + 2 * i, n_amps - i);
 }
 
 QQ_SIMD_TARGET_AVX2 inline double sum_norm_quads(
@@ -1203,7 +1176,7 @@ QQ_SIMD_TARGET_AVX512 inline void mul_level_phase_lanes(
 // these once per contiguous run (thousands of elements), so dispatch cost
 // is noise.
 
-// Short runs (cz/z/phase at low qubits) skip dispatch entirely: the scalar
+// Short runs (z/rz/rzz at low qubits) skip dispatch entirely: the scalar
 // body inlines into the caller and beats a call into a target-attributed
 // function it cannot inline. Safe for the bit-for-bit contract — every
 // backend computes identical bits, so mixing per run length changes
@@ -1392,16 +1365,6 @@ inline double sum_norms_weighted(double acc, const double* p, const double* w,
   }
 #endif
   return scalar::sum_norms_weighted(acc, p, w, n_amps);
-}
-
-inline double sum_norm_diffs(double acc, const double* p0, const double* p1,
-                             std::size_t n_amps) noexcept {
-#if QQ_SIMD_X86
-  if (active_isa() != Isa::kScalar) {
-    return avx2::sum_norm_diffs(acc, p0, p1, n_amps);
-  }
-#endif
-  return scalar::sum_norm_diffs(acc, p0, p1, n_amps);
 }
 
 inline double sum_norm_quads(double acc, const double* p00, const double* p01,

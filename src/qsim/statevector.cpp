@@ -171,13 +171,6 @@ void StateVector::apply_rx(int q, double theta) {
                      Amplitude{c, 0}});
 }
 
-void StateVector::apply_ry(int q, double theta) {
-  const double c = std::cos(theta * 0.5);
-  const double s = std::sin(theta * 0.5);
-  apply_unitary1(q, {Amplitude{c, 0}, Amplitude{-s, 0}, Amplitude{s, 0},
-                     Amplitude{c, 0}});
-}
-
 void StateVector::apply_rz(int q, double theta) {
   check_qubit(q);
   const Amplitude e0 = std::polar(1.0, -theta * 0.5);
@@ -243,64 +236,6 @@ void StateVector::apply_cx(int control, int target) {
                                    static_cast<std::ptrdiff_t>(i0 + len),
                                amps_.begin() +
                                    static_cast<std::ptrdiff_t>(i0 | tbit));
-            });
-      },
-      kParallelGrain);
-}
-
-void StateVector::apply_cz(int a, int b) {
-  check_qubit(a);
-  check_qubit(b);
-  if (a == b) throw std::invalid_argument("apply_cz: identical qubits");
-  // Only the (1, 1) quarter is touched, as contiguous runs.
-  const int lo_q = std::min(a, b);
-  const int hi_q = std::max(a, b);
-  const BasisState mask = (BasisState{1} << a) | (BasisState{1} << b);
-  const std::size_t run = BasisState{1} << lo_q;
-  const std::size_t quarter = amps_.size() >> 2;
-  double* d = reinterpret_cast<double*>(amps_.data());
-  util::parallel_for_chunks(
-      0, quarter,
-      [d, lo_q, hi_q, mask, run](std::size_t lo, std::size_t hi) {
-        walk_runs(
-            lo, hi, run,
-            [lo_q, hi_q, mask](std::size_t t) {
-              return insert_two_zero_bits(t, lo_q, hi_q) | mask;
-            },
-            [d](BasisState i0, std::size_t len) {
-              negate_run(d + 2 * i0, len);
-            });
-      },
-      kParallelGrain);
-}
-
-void StateVector::apply_swap(int a, int b) {
-  check_qubit(a);
-  check_qubit(b);
-  if (a == b) return;
-  // Quarter enumeration over the (a=1, b=0) representatives; each run swaps
-  // with the mirrored (a=0, b=1) block.
-  const BasisState abit = BasisState{1} << a;
-  const BasisState bbit = BasisState{1} << b;
-  const int lo_q = std::min(a, b);
-  const int hi_q = std::max(a, b);
-  const std::size_t run = BasisState{1} << lo_q;
-  const std::size_t quarter = amps_.size() >> 2;
-  util::parallel_for_chunks(
-      0, quarter,
-      [this, lo_q, hi_q, abit, bbit, run](std::size_t lo, std::size_t hi) {
-        walk_runs(
-            lo, hi, run,
-            [lo_q, hi_q, abit](std::size_t t) {
-              return insert_two_zero_bits(t, lo_q, hi_q) | abit;
-            },
-            [this, abit, bbit](BasisState i0, std::size_t len) {
-              const BasisState j0 = (i0 & ~abit) | bbit;
-              std::swap_ranges(amps_.begin() + static_cast<std::ptrdiff_t>(i0),
-                               amps_.begin() +
-                                   static_cast<std::ptrdiff_t>(i0 + len),
-                               amps_.begin() +
-                                   static_cast<std::ptrdiff_t>(j0));
             });
       },
       kParallelGrain);

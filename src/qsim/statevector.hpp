@@ -60,15 +60,12 @@ class StateVector {
   /// `for (q = 0..n-1) apply_rx(q, θ)`; see DESIGN.md "Kernel index
   /// enumeration".
   void apply_rx_layer(double theta);
-  void apply_ry(int q, double theta);  ///< exp(-i θ Y/2)
   void apply_rz(int q, double theta);  ///< exp(-i θ Z/2)
   /// Arbitrary 2x2 unitary, row-major {m00, m01, m10, m11}.
   void apply_unitary1(int q, const std::array<Amplitude, 4>& m);
 
   // --- two-qubit gates ----------------------------------------------------
   void apply_cx(int control, int target);
-  void apply_cz(int a, int b);
-  void apply_swap(int a, int b);
   void apply_rzz(int a, int b, double theta);  ///< exp(-i θ Z_a Z_b / 2)
 
   // --- diagonal fast path ---------------------------------------------------

@@ -7,11 +7,10 @@
 namespace qq::util {
 
 /// Welford's online mean/variance accumulator: numerically stable single
-/// pass, mergeable so parallel workers can each keep a local accumulator.
+/// pass.
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }

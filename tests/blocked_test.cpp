@@ -1,5 +1,6 @@
 // Tests for the cache-blocked / distribution-emulating state vector:
-// bit-exact agreement with the flat simulator across block counts, and the
+// bit-exact agreement with the flat simulator across block counts on
+// random QAOA-shaped circuits (RX mixers, RZZ cost gates), and the
 // communication accounting rules of the Doi-Horii scheme (diagonal gates
 // are free; non-diagonal gates on global qubits move the whole state).
 
@@ -63,27 +64,12 @@ TEST_P(BlockedEquivalence, RandomCircuitMatchesFlatSimulator) {
     int q2 = util::uniform_int(rng, 0, n - 1);
     while (q2 == q) q2 = util::uniform_int(rng, 0, n - 1);
     const double t = util::uniform(rng, -2.0, 2.0);
-    switch (util::uniform_int(rng, 0, 4)) {
-      case 0:
-        blocked.apply_h(q);
-        flat.apply_h(q);
-        break;
-      case 1:
-        blocked.apply_rx(q, t);
-        flat.apply_rx(q, t);
-        break;
-      case 2:
-        blocked.apply_rz(q, t);
-        flat.apply_rz(q, t);
-        break;
-      case 3:
-        blocked.apply_rzz(q, q2, t);
-        flat.apply_rzz(q, q2, t);
-        break;
-      default:
-        blocked.apply_cx(q, q2);
-        flat.apply_cx(q, q2);
-        break;
+    if (util::uniform_int(rng, 0, 1) == 0) {
+      blocked.apply_rx(q, t);
+      flat.apply_rx(q, t);
+    } else {
+      blocked.apply_rzz(q, q2, t);
+      flat.apply_rzz(q, q2, t);
     }
   }
   expect_matches_flat(blocked, flat, 1e-10);
@@ -92,9 +78,9 @@ TEST_P(BlockedEquivalence, RandomCircuitMatchesFlatSimulator) {
 INSTANTIATE_TEST_SUITE_P(BlockCounts, BlockedEquivalence,
                          ::testing::Values(0, 1, 2, 4, 8));
 
-// The blocked simulator's diagonal kernels stream through the same
-// dispatched simd:: primitives as the flat one, and its non-diagonal
-// kernels use the flat generic 2x2 expressions — so blocked-vs-flat parity
+// The blocked simulator's diagonal kernel streams through the same
+// dispatched simd:: primitive as the flat one, and its RX kernel uses the
+// flat generic 2x2 expression — so blocked-vs-flat parity
 // is EXACT (bit-for-bit), and must stay exact under every SIMD backend.
 TEST(Blocked, SimdBackendsMatchFlatBitForBit) {
   const simd::Isa entry = simd::active_isa();
@@ -116,27 +102,12 @@ TEST(Blocked, SimdBackendsMatchFlatBitForBit) {
         int q2 = util::uniform_int(rng, 0, n - 1);
         while (q2 == q) q2 = util::uniform_int(rng, 0, n - 1);
         const double t = util::uniform(rng, -2.0, 2.0);
-        switch (util::uniform_int(rng, 0, 4)) {
-          case 0:
-            blocked.apply_h(q);
-            flat.apply_h(q);
-            break;
-          case 1:
-            blocked.apply_rx(q, t);
-            flat.apply_rx(q, t);
-            break;
-          case 2:
-            blocked.apply_rz(q, t);
-            flat.apply_rz(q, t);
-            break;
-          case 3:
-            blocked.apply_rzz(q, q2, t);
-            flat.apply_rzz(q, q2, t);
-            break;
-          default:
-            blocked.apply_cx(q, q2);
-            flat.apply_cx(q, q2);
-            break;
+        if (util::uniform_int(rng, 0, 1) == 0) {
+          blocked.apply_rx(q, t);
+          flat.apply_rx(q, t);
+        } else {
+          blocked.apply_rzz(q, q2, t);
+          flat.apply_rzz(q, q2, t);
         }
       }
       const StateVector gathered = blocked.to_statevector();
@@ -153,9 +124,9 @@ TEST(Blocked, SimdBackendsMatchFlatBitForBit) {
 TEST(Blocked, DiagonalGatesAreCommunicationFree) {
   BlockedStateVector sv(8, 3);
   sv.set_plus_state();
-  sv.apply_rz(7, 0.4);       // global qubit, but diagonal
   sv.apply_rzz(6, 7, 0.3);   // both global, diagonal
   sv.apply_rzz(0, 7, 0.2);   // mixed, diagonal
+  sv.apply_rzz(1, 2, 0.4);   // both local
   EXPECT_EQ(sv.stats().amps_exchanged, 0u);
   EXPECT_EQ(sv.stats().global_gates, 0u);
   EXPECT_EQ(sv.stats().local_gates, 3u);
@@ -164,29 +135,18 @@ TEST(Blocked, DiagonalGatesAreCommunicationFree) {
 TEST(Blocked, LocalGatesAreCommunicationFree) {
   BlockedStateVector sv(8, 3);  // local qubits 0..4
   sv.set_plus_state();
-  sv.apply_h(0);
-  sv.apply_rx(4, 0.5);
-  sv.apply_cx(1, 2);
-  sv.apply_cx(7, 3);  // control global, target local: still free
+  sv.apply_rx(0, 0.3);
+  sv.apply_rx(4, 0.5);  // highest local qubit
   EXPECT_EQ(sv.stats().amps_exchanged, 0u);
-  EXPECT_EQ(sv.stats().local_gates, 4u);
+  EXPECT_EQ(sv.stats().local_gates, 2u);
 }
 
 TEST(Blocked, GlobalNonDiagonalGateMovesWholeState) {
   BlockedStateVector sv(8, 3);
   sv.set_plus_state();
-  sv.apply_h(7);  // global, non-diagonal
+  sv.apply_rx(7, 0.5);  // global, non-diagonal
   EXPECT_EQ(sv.stats().global_gates, 1u);
   EXPECT_EQ(sv.stats().amps_exchanged, std::uint64_t{1} << 8);
-}
-
-TEST(Blocked, GlobalTargetCxMovesHalfState) {
-  BlockedStateVector sv(8, 3);
-  sv.set_plus_state();
-  sv.apply_cx(0, 7);  // control local, target global
-  EXPECT_EQ(sv.stats().amps_exchanged, std::uint64_t{1} << 7);
-  sv.apply_cx(6, 7);  // both global
-  EXPECT_EQ(sv.stats().amps_exchanged, 2u * (std::uint64_t{1} << 7));
 }
 
 TEST(Blocked, QaoaLayerCommunicationProfile) {
@@ -208,9 +168,9 @@ TEST(Blocked, QaoaLayerCommunicationProfile) {
 
 TEST(Blocked, ErrorsOnBadQubits) {
   BlockedStateVector sv(4, 1);
-  EXPECT_THROW(sv.apply_h(4), std::out_of_range);
+  EXPECT_THROW(sv.apply_rx(4, 0.1), std::out_of_range);
   EXPECT_THROW(sv.apply_rx(-1, 0.1), std::out_of_range);
-  EXPECT_THROW(sv.apply_cx(2, 2), std::invalid_argument);
+  EXPECT_THROW(sv.apply_rzz(2, 2, 0.1), std::invalid_argument);
   EXPECT_THROW(sv.apply_rzz(0, 4, 0.1), std::invalid_argument);
 }
 

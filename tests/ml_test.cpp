@@ -56,12 +56,6 @@ TEST(Features, DensityTracksEdgeProbability) {
   EXPECT_NEAR(f[2], 0.25, 0.05);
 }
 
-TEST(Features, NamesAreStable) {
-  EXPECT_STREQ(feature_name(0), "nodes");
-  EXPECT_STREQ(feature_name(8), "clustering");
-  EXPECT_STREQ(feature_name(9), "weighted");
-}
-
 // ----------------------------------------------------------------- logreg ----
 
 TEST(LogReg, LearnsLinearlySeparableData) {

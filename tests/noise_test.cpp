@@ -4,6 +4,8 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
+#include <numbers>
 
 #include "qaoa/cost_table.hpp"
 #include "qcircuit/ansatz.hpp"
@@ -11,6 +13,7 @@
 #include "qcircuit/noise.hpp"
 #include "qgraph/generators.hpp"
 #include "qsim/measure.hpp"
+#include "test_circuits.hpp"
 #include "util/rng.hpp"
 
 namespace qq::circuit {
@@ -37,12 +40,19 @@ TEST(NoiseModel, Validation) {
 }
 
 TEST(Noise, ZeroNoiseTrajectoryEqualsIdealRun) {
-  const Circuit qc = bell_circuit();
-  util::Rng rng(1);
-  const sim::StateVector noisy = run_trajectory(qc, NoiseModel{}, rng);
-  const sim::StateVector ideal = run(qc);
-  for (std::size_t i = 0; i < ideal.size(); ++i) {
-    EXPECT_NEAR(std::abs(noisy.data()[i] - ideal.data()[i]), 0.0, 1e-12);
+  // run_trajectory and run share one gate executor, so with no noise the
+  // trajectory is the ideal state bit for bit.
+  util::Rng circuit_rng(1);
+  for (int n = 1; n <= 10; ++n) {
+    const Circuit qc = qq::testing::random_circuit(n, 12 * n, circuit_rng);
+    util::Rng rng(static_cast<std::uint64_t>(n));
+    const sim::StateVector noisy = run_trajectory(qc, NoiseModel{}, rng);
+    const sim::StateVector ideal = run(qc);
+    ASSERT_EQ(noisy.size(), ideal.size());
+    EXPECT_EQ(std::memcmp(noisy.data().data(), ideal.data().data(),
+                          ideal.size() * sizeof(sim::Amplitude)),
+              0)
+        << "n=" << n;
   }
 }
 
@@ -112,8 +122,9 @@ TEST(Noise, AmplitudeDampingDecaysExcitedState) {
   const double gamma = 0.2;
   const int gate_count = 4;
   Circuit qc(1);
-  qc.x(0);
-  for (int i = 0; i < gate_count; ++i) qc.z(0);  // no-ops that trigger noise
+  qc.rx(0, std::numbers::pi);  // |0> -> -i|1>
+  // No-ops that trigger noise.
+  for (int i = 0; i < gate_count; ++i) qc.rz(0, 0.0);
   NoiseModel noise;
   noise.amplitude_damping = gamma;
   util::Rng rng(11);
@@ -124,14 +135,15 @@ TEST(Noise, AmplitudeDampingDecaysExcitedState) {
     p1 += std::norm(sv.amplitude(1));
   }
   p1 /= trajectories;
-  // X gate itself also triggers one damping event: gate_count + 1 chances.
+  // The RX gate itself also triggers one damping event: gate_count + 1
+  // chances.
   const double expected = std::pow(1.0 - gamma, gate_count + 1);
   EXPECT_NEAR(p1, expected, 0.03);
 }
 
 TEST(Noise, AmplitudeDampingLeavesGroundStateAlone) {
   Circuit qc(2);
-  qc.z(0).z(1);  // stays in |00>
+  qc.rz(0, 0.0).rz(1, 0.0);  // stays in |00>
   NoiseModel noise;
   noise.amplitude_damping = 0.5;
   util::Rng rng(12);

@@ -77,22 +77,6 @@ void ref_cx(std::vector<Amp>& a, int control, int target) {
   }
 }
 
-void ref_cz(std::vector<Amp>& a, int qa, int qb) {
-  const std::uint64_t mask =
-      (std::uint64_t{1} << qa) | (std::uint64_t{1} << qb);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if ((i & mask) == mask) a[i] = -a[i];
-  }
-}
-
-void ref_swap(std::vector<Amp>& a, int qa, int qb) {
-  const std::uint64_t abit = std::uint64_t{1} << qa;
-  const std::uint64_t bbit = std::uint64_t{1} << qb;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if ((i & abit) && !(i & bbit)) std::swap(a[i], a[(i & ~abit) | bbit]);
-  }
-}
-
 void ref_rzz(std::vector<Amp>& a, int qa, int qb, double theta) {
   const std::uint64_t abit = std::uint64_t{1} << qa;
   const std::uint64_t bbit = std::uint64_t{1} << qb;
@@ -174,18 +158,6 @@ TEST_P(KernelEquivalence, TwoQubitKernelsMatchNaiveSweep) {
 
       sv = make_state(n, amps);
       ref = amps;
-      sv.apply_cz(qa, qb);
-      ref_cz(ref, qa, qb);
-      expect_state_near(sv, ref);
-
-      sv = make_state(n, amps);
-      ref = amps;
-      sv.apply_swap(qa, qb);
-      ref_swap(ref, qa, qb);
-      expect_state_near(sv, ref);
-
-      sv = make_state(n, amps);
-      ref = amps;
       sv.apply_rzz(qa, qb, theta);
       ref_rzz(ref, qa, qb, theta);
       expect_state_near(sv, ref);
@@ -212,13 +184,6 @@ TEST_P(KernelEquivalence, ExpectationsMatchManualSums) {
   util::Rng rng(5000 + static_cast<std::uint64_t>(n));
   const auto amps = random_amplitudes(n, rng);
   const StateVector sv = make_state(n, amps);
-  for (int q = 0; q < n; ++q) {
-    double manual = 0.0;
-    for (std::size_t i = 0; i < amps.size(); ++i) {
-      manual += ((i >> q) & 1) ? -std::norm(amps[i]) : std::norm(amps[i]);
-    }
-    EXPECT_NEAR(expectation_z(sv, q), manual, 1e-12) << "q=" << q;
-  }
   for (int qa = 0; qa < n; ++qa) {
     for (int qb = 0; qb < n; ++qb) {
       double manual = 0.0;

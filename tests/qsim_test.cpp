@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <complex>
-#include <numbers>
 #include <vector>
 
 #include "qsim/measure.hpp"
@@ -83,10 +82,6 @@ std::array<Amp, 4> h_gate() {
 std::array<Amp, 4> rx_gate(double t) {
   return {Amp{std::cos(t / 2), 0}, Amp{0, -std::sin(t / 2)},
           Amp{0, -std::sin(t / 2)}, Amp{std::cos(t / 2), 0}};
-}
-std::array<Amp, 4> ry_gate(double t) {
-  return {Amp{std::cos(t / 2), 0}, Amp{-std::sin(t / 2), 0},
-          Amp{std::sin(t / 2), 0}, Amp{std::cos(t / 2), 0}};
 }
 std::array<Amp, 4> rz_gate(double t) {
   return {std::polar(1.0, -t / 2), Amp{0, 0}, Amp{0, 0}, std::polar(1.0, t / 2)};
@@ -203,15 +198,7 @@ TEST(StateVector, GateArgumentValidation) {
   EXPECT_THROW(sv.apply_h(-1), std::out_of_range);
   EXPECT_THROW(sv.apply_cx(0, 0), std::invalid_argument);
   EXPECT_THROW(sv.apply_rzz(1, 1, 0.3), std::invalid_argument);
-  EXPECT_THROW(sv.apply_cz(0, 3), std::out_of_range);
-}
-
-TEST(StateVector, SwapExchangesQubits) {
-  StateVector sv(2);
-  sv.apply_x(0);  // |01> in bit order (q0 = 1)
-  sv.apply_swap(0, 1);
-  const auto probs = probabilities(sv);
-  EXPECT_NEAR(probs[0b10], 1.0, kTol);  // q1 = 1 now
+  EXPECT_THROW(sv.apply_cx(0, 3), std::out_of_range);
 }
 
 TEST(StateVector, NormalizeRestoresUnitNorm) {
@@ -237,7 +224,7 @@ TEST_P(ReferenceValidation, RandomCircuitMatchesDenseModel) {
   ref_state[0] = Amp{1, 0};
 
   for (int step = 0; step < 40; ++step) {
-    const int kind = util::uniform_int(rng, 0, 10);
+    const int kind = util::uniform_int(rng, 0, 7);
     const int q = util::uniform_int(rng, 0, n - 1);
     int q2 = util::uniform_int(rng, 0, n - 1);
     while (n > 1 && q2 == q) q2 = util::uniform_int(rng, 0, n - 1);
@@ -265,21 +252,16 @@ TEST_P(ReferenceValidation, RandomCircuitMatchesDenseModel) {
             ref::apply(ref::one_qubit(n, q, ref::rx_gate(theta)), ref_state);
         break;
       case 5:
-        sv.apply_ry(q, theta);
-        ref_state =
-            ref::apply(ref::one_qubit(n, q, ref::ry_gate(theta)), ref_state);
-        break;
-      case 6:
         sv.apply_rz(q, theta);
         ref_state =
             ref::apply(ref::one_qubit(n, q, ref::rz_gate(theta)), ref_state);
         break;
-      case 8:
+      case 6:
         if (n < 2) continue;
         sv.apply_cx(q, q2);
         ref_state = ref::apply(ref::cx(n, q, q2), ref_state);
         break;
-      case 9: {
+      default: {
         if (n < 2) continue;
         sv.apply_rzz(q, q2, theta);
         std::vector<double> phases(std::size_t{1} << n, 0.0);
@@ -287,18 +269,6 @@ TEST_P(ReferenceValidation, RandomCircuitMatchesDenseModel) {
           const bool za = (s >> q) & 1;
           const bool zb = (s >> q2) & 1;
           phases[s] = (za == zb) ? -theta / 2 : theta / 2;
-        }
-        ref_state = ref::apply(ref::diagonal_phase(n, phases), ref_state);
-        break;
-      }
-      default: {
-        if (n < 2) continue;
-        sv.apply_cz(q, q2);
-        std::vector<double> phases(std::size_t{1} << n, 0.0);
-        for (std::size_t s = 0; s < phases.size(); ++s) {
-          if (((s >> q) & 1) && ((s >> q2) & 1)) {
-            phases[s] = std::numbers::pi;
-          }
         }
         ref_state = ref::apply(ref::diagonal_phase(n, phases), ref_state);
         break;
@@ -355,8 +325,8 @@ TEST(Measure, ArgmaxFindsDominantState) {
 
 TEST(Measure, TopKSortedAndConsistent) {
   StateVector sv(2);
-  sv.apply_ry(0, 0.4);
-  sv.apply_ry(1, 1.2);
+  sv.apply_rx(0, 0.4);
+  sv.apply_rx(1, 1.2);
   const auto top = top_k_states(sv, 4);
   ASSERT_EQ(top.size(), 4u);
   for (std::size_t i = 1; i < top.size(); ++i) {
@@ -373,7 +343,7 @@ TEST(Measure, TopKSortedAndConsistent) {
 
 TEST(Measure, SamplingFrequenciesTrackProbabilities) {
   StateVector sv(2);
-  sv.apply_ry(0, 2.0 * std::acos(std::sqrt(0.75)));  // P(q0=1) = 0.25
+  sv.apply_rx(0, 2.0 * std::acos(std::sqrt(0.75)));  // P(q0=1) = 0.25
   util::Rng rng(11);
   const auto shots = sample_counts(sv, 40000, rng);
   int ones = 0;
@@ -385,15 +355,6 @@ TEST(Measure, SamplingDeterministicPerSeed) {
   StateVector sv = StateVector::plus_state(4);
   util::Rng a(5), b(5);
   EXPECT_EQ(sample_counts(sv, 100, a), sample_counts(sv, 100, b));
-}
-
-TEST(Measure, ExpectationZOnBasisAndSuperposition) {
-  StateVector sv(1);
-  EXPECT_NEAR(expectation_z(sv, 0), 1.0, kTol);  // |0>
-  sv.apply_x(0);
-  EXPECT_NEAR(expectation_z(sv, 0), -1.0, kTol);  // |1>
-  sv.apply_h(0);
-  EXPECT_NEAR(expectation_z(sv, 0), 0.0, kTol);  // |->
 }
 
 TEST(Measure, ExpectationZzOnProductAndEntangledStates) {
@@ -410,7 +371,12 @@ TEST(Measure, ExpectationZzOnProductAndEntangledStates) {
 TEST(Measure, ExpectationDiagonalMatchesManualSum) {
   util::Rng rng(13);
   StateVector sv = StateVector::plus_state(5);
-  for (int i = 0; i < 5; ++i) sv.apply_ry(i, util::uniform(rng, -1.5, 1.5));
+  // RZ turns each |+> off the X axis, so the RX that follows moves the
+  // Z-basis populations away from uniform.
+  for (int i = 0; i < 5; ++i) {
+    sv.apply_rz(i, 0.5 * (i + 1));
+    sv.apply_rx(i, util::uniform(rng, -1.5, 1.5));
+  }
   std::vector<double> values(sv.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     values[i] = util::uniform(rng, -3.0, 3.0);

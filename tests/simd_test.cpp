@@ -48,7 +48,7 @@ bool bits_equal(const StateVector& a, const StateVector& b) {
 
 /// Deterministic circuit exercising every dispatched kernel: z / rz
 /// (low-qubit table AND high-qubit run paths) / rzz (all qubit-pair
-/// geometries) / cz / the fused mixer, interleaved with h gates so the
+/// geometries) / the fused mixer, interleaved with h gates so the
 /// amplitudes stay dense and irrational.
 void run_kernel_circuit(StateVector& sv, std::uint64_t seed) {
   const int n = sv.num_qubits();
@@ -62,7 +62,7 @@ void run_kernel_circuit(StateVector& sv, std::uint64_t seed) {
     const int b = (a + 1 + (a % 3)) % n;
     if (a == b) continue;
     sv.apply_rzz(a, b, util::uniform(rng, -2.0, 2.0));
-    if (a % 2 == 0) sv.apply_cz(a, b);
+    if (a % 2 == 0) sv.apply_z(a);
   }
   if (n >= 1) sv.apply_z(0);
   if (n >= 2) sv.apply_z(n - 1);
@@ -83,7 +83,6 @@ TEST_P(SimdStateParity, AllBackendsMatchScalarBitForBit) {
   StateVector reference(n);
   run_kernel_circuit(reference, 42 + static_cast<std::uint64_t>(n));
   const double ref_norm = reference.norm_squared();
-  const double ref_z = n >= 1 ? expectation_z(reference, n - 1) : 0.0;
   const double ref_zz = n >= 2 ? expectation_zz(reference, 0, n - 1) : 0.0;
   std::vector<double> weights(reference.size());
   util::Rng wrng(7);
@@ -101,9 +100,6 @@ TEST_P(SimdStateParity, AllBackendsMatchScalarBitForBit) {
     EXPECT_EQ(sv.norm_squared(), ref_norm) << simd::isa_name(isa);
     EXPECT_EQ(expectation_diagonal(sv, weights), ref_exp)
         << simd::isa_name(isa);
-    if (n >= 1) {
-      EXPECT_EQ(expectation_z(sv, n - 1), ref_z) << simd::isa_name(isa);
-    }
     if (n >= 2) {
       EXPECT_EQ(expectation_zz(sv, 0, n - 1), ref_zz) << simd::isa_name(isa);
     }
@@ -204,10 +200,6 @@ TEST_P(SimdPrimitiveParity, ElementwisePrimitivesMatchScalar) {
               simd::scalar::sum_norms_weighted(acc0, base.data(), w.data(),
                                                len))
         << "sum_norms_weighted " << simd::isa_name(isa);
-    EXPECT_EQ(
-        simd::sum_norm_diffs(acc0, base.data(), base1.data(), len),
-        simd::scalar::sum_norm_diffs(acc0, base.data(), base1.data(), len))
-        << "sum_norm_diffs " << simd::isa_name(isa);
     if (len >= 4) {
       const std::size_t q = len / 4;
       const double* p = base.data();

@@ -114,34 +114,6 @@ TEST(RunningStats, MatchesClosedForm) {
   EXPECT_DOUBLE_EQ(s.max(), 5.0);
 }
 
-TEST(RunningStats, MergeEqualsSinglePass) {
-  Rng rng(23);
-  RunningStats all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = normal(rng);
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean_before = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean_before);
-  RunningStats b;
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), mean_before);
-}
-
 TEST(Stats, MedianOddAndEven) {
   EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
