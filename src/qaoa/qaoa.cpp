@@ -130,7 +130,7 @@ double QaoaSolver::sampled_expectation(const circuit::QaoaAngles& angles,
 
 namespace {
 
-/// Writes -F_p of every point into `values` from one BatchedStateVector
+/// Writes F_p of every point into `values` from one BatchedStateVector
 /// evaluation: cost layers sweep the shared level table, the expectation
 /// reads the shared cut table. Each lane is bit-for-bit the flat
 /// StateVector evaluation (batched_test), so batching never changes a
@@ -162,11 +162,29 @@ void evaluate_batched(const std::vector<double>& cut_table,
     batch->apply_diagonal_phase(cut_levels, scales);
     batch->apply_rx_layer(thetas);
   }
-  const std::vector<double> fp = batch->expectation_diagonal(cut_table);
-  for (std::size_t b = 0; b < lanes; ++b) values[b] = -fp[b];
+  values = batch->expectation_diagonal(cut_table);
 }
 
 }  // namespace
+
+std::vector<double> QaoaSolver::expectations(
+    const std::vector<std::vector<double>>& points) const {
+  std::vector<const std::vector<double>*> refs;
+  for (const std::vector<double>& x : points) {
+    if (x.empty() || x.size() % 2 != 0 || x.size() != points[0].size()) {
+      throw std::invalid_argument(
+          "QaoaSolver::expectations: points must share one even size");
+    }
+    refs.push_back(&x);
+  }
+  std::vector<double> values;
+  if (refs.empty()) return values;
+  std::unique_ptr<sim::BatchedStateVector> batch;
+  evaluate_batched(cut_table_, cut_levels_, graph_->num_nodes(),
+                   static_cast<int>(points[0].size() / 2), refs, batch,
+                   values);
+  return values;
+}
 
 QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
   if (options.layers < 1) {
@@ -233,6 +251,7 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
     if (batchable && live.size() > 1) {
       evaluate_batched(cut_table_, cut_levels_, num_qubits, options.layers,
                        points, batch, values);
+      for (double& v : values) v = -v;
     } else {
       for (std::size_t i = 0; i < live.size(); ++i) {
         const circuit::QaoaAngles angles = circuit::unpack_angles(*points[i]);

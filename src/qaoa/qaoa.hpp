@@ -146,6 +146,13 @@ class QaoaSolver {
   double expectation(const circuit::QaoaAngles& angles,
                      EvalWorkspace& workspace) const;
 
+  /// Exact <H_C> at each packed point [gamma_1..gamma_p, beta_1..beta_p]
+  /// (all of one p), from one lockstep BatchedStateVector evaluation: the
+  /// shape optimize() evaluates restarts in. Entry i is bit-for-bit
+  /// expectation(circuit::unpack_angles(points[i])).
+  std::vector<double> expectations(
+      const std::vector<std::vector<double>>& points) const;
+
   /// Shot-based estimate of <H_C>.
   double sampled_expectation(const circuit::QaoaAngles& angles, int shots,
                              util::Rng& rng) const;

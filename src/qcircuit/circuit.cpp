@@ -1,7 +1,6 @@
 #include "qcircuit/circuit.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 namespace qq::circuit {
@@ -25,22 +24,6 @@ bool is_rotation(GateKind kind) noexcept {
     default:
       return false;
   }
-}
-
-const char* gate_name(GateKind kind) noexcept {
-  switch (kind) {
-    case GateKind::kH: return "h";
-    case GateKind::kRx: return "rx";
-    case GateKind::kRz: return "rz";
-    case GateKind::kCx: return "cx";
-    case GateKind::kRzz: return "rzz";
-  }
-  return "?";
-}
-
-bool Gate::operator==(const Gate& other) const noexcept {
-  return kind == other.kind && q0 == other.q0 && q1 == other.q1 &&
-         param == other.param;
 }
 
 Circuit::Circuit(int num_qubits) : num_qubits_(num_qubits) {
@@ -84,13 +67,6 @@ void Circuit::append(const Gate& gate) {
   gates_.push_back(gate);
 }
 
-void Circuit::append(const Circuit& other) {
-  if (other.num_qubits_ > num_qubits_) {
-    throw std::invalid_argument("Circuit::append: qubit count mismatch");
-  }
-  for (const Gate& g : other.gates_) append(g);
-}
-
 CircuitStats Circuit::stats() const {
   CircuitStats s;
   std::vector<int> busy(static_cast<std::size_t>(num_qubits_), 0);
@@ -113,17 +89,6 @@ CircuitStats Circuit::stats() const {
   for (int level : busy) s.depth = std::max(s.depth, level);
   for (int level : busy_2q) s.depth_2q = std::max(s.depth_2q, level);
   return s;
-}
-
-std::string Circuit::str() const {
-  std::ostringstream os;
-  for (const Gate& g : gates_) {
-    os << gate_name(g.kind) << " q" << g.q0;
-    if (g.q1 >= 0) os << ", q" << g.q1;
-    if (is_rotation(g.kind)) os << " (" << g.param << ')';
-    os << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace qq::circuit

@@ -7,7 +7,6 @@
 // depth and two-qubit-gate count.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace qq::circuit {
@@ -24,15 +23,12 @@ enum class GateKind : std::uint8_t {
 
 bool is_two_qubit(GateKind kind) noexcept;
 bool is_rotation(GateKind kind) noexcept;
-const char* gate_name(GateKind kind) noexcept;
 
 struct Gate {
   GateKind kind;
   int q0 = -1;
   int q1 = -1;       ///< -1 for single-qubit gates
   double param = 0;  ///< rotation angle where applicable
-
-  bool operator==(const Gate& other) const noexcept;
 };
 
 struct CircuitStats {
@@ -59,11 +55,8 @@ class Circuit {
   Circuit& rzz(int a, int b, double theta);
 
   void append(const Gate& gate);
-  void append(const Circuit& other);
 
   CircuitStats stats() const;
-  /// Human-readable one-gate-per-line dump (tests, debugging).
-  std::string str() const;
 
  private:
   void check_qubit(int q) const;

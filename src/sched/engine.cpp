@@ -242,7 +242,6 @@ struct WorkflowEngine::Impl {
       --cls.running[k];
       if (err && !first_error) first_error = err;
       --inflight[k];
-      --unfinished;
       nodes.erase(id);
       // Slot handoff: release this slot and dispatch the next ready task
       // of its kind.
@@ -250,8 +249,21 @@ struct WorkflowEngine::Impl {
     }
     cv.notify_all();
     // The settle callback runs outside the lock: it may submit follow-up
-    // tasks or take service-level locks.
+    // tasks or take service-level locks. The task stays unfinished until
+    // the callback has returned, so drain() never returns under it, and a
+    // follow-up it submits is counted before this task's decrement.
     if (settled) settled(err);
+    settle_finished(1);
+  }
+
+  /// Count `n` tasks whose settle callbacks have returned as finished and
+  /// wake drain().
+  void settle_finished(std::size_t n) QQ_EXCLUDES(mutex) {
+    {
+      util::MutexLock lock(mutex);
+      unfinished -= n;
+    }
+    cv.notify_all();
   }
 
   /// Cooperative wait: claim and inline-run THIS engine's dispatched tasks
@@ -394,7 +406,6 @@ std::size_t WorkflowEngine::cancel_group(GroupId group) {
       Task& task = node->second.task;
       // The queue entry stays behind as a stale id; dispatch skips it.
       --st.classes[task.fair_class].ready_live[kind_index(task.kind)];
-      --st.unfinished;
       st.count_cancelled_locked(task, settled);
       st.nodes.erase(node);
     }
@@ -405,6 +416,9 @@ std::size_t WorkflowEngine::cancel_group(GroupId group) {
   const std::exception_ptr err = std::make_exception_ptr(
       util::CancelledError(util::StopReason::kCancelled));
   for (Impl::SettledFn& fn : settled) fn(err);
+  // As in run_task: the cancelled tasks stay unfinished until their
+  // callbacks have returned.
+  impl_->settle_finished(newly_cancelled);
   return newly_cancelled;
 }
 

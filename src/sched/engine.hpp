@@ -184,12 +184,13 @@ class WorkflowEngine {
   /// `on_settled` callback.
   void submit(Task task);
 
-  /// Cooperatively help-run until every submitted task has completed. A
-  /// settle callback runs after its task counts as completed, so a task it
-  /// submits may arrive after drain returns; a caller joining through
-  /// callbacks drains until its own join has fired. The first error
-  /// observed since the last drain is rethrown — unless `error_out` is
-  /// non-null, in which case it is stored there.
+  /// Cooperatively help-run until every submitted task has settled and
+  /// its settle callback has returned. A task counts as unfinished until
+  /// then, so a follow-up task a callback submits is counted before its
+  /// parent settles and drain waits for it too. A settle callback must
+  /// therefore not drain its own engine. The first error observed since
+  /// the last drain is rethrown — unless `error_out` is non-null, in which
+  /// case it is stored there.
   void drain(std::exception_ptr* error_out = nullptr);
 
   EngineStats stats() const;

@@ -16,30 +16,14 @@
 #include "qsim/measure.hpp"
 #include "qsim/simd.hpp"
 #include "qsim/statevector.hpp"
+#include "test_isa.hpp"
 #include "util/rng.hpp"
 
 namespace qq::sim {
 namespace {
 
-class IsaGuard {
- public:
-  IsaGuard() : saved_(simd::active_isa()) {}
-  ~IsaGuard() { simd::set_isa(saved_); }
-  IsaGuard(const IsaGuard&) = delete;
-  IsaGuard& operator=(const IsaGuard&) = delete;
-
- private:
-  simd::Isa saved_;
-};
-
-std::vector<simd::Isa> available_isas() {
-  IsaGuard guard;
-  std::vector<simd::Isa> isas{simd::Isa::kScalar};
-  for (const simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512}) {
-    if (simd::set_isa(isa) == isa) isas.push_back(isa);
-  }
-  return isas;
-}
+using testing::available_isas;
+using testing::IsaGuard;
 
 struct Angles {
   std::vector<double> scales;  ///< per-lane gamma, one per layer entry

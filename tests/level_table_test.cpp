@@ -23,30 +23,15 @@
 #include "qsim/measure.hpp"
 #include "qsim/simd.hpp"
 #include "qsim/statevector.hpp"
+#include "test_isa.hpp"
 #include "util/rng.hpp"
 
 namespace qq::sim {
 namespace {
 
-class IsaGuard {
- public:
-  IsaGuard() : saved_(simd::active_isa()) {}
-  ~IsaGuard() { simd::set_isa(saved_); }
-  IsaGuard(const IsaGuard&) = delete;
-  IsaGuard& operator=(const IsaGuard&) = delete;
-
- private:
-  simd::Isa saved_;
-};
-
-std::vector<simd::Isa> available_isas() {
-  IsaGuard guard;
-  std::vector<simd::Isa> isas{simd::Isa::kScalar};
-  for (const simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512}) {
-    if (simd::set_isa(isa) == isa) isas.push_back(isa);
-  }
-  return isas;
-}
+using testing::available_isas;
+using testing::bits_equal;
+using testing::IsaGuard;
 
 struct Table {
   std::string name;
@@ -84,12 +69,6 @@ std::vector<Table> diagonals(int n) {
           {"integer weights", qaoa::build_cut_table(integer)},
           {"random real weights", qaoa::build_cut_table(real)},
           {"signed merge graph", qaoa::build_cut_table(merge)}};
-}
-
-bool bits_equal(const StateVector& a, const StateVector& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data().data(), b.data().data(),
-                     a.size() * sizeof(Amplitude)) == 0;
 }
 
 TEST(LevelTable, ReproducesTheDenseTableBitForBit) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "maxcut/exact.hpp"
 #include "qaoa/cost_table.hpp"
@@ -16,6 +17,7 @@
 #include "qcircuit/execute.hpp"
 #include "qsim/measure.hpp"
 #include "qgraph/generators.hpp"
+#include "test_isa.hpp"
 #include "util/rng.hpp"
 
 namespace qq::qaoa {
@@ -118,6 +120,138 @@ TEST(Expectation, SampledEstimateConvergesToExact) {
   EXPECT_NEAR(sampled, exact, 0.1);
   EXPECT_THROW(solver.sampled_expectation(angles, 0, shot_rng),
                std::invalid_argument);
+}
+
+// ------------------------------------------------ analytic p = 1 oracle ----
+
+/// F_1(gamma, beta) of an unweighted graph in closed form: Wang, Hadfield,
+/// Jiang and Rieffel, Phys. Rev. A 97, 022304 (2018), Thm. 1. In this
+/// solver's convention (cost layer e^{-i gamma Cut}, mixer RX(2 beta) on
+/// every qubit) an edge (u, v) whose ends have d_u and d_v other neighbours
+/// and lambda common neighbours contributes
+///   1/2 + 1/4 sin(4 beta) sin(gamma) (cos^d_u gamma + cos^d_v gamma)
+///       - 1/4 sin^2(2 beta) cos^(d_u + d_v - 2 lambda) gamma
+///         (1 - cos^lambda 2 gamma).
+/// No state vector is involved, so it checks the simulator from outside.
+double analytic_f1(const Graph& g, double gamma, double beta) {
+  const double c = std::cos(gamma);
+  const double s2b = std::sin(2.0 * beta);
+  double total = 0.0;
+  for (const graph::Edge& e : g.edges()) {
+    const int du = static_cast<int>(g.degree(e.u)) - 1;
+    const int dv = static_cast<int>(g.degree(e.v)) - 1;
+    int lambda = 0;
+    for (const auto& [w, weight] : g.neighbors(e.u)) {
+      (void)weight;
+      if (w != e.v && g.has_edge(e.v, w)) ++lambda;
+    }
+    total += 0.5 +
+             0.25 * std::sin(4.0 * beta) * std::sin(gamma) *
+                 (std::pow(c, du) + std::pow(c, dv)) -
+             0.25 * s2b * s2b * std::pow(c, du + dv - 2 * lambda) *
+                 (1.0 - std::pow(std::cos(2.0 * gamma), lambda));
+  }
+  return total;
+}
+
+/// The 3-cube and the Petersen graph: 3-regular and triangle-free.
+std::vector<Graph> triangle_free_cubic_graphs() {
+  Graph cube(8);
+  for (NodeId u = 0; u < 8; ++u) {
+    for (NodeId bit = 1; bit < 8; bit <<= 1) {
+      if ((u & bit) == 0) cube.add_edge(u, u | bit);
+    }
+  }
+  Graph petersen(10);
+  for (NodeId i = 0; i < 5; ++i) {
+    petersen.add_edge(i, (i + 1) % 5);          // outer cycle
+    petersen.add_edge(5 + i, 5 + (i + 2) % 5);  // inner pentagram
+    petersen.add_edge(i, 5 + i);                // spokes
+  }
+  return {cube, petersen};
+}
+
+/// Unweighted ER(n, 0.4) graphs at 8..20 nodes: the oracle's workload.
+std::vector<Graph> oracle_graphs() {
+  util::Rng rng(20180222);
+  std::vector<Graph> out;
+  for (NodeId n = 8; n <= 20; n += 2) out.push_back(graph::erdos_renyi(n, 0.4, rng));
+  return out;
+}
+
+TEST(AnalyticP1, FarhiRatioOnTriangleFreeCubicGraphs) {
+  // Self-check of the oracle: Farhi, Goldstone and Gutmann (arXiv:1411.4028)
+  // show p = 1 reaches F_1 / |E| = 1/2 + 1/(3 sqrt 3) = 0.6925 on every
+  // triangle-free 3-regular graph. Found here by a dense (gamma, beta) grid.
+  for (const Graph& g : triangle_free_cubic_graphs()) {
+    double best = 0.0;
+    double best_gamma = 0.0;
+    double best_beta = 0.0;
+    for (int i = 0; i <= 400; ++i) {
+      const double gamma = std::numbers::pi / 2.0 * i / 400.0;
+      for (int j = 0; j <= 100; ++j) {
+        const double beta = std::numbers::pi / 4.0 * j / 100.0;
+        const double f = analytic_f1(g, gamma, beta);
+        if (f > best) {
+          best = f;
+          best_gamma = gamma;
+          best_beta = beta;
+        }
+      }
+    }
+    const double ratio = best / static_cast<double>(g.num_edges());
+    EXPECT_NEAR(ratio, 0.6925, 1e-4) << g.num_nodes() << " nodes";
+    EXPECT_LE(ratio, 0.5 + 1.0 / (3.0 * std::sqrt(3.0)) + 1e-12);
+    // The simulator agrees at the grid optimum.
+    circuit::QaoaAngles angles;
+    angles.gammas = {best_gamma};
+    angles.betas = {best_beta};
+    EXPECT_NEAR(QaoaSolver(g).expectation(angles), best, 1e-11);
+  }
+}
+
+TEST(AnalyticP1, FlatExpectationMatchesClosedForm) {
+  testing::IsaGuard guard;
+  util::Rng rng(97);
+  for (const Graph& g : oracle_graphs()) {
+    const QaoaSolver solver(g);
+    for (int trial = 0; trial < 2; ++trial) {
+      circuit::QaoaAngles angles;
+      angles.gammas = {util::uniform(rng, -1.5, 1.5)};
+      angles.betas = {util::uniform(rng, -1.5, 1.5)};
+      const double want = analytic_f1(g, angles.gammas[0], angles.betas[0]);
+      for (const sim::simd::Isa isa : testing::available_isas()) {
+        sim::simd::set_isa(isa);
+        EXPECT_NEAR(solver.expectation(angles), want,
+                    1e-12 * static_cast<double>(g.num_edges()))
+            << g.num_nodes() << " qubits under " << sim::simd::isa_name(isa);
+      }
+    }
+  }
+}
+
+TEST(AnalyticP1, BatchedExpectationsMatchClosedForm) {
+  testing::IsaGuard guard;
+  util::Rng rng(98);
+  for (const Graph& g : oracle_graphs()) {
+    const QaoaSolver solver(g);
+    std::vector<std::vector<double>> points(3);
+    for (std::vector<double>& x : points) {
+      x = {util::uniform(rng, -1.5, 1.5), util::uniform(rng, -1.5, 1.5)};
+    }
+    for (const sim::simd::Isa isa : testing::available_isas()) {
+      sim::simd::set_isa(isa);
+      const std::vector<double> got = solver.expectations(points);
+      ASSERT_EQ(got.size(), points.size());
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_NEAR(got[i], analytic_f1(g, points[i][0], points[i][1]),
+                    1e-12 * static_cast<double>(g.num_edges()))
+            << g.num_nodes() << " qubits under " << sim::simd::isa_name(isa);
+        EXPECT_EQ(got[i],
+                  solver.expectation(circuit::unpack_angles(points[i])));
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- optimization ----

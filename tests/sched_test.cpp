@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <future>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -925,6 +926,41 @@ TEST(Engine, OnSettledFiresExactlyOncePerOutcome) {
   EXPECT_EQ(ok_settles.load(), 1);
   EXPECT_EQ(fail_settles.load(), 1);
   EXPECT_EQ(cancel_settles.load(), 1);
+}
+
+TEST(Engine, DrainWaitsUntilSettleCallbacksReturn) {
+  // The sync objects outlive the pool, whose destructor joins the worker
+  // still inside the callback if drain() ever returns early.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::atomic<bool> drain_returned{false};
+  std::atomic<bool> drain_returned_inside_callback{false};
+  std::atomic<bool> callback_returned{false};
+  // A pool of one: while its worker is held inside the settle callback,
+  // only the draining caller can run the engine's other tasks.
+  util::ThreadPool pool(1);
+  EngineOptions opts;
+  opts.quantum_slots = 1;
+  opts.classical_slots = 1;
+  opts.pool = &pool;
+  WorkflowEngine engine(opts);
+  Task held;
+  held.work = [] {};
+  held.on_settled = [&](std::exception_ptr) {
+    entered.set_value();
+    release.get_future().wait();
+    drain_returned_inside_callback = drain_returned.load();
+    callback_returned = true;
+  };
+  engine.submit(std::move(held));
+  entered.get_future().wait();
+  // The task that lets the callback go runs inside drain() below, so the
+  // callback is still open when drain() starts waiting.
+  engine.submit({ResourceKind::kClassical, [&release] { release.set_value(); }});
+  engine.drain();
+  drain_returned = true;
+  EXPECT_TRUE(callback_returned.load());
+  EXPECT_FALSE(drain_returned_inside_callback.load());
 }
 
 TEST(Engine, StatsGaugesTrackReadyAndInflight) {

@@ -13,38 +13,15 @@
 #include "qsim/measure.hpp"
 #include "qsim/simd.hpp"
 #include "qsim/statevector.hpp"
+#include "test_isa.hpp"
 #include "util/rng.hpp"
 
 namespace qq::sim {
 namespace {
 
-/// Restores the entry backend when a test exits (even on failure).
-class IsaGuard {
- public:
-  IsaGuard() : saved_(simd::active_isa()) {}
-  ~IsaGuard() { simd::set_isa(saved_); }
-  IsaGuard(const IsaGuard&) = delete;
-  IsaGuard& operator=(const IsaGuard&) = delete;
-
- private:
-  simd::Isa saved_;
-};
-
-/// Backends this build + machine can actually install, scalar first.
-std::vector<simd::Isa> available_isas() {
-  IsaGuard guard;
-  std::vector<simd::Isa> isas{simd::Isa::kScalar};
-  for (const simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512}) {
-    if (simd::set_isa(isa) == isa) isas.push_back(isa);
-  }
-  return isas;
-}
-
-bool bits_equal(const StateVector& a, const StateVector& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data().data(), b.data().data(),
-                     a.size() * sizeof(Amplitude)) == 0;
-}
+using testing::available_isas;
+using testing::bits_equal;
+using testing::IsaGuard;
 
 /// Deterministic circuit exercising every dispatched kernel: z / rz
 /// (low-qubit table AND high-qubit run paths) / rzz (all qubit-pair
