@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "qaoa/cost_table.hpp"
 #include "qaoa/qaoa.hpp"
 #include "qgraph/generators.hpp"
@@ -42,6 +44,24 @@ void BM_ObjectiveEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObjectiveEvaluation)->Arg(10)->Arg(14)->Arg(16)->Arg(18);
+
+void BM_LockstepObjective(benchmark::State& state) {
+  // One lockstep F_p evaluation at p = 2 of `lanes` restart points through
+  // QaoaSolver::expectations, its half-state batch allocation included —
+  // one optimizer step of a restarts = lanes leaf.
+  const int n = static_cast<int>(state.range(0));
+  const int lanes = static_cast<int>(state.range(1));
+  const auto g = instance(n, 0.3, 2);
+  const qq::qaoa::QaoaSolver solver(g);
+  std::vector<std::vector<double>> points;
+  for (int b = 0; b < lanes; ++b) {
+    points.push_back({0.2 + 0.01 * b, 0.4, 0.6 - 0.01 * b, 0.3});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solver.expectations(points));
+  }
+}
+BENCHMARK(BM_LockstepObjective)->Args({12, 16})->Args({14, 16})->Args({16, 16});
 
 void BM_FullOptimization(benchmark::State& state) {
   // Complete hybrid loop with the paper's iteration schedule at p = 3.

@@ -213,58 +213,128 @@ BENCHMARK(BM_BatchedPhaseLevelSweep)->ArgsProduct({{10, 14, 16}, {8, 16}});
 // multi-restart hot loop. The unbatched twin below does the identical work
 // as B independent flat sweeps; the ratio is the win from sharing each
 // cut-table load and amplitude row across all B lanes.
+// One QAOA layer plus the expectation, as the solver evaluates it: the cost
+// layer from the level table of an ER(n, 0.5) unit-weight cut table, the
+// fused mixer, and the expectation over the dense table. The plain rows run
+// on the full 2^n-amplitude state; the Half rows on the flip-symmetric half
+// QaoaSolver evaluates (2^(n-1) amplitudes, the half level table, the
+// mirror butterfly and the mirror-order expectation), bit-for-bit the same
+// values.
+struct ObjectiveFixture {
+  explicit ObjectiveFixture(int n)
+      : table(er_cut_table(n)),
+        levels(table),
+        half_levels(table, table.size() / 2) {}
+  std::vector<double> table;
+  LevelTable levels;
+  LevelTable half_levels;
+};
+
+std::vector<double> lane_angles(int batch, double base) {
+  std::vector<double> out(static_cast<std::size_t>(batch));
+  for (int b = 0; b < batch; ++b) {
+    out[static_cast<std::size_t>(b)] = base + 0.01 * b;
+  }
+  return out;
+}
+
 void BM_BatchedQaoaObjective(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int batch = static_cast<int>(state.range(1));
+  const ObjectiveFixture f(n);
   BatchedStateVector sv(n, batch);
-  std::vector<double> table(sv.size());
-  qq::util::Rng rng(1);
-  for (double& v : table) v = qq::util::uniform(rng, 0.0, 10.0);
-  std::vector<double> scales(batch), thetas(batch);
-  for (int b = 0; b < batch; ++b) {
-    scales[b] = 0.31 + 0.01 * b;
-    thetas[b] = 0.23 + 0.01 * b;
-  }
+  const std::vector<double> scales = lane_angles(batch, 0.31);
+  const std::vector<double> thetas = lane_angles(batch, 0.23);
   sv.reset_to_plus();
   for (auto _ : state) {
-    sv.apply_diagonal_phase(table, scales);
+    sv.apply_diagonal_phase(f.levels, scales);
     sv.apply_rx_layer(thetas);
-    benchmark::DoNotOptimize(sv.expectation_diagonal(table));
+    benchmark::DoNotOptimize(sv.expectation_diagonal(f.table));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sv.size()) * batch);
+                          static_cast<std::int64_t>(f.table.size()) * batch);
 }
 BENCHMARK(BM_BatchedQaoaObjective)
     ->Args({10, 8})
     ->Args({14, 8})
     ->Args({14, 16})
-    ->Args({16, 8});
+    ->Args({16, 8})
+    ->Args({16, 16});
+
+void BM_BatchedHalfQaoaObjective(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int batch = static_cast<int>(state.range(1));
+  const ObjectiveFixture f(n);
+  BatchedStateVector sv(n - 1, batch);
+  const std::vector<double> scales = lane_angles(batch, 0.31);
+  const std::vector<double> thetas = lane_angles(batch, 0.23);
+  sv.reset_to_plus_half();
+  for (auto _ : state) {
+    sv.apply_diagonal_phase(f.half_levels, scales);
+    sv.apply_rx_layer(thetas);
+    sv.apply_rx_mirror(thetas);
+    benchmark::DoNotOptimize(sv.expectation_diagonal_mirror(f.table));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(f.table.size()) * batch);
+}
+BENCHMARK(BM_BatchedHalfQaoaObjective)
+    ->Args({10, 8})
+    ->Args({14, 8})
+    ->Args({14, 16})
+    ->Args({16, 8})
+    ->Args({16, 16});
 
 void BM_UnbatchedQaoaObjective(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int batch = static_cast<int>(state.range(1));
+  const ObjectiveFixture f(n);
   std::vector<StateVector> svs(static_cast<std::size_t>(batch),
                                StateVector::plus_state(n));
-  std::vector<double> table(svs[0].size());
-  qq::util::Rng rng(1);
-  for (double& v : table) v = qq::util::uniform(rng, 0.0, 10.0);
   for (auto _ : state) {
     for (int b = 0; b < batch; ++b) {
-      svs[static_cast<std::size_t>(b)].apply_diagonal_phase(table,
-                                                            0.31 + 0.01 * b);
-      svs[static_cast<std::size_t>(b)].apply_rx_layer(0.23 + 0.01 * b);
-      benchmark::DoNotOptimize(qq::sim::expectation_diagonal(
-          svs[static_cast<std::size_t>(b)], table));
+      StateVector& sv = svs[static_cast<std::size_t>(b)];
+      sv.apply_diagonal_phase(f.levels, 0.31 + 0.01 * b);
+      sv.apply_rx_layer(0.23 + 0.01 * b);
+      benchmark::DoNotOptimize(qq::sim::expectation_diagonal(sv, f.table));
     }
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(svs[0].size()) * batch);
+                          static_cast<std::int64_t>(f.table.size()) * batch);
 }
 BENCHMARK(BM_UnbatchedQaoaObjective)
     ->Args({10, 8})
     ->Args({14, 8})
     ->Args({14, 16})
-    ->Args({16, 8});
+    ->Args({16, 8})
+    ->Args({16, 16});
+
+void BM_UnbatchedHalfQaoaObjective(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int batch = static_cast<int>(state.range(1));
+  const ObjectiveFixture f(n);
+  std::vector<StateVector> svs(static_cast<std::size_t>(batch),
+                               StateVector(n - 1));
+  for (StateVector& sv : svs) sv.reset_to_plus_half();
+  for (auto _ : state) {
+    for (int b = 0; b < batch; ++b) {
+      StateVector& sv = svs[static_cast<std::size_t>(b)];
+      sv.apply_diagonal_phase(f.half_levels, 0.31 + 0.01 * b);
+      sv.apply_rx_layer(0.23 + 0.01 * b);
+      sv.apply_rx_mirror(0.23 + 0.01 * b);
+      benchmark::DoNotOptimize(
+          qq::sim::expectation_diagonal_mirror(sv, f.table));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(f.table.size()) * batch);
+}
+BENCHMARK(BM_UnbatchedHalfQaoaObjective)
+    ->Args({10, 8})
+    ->Args({14, 8})
+    ->Args({14, 16})
+    ->Args({16, 8})
+    ->Args({16, 16});
 
 // The batched mixer alone: B lane butterflies per amplitude pair on
 // cache-hot rows vs B separate fused-layer sweeps.

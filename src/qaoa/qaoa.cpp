@@ -66,8 +66,21 @@ std::vector<double> restart_initial_parameters(const QaoaOptions& options,
   return circuit::pack_angles(angles);
 }
 
+namespace {
+
+const graph::Graph& check_has_nodes(const graph::Graph& g) {
+  if (g.num_nodes() < 1) {
+    throw std::invalid_argument("QaoaSolver: graph has no nodes");
+  }
+  return g;
+}
+
+}  // namespace
+
 QaoaSolver::QaoaSolver(const graph::Graph& g)
-    : graph_(&g), cut_table_(build_cut_table(g)), cut_levels_(cut_table_) {
+    : graph_(&check_has_nodes(g)),
+      cut_table_(build_cut_table(g)),
+      cut_levels_(cut_table_, cut_table_.size() / 2) {
   exact_optimum_ =
       cut_table_.empty()
           ? 0.0
@@ -75,25 +88,29 @@ QaoaSolver::QaoaSolver(const graph::Graph& g)
 }
 
 sim::StateVector QaoaSolver::state(const circuit::QaoaAngles& angles) const {
-  sim::StateVector sv(graph_->num_nodes());
-  prepare_state(angles, sv);
-  return sv;
+  sim::StateVector half(graph_->num_nodes() - 1);
+  prepare_half(angles, half);
+  sim::StateVector full(0);
+  half.expand_half(full);
+  return full;
 }
 
-void QaoaSolver::prepare_state(const circuit::QaoaAngles& angles,
-                               sim::StateVector& sv) const {
+void QaoaSolver::prepare_half(const circuit::QaoaAngles& angles,
+                              sim::StateVector& half) const {
   if (angles.gammas.size() != angles.betas.size()) {
     throw std::invalid_argument("QaoaSolver::state: layer mismatch");
   }
   const int n = graph_->num_nodes();
-  if (sv.num_qubits() != n) sv = sim::StateVector(n);
-  sv.reset_to_plus();
+  if (half.num_qubits() != n - 1) half = sim::StateVector(n - 1);
+  half.reset_to_plus_half();
   for (std::size_t layer = 0; layer < angles.layers(); ++layer) {
     // Cost layer e^{-i gamma H_C}: one diagonal sweep over the cut levels.
-    sv.apply_diagonal_phase(cut_levels_, angles.gammas[layer]);
-    // Mixer e^{-i beta H_M} = Prod_q RX_q(2 beta), fused into one
-    // cache-blocked pass instead of n separate sweeps.
-    sv.apply_rx_layer(2.0 * angles.betas[layer]);
+    half.apply_diagonal_phase(cut_levels_, angles.gammas[layer]);
+    // Mixer e^{-i beta H_M} = Prod_q RX_q(2 beta): qubits 0..n-2 fused into
+    // one cache-blocked pass, then the top qubit as the mirror butterfly.
+    const double theta = 2.0 * angles.betas[layer];
+    half.apply_rx_layer(theta);
+    half.apply_rx_mirror(theta);
   }
 }
 
@@ -104,8 +121,8 @@ double QaoaSolver::expectation(const circuit::QaoaAngles& angles) const {
 
 double QaoaSolver::expectation(const circuit::QaoaAngles& angles,
                                EvalWorkspace& workspace) const {
-  prepare_state(angles, workspace.sv);
-  return sim::expectation_diagonal(workspace.sv, cut_table_);
+  prepare_half(angles, workspace.half);
+  return sim::expectation_diagonal_mirror(workspace.half, cut_table_);
 }
 
 double QaoaSolver::sampled_expectation(const circuit::QaoaAngles& angles,
@@ -120,8 +137,9 @@ double QaoaSolver::sampled_expectation(const circuit::QaoaAngles& angles,
   if (shots < 1) {
     throw std::invalid_argument("sampled_expectation: shots must be >= 1");
   }
-  prepare_state(angles, workspace.sv);
-  sim::sample_counts_into(workspace.sv, shots, rng, workspace.cdf,
+  prepare_half(angles, workspace.half);
+  workspace.half.expand_half(workspace.full);
+  sim::sample_counts_into(workspace.full, shots, rng, workspace.cdf,
                           workspace.samples);
   double sum = 0.0;
   for (const sim::BasisState s : workspace.samples) sum += cut_table_[s];
@@ -131,11 +149,11 @@ double QaoaSolver::sampled_expectation(const circuit::QaoaAngles& angles,
 namespace {
 
 /// Writes F_p of every point into `values` from one BatchedStateVector
-/// evaluation: cost layers sweep the shared level table, the expectation
-/// reads the shared cut table. Each lane is bit-for-bit the flat
-/// StateVector evaluation (batched_test), so batching never changes a
-/// restart's trajectory. `batch` is reallocated when the point count
-/// changes.
+/// evaluation on half states, the lockstep twin of QaoaSolver::prepare_half:
+/// cost layers sweep the shared half level table, the expectation reads the
+/// shared cut table through the mirror. Each lane is bit-for-bit the flat
+/// evaluation (batched_test), so batching never changes a restart's
+/// trajectory. `batch` is reallocated when the point count changes.
 void evaluate_batched(const std::vector<double>& cut_table,
                       const sim::LevelTable& cut_levels, int num_qubits,
                       int layers,
@@ -146,13 +164,13 @@ void evaluate_batched(const std::vector<double>& cut_table,
   if (!batch || static_cast<std::size_t>(batch->batch()) != lanes) {
     batch.reset();  // free the wider batch before allocating the new one
     batch = std::make_unique<sim::BatchedStateVector>(
-        num_qubits, static_cast<int>(lanes));
+        num_qubits - 1, static_cast<int>(lanes));
   }
   std::vector<double> scales(lanes), thetas(lanes);
-  batch->reset_to_plus();
+  batch->reset_to_plus_half();
   for (int l = 0; l < layers; ++l) {
     // Packed layout [gamma_1..gamma_p, beta_1..beta_p]; the angle
-    // expressions match QaoaSolver::prepare_state exactly.
+    // expressions match QaoaSolver::prepare_half exactly.
     const auto gamma = static_cast<std::size_t>(l);
     const auto beta = static_cast<std::size_t>(layers + l);
     for (std::size_t b = 0; b < lanes; ++b) {
@@ -161,8 +179,9 @@ void evaluate_batched(const std::vector<double>& cut_table,
     }
     batch->apply_diagonal_phase(cut_levels, scales);
     batch->apply_rx_layer(thetas);
+    batch->apply_rx_mirror(thetas);
   }
-  values = batch->expectation_diagonal(cut_table);
+  values = batch->expectation_diagonal_mirror(cut_table);
 }
 
 }  // namespace
@@ -223,8 +242,8 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
   std::vector<util::Rng> shot_rngs(
       restarts, util::Rng(options.seed ^ 0x7357b1e55ed5eedULL));
   // One workspace serves every flat evaluation AND the final extraction:
-  // the 2^n state vector (and sampling scratch) is allocated once per
-  // optimize() instead of once per optimizer step.
+  // the half state (and sampling scratch) is allocated once per optimize()
+  // instead of once per optimizer step.
   EvalWorkspace workspace(num_qubits);
   const bool batchable = !options.shot_based_objective &&
                          num_qubits >= options.lockstep_min_qubits;
@@ -286,6 +305,7 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
     }
   }
 
+  batch.reset();  // the extraction below needs only the flat workspace
   QaoaResult result;
   result.parameters = lanes[best].result().x;
   result.evaluations = evaluations;
@@ -299,9 +319,11 @@ void QaoaSolver::extract_result(const QaoaOptions& options,
                                 QaoaResult& result) const {
   const circuit::QaoaAngles best_angles =
       circuit::unpack_angles(result.parameters);
-  prepare_state(best_angles, workspace.sv);
-  const sim::StateVector& sv = workspace.sv;
-  result.expectation = sim::expectation_diagonal(sv, cut_table_);
+  prepare_half(best_angles, workspace.half);
+  result.expectation =
+      sim::expectation_diagonal_mirror(workspace.half, cut_table_);
+  workspace.half.expand_half(workspace.full);
+  const sim::StateVector& sv = workspace.full;
 
   // Solution extraction. top_k == 1 is the paper's highest-amplitude rule;
   // larger k scans the k most probable strings for the best cut (§5).

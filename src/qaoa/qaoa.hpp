@@ -106,24 +106,36 @@ int paper_iteration_schedule(int layers);
 std::vector<double> restart_initial_parameters(const QaoaOptions& options,
                                                int restart);
 
-/// Precomputes the cut table for one graph, and its level table (distinct
-/// cut values plus a per-basis-state level index), so that repeated
-/// optimizations (grid searches, restarts) share both. Cost layers sweep the
-/// level table; expectations and sampling read the dense table.
+/// Precomputes the cut table for one graph, and the level table of its
+/// first half (distinct cut values plus a level index per basis state whose
+/// top bit is 0), so that repeated optimizations (grid searches, restarts)
+/// share both.
+///
+/// Every QAOA MaxCut state is flip-symmetric, psi(z) == psi(~z), so the
+/// solver evaluates on the half state of 2^(n-1) amplitudes
+/// (StateVector::reset_to_plus_half): cost layers sweep the half level
+/// table, the mixer is apply_rx_layer plus the mirror butterfly of the top
+/// qubit, and the expectation reads the dense table in the full index order
+/// through the mirror. Each result is bit-for-bit the full-state
+/// evaluation. Top-k, sampling and state() expand the half into a full
+/// StateVector. See DESIGN.md "Flip symmetry".
 class QaoaSolver {
  public:
-  /// Reusable per-optimize evaluation scratch: the state vector plus the
-  /// sampling buffers. One workspace serves every objective evaluation of
-  /// an optimize() run, so the hot loop is allocation-free in steady state
-  /// (the old path constructed a fresh 2^n x 16 B vector, CDF, and shot
-  /// buffer per COBYLA iteration).
+  /// Reusable per-optimize evaluation scratch: the half state, the full
+  /// state it expands into for sampling and top-k, and the sampling
+  /// buffers. One workspace serves every objective evaluation of an
+  /// optimize() run, so the hot loop is allocation-free in steady state.
+  /// `full` is grown on its first use; exact evaluations never touch it.
   struct EvalWorkspace {
-    explicit EvalWorkspace(int num_qubits) : sv(num_qubits) {}
-    sim::StateVector sv;
+    explicit EvalWorkspace(int num_qubits)
+        : half(num_qubits > 0 ? num_qubits - 1 : 0) {}
+    sim::StateVector half;
+    sim::StateVector full{0};
     std::vector<double> cdf;
     std::vector<sim::BasisState> samples;
   };
 
+  /// Throws std::invalid_argument on a graph without nodes.
   explicit QaoaSolver(const graph::Graph& g);
 
   const graph::Graph& graph() const noexcept { return *graph_; }
@@ -132,14 +144,9 @@ class QaoaSolver {
   /// and approximation-ratio reporting.
   double exact_optimum() const noexcept { return exact_optimum_; }
 
-  /// Prepare |psi_p(beta, gamma)> via the diagonal fast path.
+  /// Prepare |psi_p(beta, gamma)> via the diagonal fast path, expanded to
+  /// the full 2^n amplitudes.
   sim::StateVector state(const circuit::QaoaAngles& angles) const;
-
-  /// Workspace variant: reset `sv` to |+>^n in place and apply the layers.
-  /// `sv` is reconstructed only if its qubit count does not match the
-  /// graph's.
-  void prepare_state(const circuit::QaoaAngles& angles,
-                     sim::StateVector& sv) const;
 
   /// Exact <H_C> at the given angles.
   double expectation(const circuit::QaoaAngles& angles) const;
@@ -163,6 +170,11 @@ class QaoaSolver {
   QaoaResult optimize(const QaoaOptions& options) const;
 
  private:
+  /// Reset `half` to the half of |+>^n in place and apply the layers.
+  /// `half` is reconstructed only if it does not have n - 1 qubits.
+  void prepare_half(const circuit::QaoaAngles& angles,
+                    sim::StateVector& half) const;
+
   /// Final-state extraction: exact expectation, top-k scan, and the
   /// sampled diagnostic.
   void extract_result(const QaoaOptions& options, EvalWorkspace& workspace,

@@ -5,7 +5,6 @@
 #include <deque>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "qaoa2/merge.hpp"
@@ -508,29 +507,22 @@ Qaoa2Result Qaoa2Driver::solve(const graph::Graph& g) const {
     return result;
   }
 
-  // ONE engine (and one pool) for the entire solve. `done` runs on the
-  // thread that settled the last task. A drain can also return early: a
-  // level's merge is submitted by a settle callback, just after the engine
-  // counted the last sub-solve done. So drain again until `done` has run.
+  // ONE engine (and one pool) for the entire solve. `done` runs inside the
+  // settle callback of the last task, and drain() returns only after every
+  // settle callback has returned, so one drain sees the solve settled.
   sched::WorkflowEngine engine(options_.engine);
-  util::Mutex mutex;
   bool settled = false;
   std::exception_ptr err;
   solve_async(engine, g, SolveTags{},
               [&](Qaoa2Result r, std::exception_ptr e) {
-                util::MutexLock lock(mutex);
                 result = std::move(r);
                 err = std::move(e);
                 settled = true;
               });
-  for (bool done = false; !done;) {
-    std::exception_ptr ignored;  // `done` reports the solve's first error
-    engine.drain(&ignored);
-    {
-      util::MutexLock lock(mutex);
-      done = settled;
-    }
-    if (!done) std::this_thread::yield();
+  std::exception_ptr ignored;  // `done` reports the solve's first error
+  engine.drain(&ignored);
+  if (!settled) {
+    throw std::logic_error("Qaoa2Driver::solve: drained before settling");
   }
   if (err) std::rethrow_exception(err);
 

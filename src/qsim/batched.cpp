@@ -1,5 +1,6 @@
 #include "qsim/batched.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -49,7 +50,14 @@ void BatchedStateVector::check_scales(
 void BatchedStateVector::reset_to_plus() {
   // Same amplitude expression as StateVector::reset_to_plus, so every lane
   // starts bit-identical to the flat |+>^n.
-  const double a = 1.0 / std::sqrt(static_cast<double>(size_));
+  fill_real(1.0 / std::sqrt(static_cast<double>(size_)));
+}
+
+void BatchedStateVector::reset_to_plus_half() {
+  fill_real(1.0 / std::sqrt(static_cast<double>(2 * size_)));
+}
+
+void BatchedStateVector::fill_real(double a) {
   const std::size_t lanes = static_cast<std::size_t>(batch_);
   util::parallel_for_chunks(
       0, size_,
@@ -131,11 +139,9 @@ void BatchedStateVector::apply_diagonal_phase(
       std::max<std::size_t>(1, kParallelGrain / lanes));
 }
 
-void BatchedStateVector::apply_rx_layer(const std::vector<double>& thetas) {
+void BatchedStateVector::load_mixer_angles(const std::vector<double>& thetas) {
   check_scales(thetas);
-  if (num_qubits_ == 0) return;
-  const std::size_t lanes = static_cast<std::size_t>(batch_);
-  for (std::size_t b = 0; b < lanes; ++b) {
+  for (std::size_t b = 0; b < static_cast<std::size_t>(batch_); ++b) {
     // Same per-lane c/s expressions as StateVector::apply_rx_layer.
     const double c = std::cos(thetas[b] * 0.5);
     const double s = std::sin(thetas[b] * 0.5);
@@ -144,6 +150,12 @@ void BatchedStateVector::apply_rx_layer(const std::vector<double>& thetas) {
     sdup_[2 * b] = s;
     sdup_[2 * b + 1] = s;
   }
+}
+
+void BatchedStateVector::apply_rx_layer(const std::vector<double>& thetas) {
+  load_mixer_angles(thetas);
+  if (num_qubits_ == 0) return;
+  const std::size_t lanes = static_cast<std::size_t>(batch_);
   // Same blocking/fusion story as the flat kernel: both passes reorder work
   // only ACROSS amplitudes, never the per-amplitude qubit order, so each
   // lane's dataflow — and therefore its bits — match an unbatched solve.
@@ -230,22 +242,54 @@ void BatchedStateVector::apply_rx_layer(const std::vector<double>& thetas) {
   }
 }
 
-std::vector<double> BatchedStateVector::expectation_diagonal(
-    const std::vector<double>& values) const {
-  if (values.size() != size_) {
-    throw std::invalid_argument(
-        "BatchedStateVector::expectation_diagonal: table size mismatch");
-  }
+void BatchedStateVector::apply_rx_mirror(const std::vector<double>& thetas) {
+  load_mixer_angles(thetas);
   const std::size_t lanes = static_cast<std::size_t>(batch_);
+  const std::size_t stride = 2 * lanes;
+  double* d = data_.data();
+  const double* cd = cdup_.data();
+  const double* sd = sdup_.data();
+  const std::size_t mirror = size_ - 1;
+  if (mirror == 0) {
+    std::vector<double> self(d, d + stride);
+    simd::rx_butterfly_lanes(d, self.data(), cd, sd, lanes);
+    return;
+  }
+  util::parallel_for_chunks(
+      0, size_ / 2,
+      [d, cd, sd, lanes, stride, mirror](std::size_t lo, std::size_t hi) {
+        for (std::size_t z = lo; z < hi; ++z) {
+          simd::rx_butterfly_lanes(d + stride * z, d + stride * (mirror - z),
+                                   cd, sd, lanes);
+        }
+      },
+      std::max<std::size_t>(1, kParallelGrain / lanes));
+}
+
+std::vector<double> BatchedStateVector::weighted_norms(
+    const std::vector<double>& values) const {
+  const std::size_t lanes = static_cast<std::size_t>(batch_);
+  const std::size_t stride = 2 * lanes;
+  const std::size_t total = values.size();
   // Chunked over AMPLITUDE indices with the flat kernel's grain, so the
   // chunk plan — and therefore each lane's partial-sum fold — matches
-  // sim::expectation_diagonal(lane_state(b), values) exactly.
+  // sim::expectation_diagonal(_mirror)(lane_state(b), values) exactly.
   return util::parallel_reduce(
-      0, size_, std::vector<double>(lanes, 0.0),
-      [this, &values, lanes](std::size_t lo, std::size_t hi) {
+      0, total, std::vector<double>(lanes, 0.0),
+      [this, &values, lanes, stride, total](std::size_t lo, std::size_t hi) {
         std::vector<double> partial(lanes, 0.0);
-        simd::sum_norms_weighted_lanes(partial.data(), data_.data(), lanes,
-                                       values.data(), lo, hi);
+        const std::size_t mid = std::clamp(size_, lo, hi);
+        const auto step = static_cast<std::ptrdiff_t>(stride);
+        if (lo < mid) {
+          simd::sum_norms_weighted_rows(partial.data(),
+                                        data_.data() + stride * lo, step,
+                                        lanes, values.data() + lo, mid - lo);
+        }
+        if (mid < hi) {
+          simd::sum_norms_weighted_rows(
+              partial.data(), data_.data() + stride * (total - 1 - mid), -step,
+              lanes, values.data() + mid, hi - mid);
+        }
         return partial;
       },
       [lanes](std::vector<double> acc, std::vector<double> partial) {
@@ -253,6 +297,25 @@ std::vector<double> BatchedStateVector::expectation_diagonal(
         return acc;
       },
       kParallelGrain);
+}
+
+std::vector<double> BatchedStateVector::expectation_diagonal(
+    const std::vector<double>& values) const {
+  if (values.size() != size_) {
+    throw std::invalid_argument(
+        "BatchedStateVector::expectation_diagonal: table size mismatch");
+  }
+  return weighted_norms(values);
+}
+
+std::vector<double> BatchedStateVector::expectation_diagonal_mirror(
+    const std::vector<double>& values) const {
+  if (values.size() != 2 * size_) {
+    throw std::invalid_argument(
+        "BatchedStateVector::expectation_diagonal_mirror: table size must be "
+        "twice the half");
+  }
+  return weighted_norms(values);
 }
 
 Amplitude BatchedStateVector::amplitude(int lane, BasisState s) const {

@@ -62,6 +62,18 @@ class BatchedStateVector {
   std::vector<double> expectation_diagonal(
       const std::vector<double>& values) const;
 
+  // --- half of a flip-symmetric state (StateVector's "half" section) ------
+  /// Every lane to the half of |+>^(n+1).
+  void reset_to_plus_half();
+  /// Lane b: RX(thetas[b]) on the top qubit, after apply_rx_layer. Row z
+  /// pairs with row z ^ (2^n - 1); at n = 0 the one row pairs with itself.
+  void apply_rx_mirror(const std::vector<double>& thetas);
+  /// Per-lane <diag(values)> of the (n+1)-qubit states: values has 2^(n+1)
+  /// entries, states z >= 2^n read row 2^(n+1) - 1 - z. Lane b is
+  /// bit-for-bit sim::expectation_diagonal_mirror of lane_state(b).
+  std::vector<double> expectation_diagonal_mirror(
+      const std::vector<double>& values) const;
+
   Amplitude amplitude(int lane, BasisState s) const;
   /// Extract one lane into a flat StateVector (tests, final measurement).
   StateVector lane_state(int lane) const;
@@ -69,6 +81,12 @@ class BatchedStateVector {
  private:
   void check_lane(int lane) const;
   void check_scales(const std::vector<double>& scales) const;
+  void fill_real(double a);
+  /// cdup_/sdup_ from per-lane mixer angles.
+  void load_mixer_angles(const std::vector<double>& thetas);
+  /// Σ_z |row z lane b|^2 * values[z] over z < values.size(): size() for a
+  /// full state, 2 * size() for a half (rows above mirrored).
+  std::vector<double> weighted_norms(const std::vector<double>& values) const;
 
   int num_qubits_;
   int batch_;

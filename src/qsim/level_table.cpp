@@ -18,17 +18,24 @@ std::size_t slot_of(std::uint64_t bits, int log_cap) noexcept {
 }  // namespace
 
 LevelTable::LevelTable(const std::vector<double>& diagonal)
-    : level_(diagonal.size()) {
-  if (diagonal.size() >= kEmpty) {
+    : LevelTable(diagonal, diagonal.size()) {}
+
+LevelTable::LevelTable(const std::vector<double>& diagonal,
+                       std::size_t prefix) {
+  if (prefix > diagonal.size()) {
+    throw std::invalid_argument("LevelTable: prefix exceeds the diagonal");
+  }
+  if (prefix >= kEmpty) {
     throw std::length_error("LevelTable: diagonal too large for u32 levels");
   }
+  level_.resize(prefix);
   // Open addressing from bit pattern to level, kept at most half full.
   int log_cap = 6;
   std::vector<std::uint32_t> slots(std::size_t{1} << log_cap, kEmpty);
   const auto key = [this](std::uint32_t k) {
     return std::bit_cast<std::uint64_t>(values_[k]);
   };
-  for (std::size_t z = 0; z < diagonal.size(); ++z) {
+  for (std::size_t z = 0; z < prefix; ++z) {
     const auto bits = std::bit_cast<std::uint64_t>(diagonal[z]);
     const std::size_t mask = slots.size() - 1;
     std::size_t h = slot_of(bits, log_cap);

@@ -24,6 +24,9 @@ class LevelTable {
   /// Deduplicates `diagonal` (one entry per basis state). Levels are
   /// numbered in order of first appearance along the basis index.
   explicit LevelTable(const std::vector<double>& diagonal);
+  /// The table of diagonal[0, prefix) only: a flip-symmetric cut table's
+  /// first half, for the half state that stores the z whose top bit is 0.
+  LevelTable(const std::vector<double>& diagonal, std::size_t prefix);
 
   /// Basis states covered (the dense table's size).
   std::size_t size() const noexcept { return level_.size(); }

@@ -155,20 +155,51 @@ void sample_counts_into(const StateVector& sv, int shots, util::Rng& rng,
   }
 }
 
-double expectation_diagonal(const StateVector& sv,
-                            const std::vector<double>& values) {
-  const auto& amps = sv.data();
-  if (values.size() != amps.size()) {
-    throw std::invalid_argument("expectation_diagonal: table size mismatch");
-  }
-  const double* d = reinterpret_cast<const double*>(amps.data());
+namespace {
+
+/// Σ_z |amp_z|^2 * values[z] over z < values.size(), which is sv.size() for
+/// a full state or 2 * sv.size() for a half, whose states z >= sv.size()
+/// read slot values.size() - 1 - z.
+double weighted_norms(const StateVector& sv,
+                      const std::vector<double>& values) {
+  const std::size_t stored = sv.size();
+  const std::size_t total = values.size();
+  const double* d = reinterpret_cast<const double*>(sv.data().data());
   const double* v = values.data();
   return util::parallel_reduce(
-      0, amps.size(), 0.0,
-      [d, v](std::size_t lo, std::size_t hi) {
-        return simd::sum_norms_weighted(0.0, d + 2 * lo, v + lo, hi - lo);
+      0, total, 0.0,
+      [d, v, stored, total](std::size_t lo, std::size_t hi) {
+        const std::size_t mid = std::clamp(stored, lo, hi);
+        double acc = 0.0;
+        if (lo < mid) {
+          acc = simd::sum_norms_weighted(acc, d + 2 * lo, v + lo, mid - lo);
+        }
+        if (mid < hi) {
+          simd::sum_norms_weighted_rows(&acc, d + 2 * (total - 1 - mid), -2, 1,
+                                        v + mid, hi - mid);
+        }
+        return acc;
       },
       [](double a, double b) { return a + b; }, kParallelGrain);
+}
+
+}  // namespace
+
+double expectation_diagonal(const StateVector& sv,
+                            const std::vector<double>& values) {
+  if (values.size() != sv.size()) {
+    throw std::invalid_argument("expectation_diagonal: table size mismatch");
+  }
+  return weighted_norms(sv, values);
+}
+
+double expectation_diagonal_mirror(const StateVector& half,
+                                   const std::vector<double>& values) {
+  if (values.size() != 2 * half.size()) {
+    throw std::invalid_argument(
+        "expectation_diagonal_mirror: table size must be twice the half");
+  }
+  return weighted_norms(half, values);
 }
 
 double expectation_zz(const StateVector& sv, int a, int b) {

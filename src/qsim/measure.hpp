@@ -42,6 +42,14 @@ void sample_counts_into(const StateVector& sv, int shots, util::Rng& rng,
 double expectation_diagonal(const StateVector& sv,
                             const std::vector<double>& values);
 
+/// The same sum for the (n+1)-qubit flip-symmetric state whose half is
+/// `half` (StateVector::reset_to_plus_half): values has 2^(n+1) entries, and
+/// states z >= 2^n read slot 2^(n+1) - 1 - z. The sum keeps the full state's
+/// index order and chunk plan, so it is bit-for-bit expectation_diagonal on
+/// the expanded state.
+double expectation_diagonal_mirror(const StateVector& half,
+                                   const std::vector<double>& values);
+
 /// <Z_a Z_b>.
 double expectation_zz(const StateVector& sv, int a, int b);
 

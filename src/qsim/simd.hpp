@@ -388,16 +388,20 @@ inline void rx_butterfly2_lanes(double* p0, double* p1, double* p2,
   }
 }
 
-/// acc[b] += |row_i lane b|^2 * values[i] for i in [lo, hi), where row i of
-/// `data` starts at data + 2*lanes*i. Per-lane accumulation is sequential
-/// in i — each lane's result is bit-identical to an unbatched sweep.
-inline void sum_norms_weighted_lanes(double* acc, const double* data,
-                                     std::size_t lanes, const double* values,
-                                     std::size_t lo, std::size_t hi) noexcept {
+/// acc[b] += |row_i lane b|^2 * values[i] for i in [0, count), where row i
+/// of `lanes` complex lanes starts at rows + step*i doubles. step is
+/// 2*lanes for consecutive rows, or -2*lanes to read them backwards (the
+/// mirrored half of a flip-symmetric state). Per-lane accumulation is
+/// sequential in i — each lane's result is bit-identical to an unbatched
+/// sweep, and to sum_norms_weighted on the same amplitudes.
+inline void sum_norms_weighted_rows(double* acc, const double* rows,
+                                    std::ptrdiff_t step, std::size_t lanes,
+                                    const double* values,
+                                    std::size_t count) noexcept {
   for (std::size_t b = 0; b < lanes; ++b) {
     double a = acc[b];
-    for (std::size_t i = lo; i < hi; ++i) {
-      const double* q = data + 2 * lanes * i + 2 * b;
+    const double* q = rows + 2 * b;
+    for (std::size_t i = 0; i < count; ++i, q += step) {
       a += (q[0] * q[0] + q[1] * q[1]) * values[i];
     }
     acc[b] = a;
@@ -796,33 +800,25 @@ QQ_SIMD_TARGET_AVX2 inline void rx_butterfly2_lanes(
   }
 }
 
-QQ_SIMD_TARGET_AVX2 inline void sum_norms_weighted_lanes(
-    double* acc, const double* data, std::size_t lanes, const double* values,
-    std::size_t lo, std::size_t hi) noexcept {
-  const std::size_t stride = 2 * lanes;
+QQ_SIMD_TARGET_AVX2 inline void sum_norms_weighted_rows(
+    double* acc, const double* rows, std::ptrdiff_t step, std::size_t lanes,
+    const double* values, std::size_t count) noexcept {
   std::size_t b = 0;
   for (; b + 4 <= lanes; b += 4) {
     // Four lanes' accumulators ride in one register across the whole i
     // sweep; each lane's adds stay sequential in i.
     __m256d accv = _mm256_loadu_pd(acc + b);
-    const double* row = data + 2 * b;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const __m256d n4 = norms4_ordered(row + stride * i);
-      accv = _mm256_add_pd(accv,
-                           _mm256_mul_pd(n4, _mm256_set1_pd(values[i])));
+    const double* q = rows + 2 * b;
+    for (std::size_t i = 0; i < count; ++i, q += step) {
+      accv = _mm256_add_pd(
+          accv, _mm256_mul_pd(norms4_ordered(q), _mm256_set1_pd(values[i])));
     }
     _mm256_storeu_pd(acc + b, accv);
   }
+  // Remaining lanes share the row pointers; delegate per-lane scalar.
   if (b < lanes) {
-    // Remaining lanes share the row pointers; delegate per-lane scalar.
-    for (; b < lanes; ++b) {
-      double a = acc[b];
-      for (std::size_t i = lo; i < hi; ++i) {
-        const double* q = data + stride * i + 2 * b;
-        a += (q[0] * q[0] + q[1] * q[1]) * values[i];
-      }
-      acc[b] = a;
-    }
+    scalar::sum_norms_weighted_rows(acc + b, rows + 2 * b, step, lanes - b,
+                                    values, count);
   }
 }
 
@@ -1415,16 +1411,17 @@ inline void rx_butterfly2_lanes(double* p0, double* p1, double* p2,
   scalar::rx_butterfly2_lanes(p0, p1, p2, p3, cdup, sdup, lanes);
 }
 
-inline void sum_norms_weighted_lanes(double* acc, const double* data,
-                                     std::size_t lanes, const double* values,
-                                     std::size_t lo, std::size_t hi) noexcept {
+inline void sum_norms_weighted_rows(double* acc, const double* rows,
+                                    std::ptrdiff_t step, std::size_t lanes,
+                                    const double* values,
+                                    std::size_t count) noexcept {
 #if QQ_SIMD_X86
   if (active_isa() != Isa::kScalar) {
-    avx2::sum_norms_weighted_lanes(acc, data, lanes, values, lo, hi);
+    avx2::sum_norms_weighted_rows(acc, rows, step, lanes, values, count);
     return;
   }
 #endif
-  scalar::sum_norms_weighted_lanes(acc, data, lanes, values, lo, hi);
+  scalar::sum_norms_weighted_rows(acc, rows, step, lanes, values, count);
 }
 
 inline void mul_level_phase_lanes(double* data, std::size_t lanes,

@@ -57,7 +57,14 @@ StateVector StateVector::plus_state(int num_qubits) {
 }
 
 void StateVector::reset_to_plus() {
-  const double a = 1.0 / std::sqrt(static_cast<double>(amps_.size()));
+  fill_real(1.0 / std::sqrt(static_cast<double>(amps_.size())));
+}
+
+void StateVector::reset_to_plus_half() {
+  fill_real(1.0 / std::sqrt(static_cast<double>(2 * amps_.size())));
+}
+
+void StateVector::fill_real(double a) {
   util::parallel_for_chunks(
       0, amps_.size(),
       [this, a](std::size_t lo, std::size_t hi) {
@@ -433,6 +440,45 @@ void StateVector::apply_diagonal_phase(const LevelTable& levels,
       0, amps_.size(),
       [d, ph, level](std::size_t lo, std::size_t hi) {
         simd::mul_level_phase_lanes(d, 1, ph, level, lo, hi);
+      },
+      kParallelGrain);
+}
+
+void StateVector::apply_rx_mirror(double theta) {
+  // Same c/s expressions as apply_rx_layer, in the one-lane layout of
+  // simd::rx_butterfly_lanes.
+  const double c = std::cos(theta * 0.5);
+  const double s = std::sin(theta * 0.5);
+  const double cdup[2] = {c, c};
+  const double sdup[2] = {s, s};
+  double* d = reinterpret_cast<double*>(amps_.data());
+  const std::size_t mirror = amps_.size() - 1;
+  if (mirror == 0) {
+    double self[2] = {d[0], d[1]};
+    simd::rx_butterfly_lanes(d, self, cdup, sdup, 1);
+    return;
+  }
+  util::parallel_for_chunks(
+      0, amps_.size() / 2,
+      [d, mirror, &cdup, &sdup](std::size_t lo, std::size_t hi) {
+        for (std::size_t z = lo; z < hi; ++z) {
+          simd::rx_butterfly_lanes(d + 2 * z, d + 2 * (mirror - z), cdup, sdup,
+                                   1);
+        }
+      },
+      kParallelGrain);
+}
+
+void StateVector::expand_half(StateVector& full) const {
+  if (full.num_qubits_ != num_qubits_ + 1) full = StateVector(num_qubits_ + 1);
+  const std::size_t half = amps_.size();
+  const std::size_t top = 2 * half - 1;
+  util::parallel_for_chunks(
+      0, 2 * half,
+      [this, &full, half, top](std::size_t lo, std::size_t hi) {
+        for (std::size_t z = lo; z < hi; ++z) {
+          full.amps_[z] = amps_[z < half ? z : top - z];
+        }
       },
       kParallelGrain);
 }

@@ -78,8 +78,27 @@ class StateVector {
   /// `levels` was built from. levels.size() must be 2^n.
   void apply_diagonal_phase(const LevelTable& levels, double scale);
 
+  // --- half of a flip-symmetric state ---------------------------------------
+  // An (n+1)-qubit state with psi(z) == psi(~z), as every QAOA MaxCut state
+  // has, stored as this n-qubit vector: slot z holds psi(z) for the z whose
+  // top bit (qubit n) is 0, and so also psi(~z). The level sweep and
+  // apply_rx_layer act on such a half unchanged; these add the top qubit.
+  // Each amplitude is the same floating-point expression the full-state
+  // kernels compute (DESIGN.md "Flip symmetry").
+
+  /// The half of |+>^(n+1): every amplitude 1/sqrt(2^(n+1)).
+  void reset_to_plus_half();
+  /// RX(theta) on the top qubit: slot z pairs with slot z ^ (2^n - 1), which
+  /// holds psi(z | 2^n). Apply it after apply_rx_layer, the qubit order of
+  /// the full sweep. At n = 0 the one slot pairs with itself.
+  void apply_rx_mirror(double theta);
+  /// Write the full (n+1)-qubit state into `full`, reconstructing it if its
+  /// qubit count differs: slot z below 2^n, slot 2^(n+1) - 1 - z above.
+  void expand_half(StateVector& full) const;
+
  private:
   void check_qubit(int q) const;
+  void fill_real(double a);
 
   int num_qubits_;
   std::vector<Amplitude> amps_;

@@ -38,7 +38,7 @@
 // submissions cancel on arrival, and lets running members finish their
 // current task (cooperative preemption at task boundaries).
 // `Task::on_settled` fires exactly once per task, outside the engine lock,
-// for async completion tracking.
+// for async completion tracking; drain() waits until it has returned.
 
 #include <cstddef>
 #include <cstdint>

@@ -4,6 +4,11 @@
 // 2^(n-1) distinct values, and a signed QAOA² merge graph), the level
 // overloads must leave every amplitude bit-for-bit identical, flat and
 // batched, under every SIMD backend the machine supports.
+//
+// The same tables drive the half-state suite: a QAOA state evaluated on its
+// flip-symmetric half (the z whose top bit is 0) must expand to exactly the
+// bytes of today's full-state evaluation, and its mirror-order expectation
+// must equal the full-state sum.
 
 #include <gtest/gtest.h>
 
@@ -189,6 +194,145 @@ TEST(LevelSweep, BatchedMatchesDenseBitForBit) {
         }
       }
     }
+  }
+}
+
+// ------------------------------------------------------------ half state ----
+
+/// Per-layer angles of a p = 3 circuit: one (gamma, theta) per lane.
+struct LayerAngles {
+  std::vector<double> scales;
+  std::vector<double> thetas;
+};
+
+std::vector<LayerAngles> random_layers(int batch, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<LayerAngles> layers(3);
+  for (LayerAngles& l : layers) {
+    for (int b = 0; b < batch; ++b) {
+      l.scales.push_back(util::uniform(rng, -1.5, 1.5));
+      l.thetas.push_back(util::uniform(rng, -2.5, 2.5));
+    }
+  }
+  return layers;
+}
+
+StateVector expanded(const StateVector& half) {
+  StateVector full(0);
+  half.expand_half(full);
+  return full;
+}
+
+/// One table kind (the parameter indexes diagonals()) at 1..17 qubits.
+class HalfState : public ::testing::TestWithParam<int> {};
+
+TEST_P(HalfState, FlatMatchesFullStateBitForBit) {
+  IsaGuard guard;
+  for (int n = 1; n <= 17; ++n) {
+    const Table t = diagonals(n)[static_cast<std::size_t>(GetParam())];
+    const LevelTable full_levels(t.values);
+    const LevelTable half_levels(t.values, t.values.size() / 2);
+    const std::vector<LayerAngles> layers = random_layers(1, 40 + n);
+    for (const simd::Isa isa : available_isas()) {
+      ASSERT_EQ(simd::set_isa(isa), isa);
+      StateVector full = StateVector::plus_state(n);
+      StateVector half(n - 1);
+      half.reset_to_plus_half();
+      for (const LayerAngles& l : layers) {
+        full.apply_diagonal_phase(full_levels, l.scales[0]);
+        full.apply_rx_layer(l.thetas[0]);
+        half.apply_diagonal_phase(half_levels, l.scales[0]);
+        half.apply_rx_layer(l.thetas[0]);
+        half.apply_rx_mirror(l.thetas[0]);
+      }
+      EXPECT_TRUE(bits_equal(expanded(half), full))
+          << t.name << ", n=" << n << " under " << simd::isa_name(isa);
+      EXPECT_EQ(expectation_diagonal_mirror(half, t.values),
+                expectation_diagonal(full, t.values))
+          << t.name << ", n=" << n << " under " << simd::isa_name(isa);
+    }
+  }
+}
+
+TEST_P(HalfState, BatchedMatchesFullStateBitForBit) {
+  IsaGuard guard;
+  for (int n = 1; n <= 17; ++n) {
+    const Table t = diagonals(n)[static_cast<std::size_t>(GetParam())];
+    const LevelTable full_levels(t.values);
+    const LevelTable half_levels(t.values, t.values.size() / 2);
+    for (const int batch : {1, 3, 16}) {
+      const std::vector<LayerAngles> layers = random_layers(batch, 60 + n);
+      for (const simd::Isa isa : available_isas()) {
+        ASSERT_EQ(simd::set_isa(isa), isa);
+        BatchedStateVector full(n, batch);
+        BatchedStateVector half(n - 1, batch);
+        full.reset_to_plus();
+        half.reset_to_plus_half();
+        for (const LayerAngles& l : layers) {
+          full.apply_diagonal_phase(full_levels, l.scales);
+          full.apply_rx_layer(l.thetas);
+          half.apply_diagonal_phase(half_levels, l.scales);
+          half.apply_rx_layer(l.thetas);
+          half.apply_rx_mirror(l.thetas);
+        }
+        EXPECT_EQ(half.expectation_diagonal_mirror(t.values),
+                  full.expectation_diagonal(t.values))
+            << t.name << ", n=" << n << ", B=" << batch << " under "
+            << simd::isa_name(isa);
+        for (int b = 0; b < batch; ++b) {
+          EXPECT_TRUE(bits_equal(expanded(half.lane_state(b)),
+                                 full.lane_state(b)))
+              << t.name << ", n=" << n << ", B=" << batch << ", lane " << b
+              << " under " << simd::isa_name(isa);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TableKinds, HalfState, ::testing::Range(0, 4));
+
+TEST(HalfStateShape, ExpansionAndSizeChecks) {
+  StateVector half(2);
+  half.reset_to_plus_half();
+  EXPECT_TRUE(bits_equal(expanded(half), StateVector::plus_state(3)));
+  // A wrong-sized target is rebuilt; the mirror fills the top half.
+  StateVector target(7);
+  half.set_amplitude(1, Amplitude{0.25, -0.5});
+  half.expand_half(target);
+  ASSERT_EQ(target.num_qubits(), 3);
+  EXPECT_EQ(target.amplitude(1), Amplitude(0.25, -0.5));
+  EXPECT_EQ(target.amplitude(6), Amplitude(0.25, -0.5));
+  EXPECT_THROW(expectation_diagonal_mirror(half, std::vector<double>(4, 1.0)),
+               std::invalid_argument);
+  BatchedStateVector batch(2, 3);
+  EXPECT_THROW(batch.expectation_diagonal_mirror(std::vector<double>(4, 1.0)),
+               std::invalid_argument);
+  EXPECT_THROW(batch.apply_rx_mirror({0.1, 0.2}), std::invalid_argument);
+  EXPECT_THROW(LevelTable(std::vector<double>(4, 1.0), 5),
+               std::invalid_argument);
+}
+
+/// Through the solver at the smallest sizes, where the half has zero or
+/// one qubit: state(), expectation() and the lockstep expectations() all
+/// match a full-state preparation from the same cut table.
+TEST(HalfStateShape, SolverMatchesFullStateAtTinySizes) {
+  EXPECT_THROW(qaoa::QaoaSolver(graph::Graph(0)), std::invalid_argument);
+  for (const graph::NodeId n : {1, 2, 3}) {
+    const graph::Graph g = n == 1 ? graph::Graph(1) : graph::path_graph(n);
+    const qaoa::QaoaSolver solver(g);
+    const std::vector<double> x = {0.4, 0.9, 0.6, 0.2};
+    const circuit::QaoaAngles angles = circuit::unpack_angles(x);
+    StateVector dense = StateVector::plus_state(n);
+    for (std::size_t l = 0; l < angles.layers(); ++l) {
+      dense.apply_diagonal_phase(solver.cut_table(), angles.gammas[l]);
+      dense.apply_rx_layer(2.0 * angles.betas[l]);
+    }
+    EXPECT_TRUE(bits_equal(solver.state(angles), dense)) << n << " qubits";
+    const double want = expectation_diagonal(dense, solver.cut_table());
+    EXPECT_EQ(solver.expectation(angles), want) << n << " qubits";
+    EXPECT_EQ(solver.expectations({x, x}), (std::vector<double>{want, want}))
+        << n << " qubits";
   }
 }
 

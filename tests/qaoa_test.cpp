@@ -175,7 +175,9 @@ std::vector<Graph> triangle_free_cubic_graphs() {
 std::vector<Graph> oracle_graphs() {
   util::Rng rng(20180222);
   std::vector<Graph> out;
-  for (NodeId n = 8; n <= 20; n += 2) out.push_back(graph::erdos_renyi(n, 0.4, rng));
+  for (NodeId n = 8; n <= 20; n += 2) {
+    out.push_back(graph::erdos_renyi(n, 0.4, rng));
+  }
   return out;
 }
 
@@ -383,8 +385,9 @@ TEST(Workspace, ReusedStateMatchesFreshConstruction) {
     const double reused = solver.expectation(*angles, workspace);
     EXPECT_EQ(reused, solver.expectation(*angles));
     const sim::StateVector fresh = solver.state(*angles);
+    workspace.half.expand_half(workspace.full);
     for (std::size_t i = 0; i < fresh.size(); ++i) {
-      EXPECT_EQ(workspace.sv.amplitude(i), fresh.amplitude(i));
+      EXPECT_EQ(workspace.full.amplitude(i), fresh.amplitude(i));
     }
   }
 }
@@ -418,10 +421,11 @@ TEST(Workspace, AdaptsToDifferentQubitCount) {
   circuit::QaoaAngles angles;
   angles.gammas = {0.3};
   angles.betas = {0.2};
-  // Deliberately wrong-sized workspace: prepare_state must resize it.
+  // Deliberately wrong-sized workspace: the evaluation must resize its
+  // half state to n - 1 qubits.
   QaoaSolver::EvalWorkspace workspace(3);
   const double got = solver.expectation(angles, workspace);
-  EXPECT_EQ(workspace.sv.num_qubits(), 6);
+  EXPECT_EQ(workspace.half.num_qubits(), 5);
   EXPECT_EQ(got, solver.expectation(angles));
 }
 

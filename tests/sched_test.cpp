@@ -956,7 +956,8 @@ TEST(Engine, DrainWaitsUntilSettleCallbacksReturn) {
   entered.get_future().wait();
   // The task that lets the callback go runs inside drain() below, so the
   // callback is still open when drain() starts waiting.
-  engine.submit({ResourceKind::kClassical, [&release] { release.set_value(); }});
+  engine.submit(
+      {ResourceKind::kClassical, [&release] { release.set_value(); }});
   engine.drain();
   drain_returned = true;
   EXPECT_TRUE(callback_returned.load());
