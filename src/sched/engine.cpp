@@ -412,7 +412,6 @@ std::size_t WorkflowEngine::cancel_group(GroupId group) {
     it->second.members.clear();
     newly_cancelled = st.cancelled - before;
   }
-  impl_->cv.notify_all();
   const std::exception_ptr err = std::make_exception_ptr(
       util::CancelledError(util::StopReason::kCancelled));
   for (Impl::SettledFn& fn : settled) fn(err);
