@@ -55,12 +55,4 @@ std::uint64_t bits_from_assignment(const Assignment& assignment) {
   return bits;
 }
 
-Assignment complement(const Assignment& assignment) {
-  Assignment out(assignment.size());
-  for (std::size_t i = 0; i < assignment.size(); ++i) {
-    out[i] = assignment[i] ? 0 : 1;
-  }
-  return out;
-}
-
 }  // namespace qq::maxcut

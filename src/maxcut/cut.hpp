@@ -31,7 +31,4 @@ Assignment assignment_from_bits(std::uint64_t bits, graph::NodeId n);
 /// Inverse of assignment_from_bits; requires n <= 64.
 std::uint64_t bits_from_assignment(const Assignment& assignment);
 
-/// Complemented assignment (same cut value — global Z2 symmetry).
-Assignment complement(const Assignment& assignment);
-
 }  // namespace qq::maxcut

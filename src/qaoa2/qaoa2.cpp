@@ -304,8 +304,8 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
     sched::Task task;
     task.kind = kind;
     task.fair_class = tags_.fair_class;
-    task.group = tags_.group;
     const util::RequestContext* ctx = tags_.context;
+    task.context = ctx;
     task.work = [ctx, body = std::move(body)] {
       if (ctx != nullptr) ctx->throw_if_stopped();
       body();

@@ -75,11 +75,11 @@ struct Qaoa2Options {
 
 /// Engine-level identity of one solve when many solves multiplex one
 /// engine (the service layer): which fair-share class its tasks bill to,
-/// which cancellation group scopes them, and the request's stop state.
-/// Defaults reproduce the single-tenant behavior exactly.
+/// and the request's stop state, which every task carries so the engine
+/// can cancel the request's queued tasks. Defaults reproduce the
+/// single-tenant behavior exactly.
 struct SolveTags {
   sched::ClassId fair_class = 0;
-  sched::GroupId group = sched::kNoGroup;
   const util::RequestContext* context = nullptr;
 };
 
@@ -145,13 +145,13 @@ class Qaoa2Driver {
 
   /// Asynchronous solve on a CALLER-owned engine: submits a planning task
   /// and returns immediately; the component chains stream through the
-  /// engine under `tags` (fair-share class, cancellation group, stop
-  /// context) and `done` fires once when the last task settles. Many
-  /// concurrent solves — of many drivers — multiplex one engine this way;
-  /// `options().engine` is ignored. The graph, the driver, and the engine
-  /// must outlive the solve; the returned handle keeps the pipeline state
-  /// alive and is safe to drop (the in-flight tasks co-own it). Results for
-  /// a given (options, seed) do not depend on the engine or its schedule.
+  /// engine under `tags` (fair-share class, stop context) and `done` fires
+  /// once when the last task settles. Many concurrent solves — of many
+  /// drivers — multiplex one engine this way; `options().engine` is
+  /// ignored. The graph, the driver, and the engine must outlive the solve;
+  /// the returned handle keeps the pipeline state alive and is safe to drop
+  /// (the in-flight tasks co-own it). Results for a given (options, seed)
+  /// do not depend on the engine or its schedule.
   std::shared_ptr<StreamPipeline> solve_async(sched::WorkflowEngine& engine,
                                               const graph::Graph& g,
                                               const SolveTags& tags,

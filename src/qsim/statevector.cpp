@@ -25,7 +25,6 @@ using simd::negate_run;
 using simd::rx_block_levels;
 using simd::rx_butterfly2_runs;
 using simd::rx_butterfly_runs;
-using simd::rx_interleaved_pairs;
 using simd::scale_runs_pattern;
 
 namespace {

@@ -75,15 +75,12 @@ struct WorkflowEngine::Impl {
     double ready_s = 0.0;  ///< entry into the ready queue
   };
 
-  /// One fair-share class: per-kind ready deque + SFQ virtual time. The
-  /// deques may hold STALE ids (tasks group-cancelled while queued);
-  /// `ready_live` counts only live ones, and dispatch skips stale ids on
-  /// pop.
+  /// One fair-share class: per-kind ready deque of live kReady ids + SFQ
+  /// virtual time.
   struct ClassInfo {
     std::string name;
     double weight = 1.0;
     std::array<std::deque<std::size_t>, 2> ready;
-    std::array<std::size_t, 2> ready_live{{0, 0}};
     std::array<std::size_t, 2> running{{0, 0}};  ///< dispatched or running
     std::array<double, 2> vtime{{0.0, 0.0}};
     double ewma_cost = kInitialCostEstimate;
@@ -92,13 +89,6 @@ struct WorkflowEngine::Impl {
     std::size_t cancelled = 0;
     double busy_seconds = 0.0;
     double queue_wait = 0.0;
-  };
-
-  struct GroupInfo {
-    bool cancelled = false;
-    /// Ids submitted so far; pruned only by cancel_group/close_group
-    /// (settled ids go stale, which cancel_group skips).
-    std::vector<std::size_t> members;
   };
 
   using SettledFn = std::function<void(std::exception_ptr)>;
@@ -134,18 +124,13 @@ struct WorkflowEngine::Impl {
     while (inflight[k] < caps[k]) {
       ClassInfo* best = nullptr;
       for (ClassInfo& cls : classes) {
-        if (cls.ready_live[k] == 0) continue;
+        if (cls.ready[k].empty()) continue;
         if (best == nullptr || cls.vtime[k] < best->vtime[k]) best = &cls;
       }
       if (best == nullptr) break;
-      std::size_t id = 0;
-      Node* node = nullptr;
-      while (node == nullptr) {  // skip ids cancelled while queued
-        id = best->ready[k].front();
-        best->ready[k].pop_front();
-        node = find_locked(id, Status::kReady);
-      }
-      --best->ready_live[k];
+      const std::size_t id = best->ready[k].front();
+      best->ready[k].pop_front();
+      Node* node = find_locked(id, Status::kReady);
       ++best->running[k];
       ++best->dispatched;
       // Start-time fair queuing: the kind's clock advances to the start
@@ -183,7 +168,7 @@ struct WorkflowEngine::Impl {
   }
 
   /// Claim the oldest still-dispatched task for a caller that donates its
-  /// thread (drain, try_run_one). Returns null when nothing is claimable.
+  /// thread (help_until). Returns null when nothing is claimable.
   Node* claim_next_locked(std::size_t& id) QQ_REQUIRES(mutex) {
     while (!dispatched.empty()) {
       id = dispatched.front();
@@ -196,8 +181,9 @@ struct WorkflowEngine::Impl {
     return nullptr;
   }
 
-  /// Count a task that settles without running (its group was cancelled)
-  /// and collect its on_settled for the caller to invoke after unlocking.
+  /// Count a task that settles without running (its context was
+  /// cancelled) and collect its on_settled for the caller to invoke after
+  /// unlocking. The task stays unfinished until settle_finished.
   void count_cancelled_locked(Task& task, std::vector<SettledFn>& settled)
       QQ_REQUIRES(mutex) {
     ++cancelled;
@@ -308,8 +294,6 @@ struct WorkflowEngine::Impl {
   std::vector<ClassInfo> classes QQ_GUARDED_BY(mutex);  ///< [0] = default
   /// Per-kind SFQ virtual clock.
   std::array<double, 2> vclock QQ_GUARDED_BY(mutex) = {{0.0, 0.0}};
-  std::unordered_map<GroupId, GroupInfo> groups QQ_GUARDED_BY(mutex);
-  GroupId next_group QQ_GUARDED_BY(mutex) = 1;
   /// Dispatched-but-not-yet-claimed ids, claimable by a draining caller; a
   /// task is executed by whichever side (pool worker or caller) claims it
   /// first. Stale ids (already claimed) are skipped on pop.
@@ -372,7 +356,7 @@ std::vector<FairClassStats> WorkflowEngine::class_stats() const {
     s.dispatched = cls.dispatched;
     s.completed = cls.completed;
     s.cancelled = cls.cancelled;
-    s.ready = cls.ready_live[0] + cls.ready_live[1];
+    s.ready = cls.ready[0].size() + cls.ready[1].size();
     s.busy_seconds = cls.busy_seconds;
     s.queue_wait_seconds = cls.queue_wait;
     out.push_back(std::move(s));
@@ -380,63 +364,41 @@ std::vector<FairClassStats> WorkflowEngine::class_stats() const {
   return out;
 }
 
-GroupId WorkflowEngine::open_group() {
-  util::MutexLock lock(impl_->mutex);
-  const GroupId id = impl_->next_group++;
-  impl_->groups.emplace(id, Impl::GroupInfo{});
-  return id;
-}
-
-std::size_t WorkflowEngine::cancel_group(GroupId group) {
+std::size_t WorkflowEngine::cancel(const util::RequestContext& context) {
+  Impl& st = *impl_;
   std::vector<Impl::SettledFn> settled;
   std::size_t newly_cancelled = 0;
   {
-    Impl& st = *impl_;
     util::MutexLock lock(st.mutex);
-    auto it = st.groups.find(group);
-    if (it == st.groups.end()) return 0;
-    it->second.cancelled = true;
-    const std::size_t before = st.cancelled;
-    for (const std::size_t id : it->second.members) {
-      const auto node = st.nodes.find(id);
-      if (node == st.nodes.end() ||
-          node->second.status != Impl::Status::kReady) {
-        continue;  // settled, or already holds a slot
+    for (Impl::ClassInfo& cls : st.classes) {
+      for (std::deque<std::size_t>& ready : cls.ready) {
+        // Order-preserving in-place filter of the ready queue.
+        auto kept = ready.begin();
+        for (const std::size_t id : ready) {
+          const auto node = st.nodes.find(id);
+          if (node->second.task.context != &context) {
+            *kept++ = id;
+            continue;
+          }
+          st.count_cancelled_locked(node->second.task, settled);
+          st.nodes.erase(node);
+          ++newly_cancelled;
+        }
+        ready.erase(kept, ready.end());
       }
-      Task& task = node->second.task;
-      // The queue entry stays behind as a stale id; dispatch skips it.
-      --st.classes[task.fair_class].ready_live[kind_index(task.kind)];
-      st.count_cancelled_locked(task, settled);
-      st.nodes.erase(node);
     }
-    it->second.members.clear();
-    newly_cancelled = st.cancelled - before;
   }
   const std::exception_ptr err = std::make_exception_ptr(
       util::CancelledError(util::StopReason::kCancelled));
   for (Impl::SettledFn& fn : settled) fn(err);
   // As in run_task: the cancelled tasks stay unfinished until their
   // callbacks have returned.
-  impl_->settle_finished(newly_cancelled);
+  st.settle_finished(newly_cancelled);
   return newly_cancelled;
 }
 
-void WorkflowEngine::close_group(GroupId group) {
-  util::MutexLock lock(impl_->mutex);
-  impl_->groups.erase(group);
-}
-
-bool WorkflowEngine::try_run_one() {
-  Impl& st = *impl_;
-  std::size_t id = 0;
-  Impl::Node* mine = nullptr;
-  {
-    util::MutexLock lock(st.mutex);
-    mine = st.claim_next_locked(id);
-  }
-  if (mine == nullptr) return false;
-  st.run_task(impl_, id, *mine);
-  return true;
+void WorkflowEngine::help_until(const std::function<bool()>& done) {
+  impl_->help_until(impl_, done);
 }
 
 void WorkflowEngine::submit(Task task) {
@@ -445,47 +407,43 @@ void WorkflowEngine::submit(Task task) {
   }
   Impl& st = *impl_;
   std::vector<Impl::SettledFn> settled;
+  bool cancelled_on_arrival = false;
   {
     util::MutexLock lock(st.mutex);
     if (task.fair_class >= st.classes.size()) {
       throw std::invalid_argument("WorkflowEngine::submit: unknown class");
     }
-    Impl::GroupInfo* group_info = nullptr;
-    if (task.group != kNoGroup) {
-      const auto it = st.groups.find(task.group);
-      if (it == st.groups.end()) {
-        throw std::invalid_argument("WorkflowEngine::submit: unknown group");
-      }
-      group_info = &it->second;
-    }
     const int k = kind_index(task.kind);
     ++st.task_count[k];
-    if (group_info != nullptr && group_info->cancelled) {
-      // A submission into an already-cancelled group cancels on arrival —
-      // dynamic pipelines racing a cancel cannot leak tasks past it.
+    ++st.unfinished;
+    if (task.context != nullptr && task.context->cancel_requested()) {
+      // A submission for an already-cancelled request cancels on arrival:
+      // a pipeline racing cancel() cannot leak tasks past it, because
+      // cancel() takes this lock after the context's flag is set.
+      cancelled_on_arrival = true;
       st.count_cancelled_locked(task, settled);
     } else {
       const std::size_t id = st.next_id++;
-      if (group_info != nullptr) group_info->members.push_back(id);
       Impl::ClassInfo& cls = st.classes[task.fair_class];
       // SFQ activation: a class going from idle to backlogged re-enters at
       // the current virtual clock, so an idle tenant cannot bank credit and
       // later starve the others with a burst.
-      if (cls.ready_live[k] == 0 && cls.running[k] == 0) {
+      if (cls.ready[k].empty() && cls.running[k] == 0) {
         cls.vtime[k] = std::max(cls.vtime[k], st.vclock[k]);
       }
       Impl::Node& node = st.nodes[id];
       node.task = std::move(task);
       node.ready_s = st.now();
       cls.ready[k].push_back(id);
-      ++cls.ready_live[k];
-      ++st.unfinished;
       st.dispatch_locked(impl_, k);
     }
   }
-  if (!settled.empty()) {
-    settled.front()(std::make_exception_ptr(
-        util::CancelledError(util::StopReason::kCancelled)));
+  if (cancelled_on_arrival) {
+    if (!settled.empty()) {
+      settled.front()(std::make_exception_ptr(
+          util::CancelledError(util::StopReason::kCancelled)));
+    }
+    st.settle_finished(1);
   }
 }
 
@@ -517,8 +475,8 @@ EngineStats WorkflowEngine::stats() const {
   out.quantum_tasks = impl_->task_count[0];
   out.classical_tasks = impl_->task_count[1];
   for (const Impl::ClassInfo& cls : impl_->classes) {
-    out.ready_quantum += cls.ready_live[0];
-    out.ready_classical += cls.ready_live[1];
+    out.ready_quantum += cls.ready[0].size();
+    out.ready_classical += cls.ready[1].size();
   }
   out.inflight_quantum = static_cast<std::size_t>(impl_->inflight[0]);
   out.inflight_classical = static_cast<std::size_t>(impl_->inflight[1]);

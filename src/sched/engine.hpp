@@ -28,17 +28,18 @@
 // cumulative `stats` report what ran.
 //
 // MULTI-TENANCY (the service layer's substrate): tasks carry a fair-share
-// CLASS and a cancellation GROUP. Classes (add_class) are weighted queues
-// feeding each kind's slot queue — dispatch is start-time fair queuing over
-// per-(class, kind) virtual time, so a weight-3 tenant drains ~3x the work
-// of a weight-1 tenant under contention, while the default class 0 alone
-// is a plain FIFO per kind (modeled on ClickHouse's workload resource
-// manager). Groups (open_group / cancel_group) scope one request's tasks:
-// cancel_group cancels every queued member, marks the group so late
-// submissions cancel on arrival, and lets running members finish their
-// current task (cooperative preemption at task boundaries).
-// `Task::on_settled` fires exactly once per task, outside the engine lock,
-// for async completion tracking; drain() waits until it has returned.
+// CLASS and the RequestContext of the request they serve. Classes
+// (add_class) are weighted queues feeding each kind's slot queue —
+// dispatch is start-time fair queuing over per-(class, kind) virtual time,
+// so a weight-3 tenant drains ~3x the work of a weight-1 tenant under
+// contention, while the default class 0 alone is a plain FIFO per kind
+// (modeled on ClickHouse's workload resource manager). cancel(context)
+// settles every queued task carrying that context at once; a task
+// submitted after its context was cancelled settles on arrival, and
+// running tasks finish their current task (cooperative preemption at task
+// boundaries). `Task::on_settled` fires exactly once per task, outside the
+// engine lock, for async completion tracking; drain() waits until it has
+// returned.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,6 +50,7 @@
 #include <vector>
 
 namespace qq::util {
+class RequestContext;
 class ThreadPool;
 }  // namespace qq::util
 
@@ -59,10 +61,6 @@ enum class ResourceKind { kQuantum, kClassical };
 /// Fair-share workload class id; 0 is the always-present default class
 /// (weight 1).
 using ClassId = std::uint32_t;
-
-/// Cancellation-group id; kNoGroup means "not in any group".
-using GroupId = std::uint64_t;
-inline constexpr GroupId kNoGroup = 0;
 
 struct FairClassConfig {
   std::string name = "default";
@@ -99,8 +97,9 @@ struct Task {
   std::function<void()> work;
   /// Fair-share class (add_class); 0 = the default class, weight 1.
   ClassId fair_class = 0;
-  /// Cancellation group (open_group); kNoGroup = none.
-  GroupId group = kNoGroup;
+  /// The request this task serves, the key cancel() selects by; null =
+  /// none. Must outlive the task.
+  const util::RequestContext* context = nullptr;
   /// Invoked exactly once after the task settles — ran to completion,
   /// failed, or was cancelled before running — with its error (null on
   /// success). Runs OUTSIDE the engine lock on whichever thread settled the
@@ -117,7 +116,7 @@ struct EngineStats {
   double queue_wait_seconds = 0.0;
   std::size_t submitted = 0;
   std::size_t completed = 0;  ///< ran to completion, including failed tasks
-  std::size_t cancelled = 0;  ///< never ran: its group was cancelled
+  std::size_t cancelled = 0;  ///< never ran: its context was cancelled
   std::size_t quantum_tasks = 0;
   std::size_t classical_tasks = 0;
   // Instantaneous gauges (the service's admission/backlog signal).
@@ -161,27 +160,25 @@ class WorkflowEngine {
   ClassId add_class(FairClassConfig config);
   std::vector<FairClassStats> class_stats() const;
 
-  /// Open a cancellation group for one request's tasks.
-  GroupId open_group();
+  /// Settle every queued task carrying `context` as cancelled, at once,
+  /// with a CancelledError; their settle callbacks run on this thread
+  /// before it returns. Tasks already holding a slot finish their current
+  /// task. Returns the number of tasks cancelled. Call it after
+  /// `context.cancel()`, so a task submitted concurrently either is queued
+  /// here or cancels on arrival.
+  std::size_t cancel(const util::RequestContext& context);
 
-  /// Cancel every queued member of `group` and mark the group so tasks
-  /// submitted into it afterwards cancel on arrival. Members already
-  /// running finish their current task. Returns the number of tasks newly
-  /// cancelled. Unknown or closed groups return 0.
-  std::size_t cancel_group(GroupId group);
-
-  /// Drop a group's bookkeeping once the owning request has settled (its
-  /// member list grows with every submission until closed).
-  void close_group(GroupId group);
-
-  /// Claim and inline-run one dispatched task, if any — lets an external
-  /// waiter donate its thread without entering drain(). Returns false when
-  /// nothing was claimable.
-  bool try_run_one();
+  /// Donate this thread until `done()` holds: run this engine's dispatched
+  /// tasks and bounded pool chunk work, nap briefly when neither is
+  /// available. `done` runs under the engine lock, so it must read only
+  /// atomics (no locks, no engine calls); it is re-checked whenever a task
+  /// or settle callback finishes.
+  void help_until(const std::function<bool()>& done);
 
   /// Queue `task` in its kind's ready queue (behind the ready tasks of its
-  /// class). Thread-safe; callable from inside a running task or an
-  /// `on_settled` callback.
+  /// class), or settle it as cancelled on arrival when its context has
+  /// cancel_requested(). Thread-safe; callable from inside a running task
+  /// or an `on_settled` callback.
   void submit(Task task);
 
   /// Cooperatively help-run until every submitted task has settled and

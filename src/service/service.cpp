@@ -1,7 +1,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -34,14 +34,13 @@ struct RequestRecord {
   double admit_s = 0.0;          ///< engine clock at admission
 
   mutable util::Mutex mutex;
-  util::CondVar cv;
-  sched::GroupId group QQ_GUARDED_BY(mutex) = sched::kNoGroup;
   /// Keepalive of a decomposed solve; dropped at finalize.
   std::shared_ptr<qaoa2::StreamPipeline> pipeline QQ_GUARDED_BY(mutex);
   RequestOutcome outcome QQ_GUARDED_BY(mutex);
-  /// Set once the service has finished recording the settled request (its
-  /// stats() counters included); wait() returns on this, not on status.
-  bool finalized QQ_GUARDED_BY(mutex) = false;
+  /// Set (release) once the service has finished recording the settled
+  /// request, its stats() counters included; wait() returns on this
+  /// (acquire), not on status. Read under the engine lock, so lock-free.
+  std::atomic<bool> finalized{false};
 
   bool settled_locked() const QQ_REQUIRES(mutex) {
     return outcome.status != RequestStatus::kPending;
@@ -188,10 +187,10 @@ RequestTicket SolveService::reject(std::shared_ptr<RequestRecord> rec,
     util::MutexLock lock(rec->mutex);
     rec->outcome.status = RequestStatus::kRejected;
     rec->outcome.reject_reason = reason;
-    // Not yet visible to any waiter: the ticket is returned below, after
-    // the counters are in.
-    rec->finalized = true;
   }
+  // Not yet visible to any waiter: the ticket is returned below, after the
+  // counters are in.
+  rec->finalized.store(true, std::memory_order_release);
   {
     util::MutexLock lock(mutex_);
     ++rejected_;
@@ -271,10 +270,11 @@ RequestTicket SolveService::submit(ServiceRequest request) {
     ++cls.submitted;
     if (!accepting_) {
       admission = RejectReason::kShuttingDown;
-    } else if (in_flight_ < options_.max_in_flight_requests &&
+    } else if (in_flight_.load(std::memory_order_relaxed) <
+                   options_.max_in_flight_requests &&
                cls.in_flight < cls.config.max_in_flight) {
       rec->id = next_id_++;
-      ++in_flight_;
+      in_flight_.fetch_add(1, std::memory_order_relaxed);
       ++cls.in_flight;
       live_.push_back(rec);
     } else {
@@ -291,19 +291,12 @@ RequestTicket SolveService::submit(ServiceRequest request) {
   rec->admit_s = engine_->now();
   if (req.deadline_seconds) rec->context.set_deadline_after(*req.deadline_seconds);
   if (req.eval_budget) rec->context.arm_eval_budget(*req.eval_budget);
-  // The group id lives on as a local: the engine call stays outside
-  // rec->mutex (lock order: record mutex before engine mutex, and
-  // solve_async may settle synchronously through finalize).
-  const sched::GroupId group = engine_->open_group();
-  {
-    util::MutexLock lock(rec->mutex);
-    rec->group = group;
-  }
 
+  // Every task of the request carries its context, which is how cancel()
+  // finds the request's queued tasks in the engine.
   if (decomposed) {
     qaoa2::SolveTags tags;
     tags.fair_class = rec->engine_class;
-    tags.group = group;
     tags.context = &rec->context;
     auto pipeline = rec->driver->solve_async(
         *engine_, rec->request.graph, tags,
@@ -319,7 +312,7 @@ RequestTicket SolveService::submit(ServiceRequest request) {
     sched::Task task;
     task.kind = rec->direct->resource_kind();
     task.fair_class = rec->engine_class;
-    task.group = group;
+    task.context = &rec->context;
     // The spec string alone identifies the solver configuration — it is
     // the cache key, as for the driver's roles.
     cache::SolveCache* solve_cache = cache_.get();
@@ -353,10 +346,8 @@ void SolveService::finalize(const std::shared_ptr<RequestRecord>& rec,
                             int engine_tasks) {
   RequestStatus status;
   // Locals carried out of the record's critical section: the class-table
-  // update below runs under mutex_ (never both locks at once), and the
-  // engine call between the two runs under neither.
+  // update below runs under mutex_ (never both locks at once).
   double latency = 0.0;
-  sched::GroupId group = sched::kNoGroup;
   {
     util::MutexLock lock(rec->mutex);
     if (rec->settled_locked()) return;
@@ -389,22 +380,19 @@ void SolveService::finalize(const std::shared_ptr<RequestRecord>& rec,
     out.engine_tasks = engine_tasks;
     out.latency_seconds = engine_->now() - rec->admit_s;
     latency = out.latency_seconds;
-    group = rec->group;
     rec->pipeline.reset();
   }
 
   // The ticket's status is now terminal, but the service must not be torn
   // down yet: drain() (and so the destructor) waits for in_flight_ to
-  // reach zero, and this function keeps touching the engine and the class
-  // tables until then. Everything service-owned is finished BEFORE the
-  // in_flight_ decrement below; after that locked block only the record
-  // is touched.
-  engine_->close_group(group);
-
+  // reach zero, and this function keeps touching the class tables until
+  // then. Everything service-owned is finished BEFORE the in_flight_
+  // decrement at the end of the locked block below; after it only the
+  // record is touched (and mutex_ released, which the engine's drain in
+  // the destructor waits out: this runs inside a settle callback).
   {
     util::MutexLock lock(mutex_);
     ClassState& cls = *classes_[rec->class_index];
-    --in_flight_;
     --cls.in_flight;
     switch (status) {
       case RequestStatus::kCompleted:
@@ -427,30 +415,25 @@ void SolveService::finalize(const std::shared_ptr<RequestRecord>& rec,
         break;
     }
     live_.erase(std::remove(live_.begin(), live_.end(), rec), live_.end());
-    if (in_flight_ == 0) drained_cv_.notify_all();
+    in_flight_.fetch_sub(1, std::memory_order_release);
   }
   // Release wait(): the request is now settled AND counted in stats().
-  {
-    util::MutexLock lock(rec->mutex);
-    rec->finalized = true;
-  }
-  rec->cv.notify_all();
+  rec->finalized.store(true, std::memory_order_release);
 }
 
 bool SolveService::cancel(const RequestTicket& ticket) {
   if (!ticket.valid()) return false;
   const std::shared_ptr<RequestRecord>& rec = ticket.rec_;
-  sched::GroupId group;
   {
     util::MutexLock lock(rec->mutex);
     if (rec->settled_locked()) return false;
-    group = rec->group;
   }
   rec->context.cancel();
   // Queued tasks cancel right here (their settles — possibly the request's
   // finalize — run on THIS thread); running ones observe the context at
-  // their next poll and settle on their own threads.
-  engine_->cancel_group(group);
+  // their next poll and settle on their own threads, and tasks submitted
+  // from now on cancel on arrival.
+  engine_->cancel(rec->context);
   return true;
 }
 
@@ -458,23 +441,9 @@ void SolveService::wait(const RequestTicket& ticket) {
   if (!ticket.valid()) {
     throw std::logic_error("SolveService::wait: empty ticket");
   }
-  const std::shared_ptr<RequestRecord>& rec = ticket.rec_;
-  for (;;) {
-    {
-      util::MutexLock lock(rec->mutex);
-      if (rec->finalized) return;
-    }
-    // Donate this thread to the engine; nap only when nothing is
-    // claimable (everything dispatched is already running elsewhere).
-    // Predicate-free wait: the top of the loop re-checks finalized under
-    // the lock, so a missed 1 ms nap costs latency, never correctness.
-    if (!engine_->try_run_one()) {
-      util::MutexLock lock(rec->mutex);
-      if (!rec->finalized) {
-        rec->cv.wait_for(lock, std::chrono::milliseconds(1));
-      }
-    }
-  }
+  const RequestRecord& rec = *ticket.rec_;
+  engine_->help_until(
+      [&rec] { return rec.finalized.load(std::memory_order_acquire); });
 }
 
 std::vector<std::shared_ptr<RequestRecord>> SolveService::live_snapshot()
@@ -487,15 +456,11 @@ void SolveService::drain() {
   // Quiescence, not just settled tickets: a request's status turns
   // terminal slightly before its finalize finishes the service-side
   // bookkeeping on whichever thread settled it. The destructor relies on
-  // drain(), so it must wait for in_flight_ == 0 — past which no finalize
-  // touches the engine or the class tables — not merely for every ticket
-  // to read as done.
-  for (;;) {
-    for (const auto& rec : live_snapshot()) wait(RequestTicket(rec));
-    util::MutexLock lock(mutex_);
-    if (in_flight_ == 0) return;
-    drained_cv_.wait_for(lock, std::chrono::milliseconds(1));
-  }
+  // drain(), so it waits for in_flight_ == 0 — past which no finalize
+  // touches the class tables — not merely for every ticket to read as
+  // done. Requests admitted while draining are counted too.
+  engine_->help_until(
+      [this] { return in_flight_.load(std::memory_order_acquire) == 0; });
 }
 
 void SolveService::shutdown() {
@@ -519,7 +484,7 @@ ServiceStats SolveService::stats() const {
   ServiceStats out;
   {
     util::MutexLock lock(mutex_);
-    out.in_flight = in_flight_;
+    out.in_flight = in_flight_.load(std::memory_order_relaxed);
     out.completed = completed_;
     out.cancelled = cancelled_;
     out.failed = failed_;

@@ -8,23 +8,24 @@
 //          -> decompose (QAOA^2 streaming pipeline when the graph exceeds
 //             the device, one direct solver task otherwise)
 //          -> tasks tagged with the tenant's fair-share class and the
-//             request's cancellation group
+//             request's util::RequestContext
 //          -> finalize exactly once (completed / cancelled / failed)
 //
 // Fairness is the engine's start-time fair queuing over per-class virtual
 // time (modeled on ClickHouse's workload resource manager): a weight-3
 // tenant drains ~3x the work of a weight-1 tenant under contention.
-// Cancellation is cooperative at two grains: the request's group cancels
-// every still-queued task at task-graph boundaries, and the
-// util::RequestContext stops long COBYLA loops / anneal sweeps / GW
-// slicings MID-solve. Deadlines and evaluation budgets ride the same
-// context. Admission control rejects — with a typed reason — instead of
-// queuing unboundedly, and shutdown drains gracefully (or cancels
-// everything in flight first: shutdown_now). A request's spec strings carry
-// every solver setting and name its cache entries; the service adds no
-// solver or cache setting of its own, and wait() returns only once a
-// settled request is counted in stats().
+// Cancellation is cooperative at two grains, both keyed by the request's
+// util::RequestContext: the engine cancels every still-queued task carrying
+// it at task-graph boundaries, and the context stops long COBYLA loops /
+// anneal sweeps / GW slicings MID-solve. Deadlines and evaluation budgets
+// ride the same context. Admission control rejects — with a typed reason —
+// instead of queuing unboundedly, and shutdown drains gracefully (or
+// cancels everything in flight first: shutdown_now). A request's spec
+// strings carry every solver setting and name its cache entries; the
+// service adds no solver or cache setting of its own, and wait() returns
+// only once a settled request is counted in stats().
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -222,8 +223,9 @@ class SolveService {
   bool cancel(const RequestTicket& ticket);
 
   /// Block until `ticket` settles AND the service has recorded it in
-  /// stats(), donating this thread to the engine meanwhile (safe to call
-  /// from anywhere, including many waiters).
+  /// stats(), donating this thread to the engine meanwhile
+  /// (WorkflowEngine::help_until; safe to call from anywhere, including
+  /// many waiters).
   void wait(const RequestTicket& ticket);
 
   /// Wait until the service is quiescent: every admitted request settled
@@ -265,12 +267,13 @@ class SolveService {
   /// never the reverse — finalize/stats release mutex_ before touching the
   /// engine.
   mutable util::Mutex mutex_;
-  /// Signalled when in_flight_ reaches zero — the quiescence point drain()
-  /// (and so the destructor) waits for; see finalize().
-  util::CondVar drained_cv_;
   bool accepting_ QQ_GUARDED_BY(mutex_) = true;
   std::uint64_t next_id_ QQ_GUARDED_BY(mutex_) = 1;
-  std::size_t in_flight_ QQ_GUARDED_BY(mutex_) = 0;
+  /// Admitted requests not yet finalized. Changed only under mutex_ (with
+  /// the per-class counts); drain() reads it lock-free under the engine
+  /// lock, acquiring the release decrement at the end of finalize() — the
+  /// quiescence point drain() (and so the destructor) waits for.
+  std::atomic<std::size_t> in_flight_{0};
   std::size_t completed_ QQ_GUARDED_BY(mutex_) = 0;
   std::size_t cancelled_ QQ_GUARDED_BY(mutex_) = 0;
   std::size_t failed_ QQ_GUARDED_BY(mutex_) = 0;

@@ -7,12 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "qsim/blocked.hpp"
 #include "qsim/measure.hpp"
 #include "qsim/simd.hpp"
+#include "test_isa.hpp"
 #include "util/rng.hpp"
 
 namespace qq::sim {
@@ -83,14 +83,9 @@ INSTANTIATE_TEST_SUITE_P(BlockCounts, BlockedEquivalence,
 // flat generic 2x2 expression — so blocked-vs-flat parity
 // is EXACT (bit-for-bit), and must stay exact under every SIMD backend.
 TEST(Blocked, SimdBackendsMatchFlatBitForBit) {
-  const simd::Isa entry = simd::active_isa();
-  std::vector<simd::Isa> isas{simd::Isa::kScalar};
-  for (const simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512}) {
-    if (simd::set_isa(isa) == isa) isas.push_back(isa);
-  }
-
+  const qq::testing::IsaGuard guard;
   const int n = 8;
-  for (const simd::Isa isa : isas) {
+  for (const simd::Isa isa : qq::testing::available_isas()) {
     ASSERT_EQ(simd::set_isa(isa), isa);
     for (const int block_bits : {0, 2, 8}) {
       util::Rng rng(static_cast<std::uint64_t>(block_bits) * 131 + 7);
@@ -110,15 +105,10 @@ TEST(Blocked, SimdBackendsMatchFlatBitForBit) {
           flat.apply_rzz(q, q2, t);
         }
       }
-      const StateVector gathered = blocked.to_statevector();
-      ASSERT_EQ(gathered.size(), flat.size());
-      EXPECT_EQ(std::memcmp(gathered.data().data(), flat.data().data(),
-                            flat.size() * sizeof(Amplitude)),
-                0)
+      EXPECT_TRUE(qq::testing::bits_equal(blocked.to_statevector(), flat))
           << "block_bits=" << block_bits << " under " << simd::isa_name(isa);
     }
   }
-  simd::set_isa(entry);
 }
 
 TEST(Blocked, DiagonalGatesAreCommunicationFree) {

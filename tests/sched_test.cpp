@@ -19,6 +19,7 @@
 
 #include "sched/des.hpp"
 #include "sched/engine.hpp"
+#include "util/cancellation.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
 
@@ -744,7 +745,7 @@ TEST(Engine, SettledTasksAreNotRetained) {
                                << " MiB over 400k settled tasks";
 }
 
-// ------------------------------------------- fair share, groups, settle ----
+// ----------------------------------------- fair share, cancel, settle ----
 
 TEST(Engine, AddClassValidatesWeightAndSubmitValidatesIds) {
   WorkflowEngine engine(EngineOptions{1, 1});
@@ -758,13 +759,6 @@ TEST(Engine, AddClassValidatesWeightAndSubmitValidatesIds) {
   unknown_class.fair_class = 7;
   EXPECT_THROW(engine.submit(std::move(unknown_class)),
                std::invalid_argument);
-  Task unknown_group;
-  unknown_group.kind = ResourceKind::kClassical;
-  unknown_group.work = [] {};
-  unknown_group.group = 12345;
-  EXPECT_THROW(engine.submit(std::move(unknown_group)),
-               std::invalid_argument);
-  EXPECT_EQ(engine.cancel_group(12345), 0u);
 }
 
 TEST(Engine, FairShareWeightedDispatchUnderContention) {
@@ -832,60 +826,132 @@ TEST(Engine, DefaultClassAloneKeepsFifoOrder) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(Engine, CancelGroupCancelsQueuedAndLateMembers) {
+TEST(Engine, CancelContextCancelsQueuedAndLateTasks) {
   WorkflowEngine engine(EngineOptions{1, 1});
   std::atomic<int> runs{0};
   std::atomic<int> settles{0};
   std::atomic<int> settle_errors{0};
-  // Hold the single classical slot so the group's tasks stay queued.
+  // Hold the single classical slot so the request's tasks stay queued.
   std::atomic<bool> release{false};
   engine.submit(blocker(release));
-  const GroupId group = engine.open_group();
-  for (int i = 0; i < 5; ++i) {
+  util::RequestContext context;
+  const auto request_task = [&] {
     Task t;
     t.kind = ResourceKind::kClassical;
-    t.group = group;
+    t.context = &context;
     t.work = [&runs] { runs++; };
     t.on_settled = [&settles, &settle_errors](std::exception_ptr err) {
       settles++;
       if (err) settle_errors++;
     };
-    engine.submit(std::move(t));
-  }
+    return t;
+  };
+  for (int i = 0; i < 5; ++i) engine.submit(request_task());
   EXPECT_EQ(engine.stats().ready_classical, 5u);
-  EXPECT_EQ(engine.cancel_group(group), 5u);
+  context.cancel();
+  EXPECT_EQ(engine.cancel(context), 5u);
   EXPECT_EQ(engine.stats().ready_classical, 0u);
   EXPECT_EQ(settles.load(), 5);
   EXPECT_EQ(settle_errors.load(), 5);
-  EXPECT_EQ(engine.cancel_group(group), 0u);  // nothing left to cancel
-  // A submission into the cancelled group cancels on arrival.
-  Task late;
-  late.kind = ResourceKind::kClassical;
-  late.group = group;
-  late.work = [&runs] { runs++; };
-  late.on_settled = [&settles, &settle_errors](std::exception_ptr err) {
-    settles++;
-    if (err) settle_errors++;
-  };
-  engine.submit(std::move(late));
+  EXPECT_EQ(engine.cancel(context), 0u);  // nothing left to cancel
+  // A submission for the cancelled request cancels on arrival.
+  engine.submit(request_task());
   EXPECT_EQ(settles.load(), 6);
   EXPECT_EQ(settle_errors.load(), 6);
-  engine.close_group(group);
-  // Closed groups are unknown: submitting into one is an error.
-  Task closed;
-  closed.kind = ResourceKind::kClassical;
-  closed.group = group;
-  closed.work = [&runs] { runs++; };
-  EXPECT_THROW(engine.submit(std::move(closed)), std::invalid_argument);
   release = true;
-  // Group cancellation must NOT poison the engine's first_error: a plain
-  // drain() would rethrow it.
+  // Cancellation must NOT poison the engine's first_error: a plain drain()
+  // would rethrow it.
   engine.drain();
   EXPECT_EQ(runs.load(), 0);
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.cancelled, 6u);
   EXPECT_EQ(stats.completed, 1u);  // the blocker
   EXPECT_EQ(engine.class_stats()[0].cancelled, 6u);
+}
+
+TEST(Engine, CancelContextSparesOtherContexts) {
+  // Two requests' tasks interleaved in one ready queue and across two
+  // classes: cancel(a) settles exactly a's queued tasks, and b's still run
+  // afterwards, in submission order.
+  WorkflowEngine engine(EngineOptions{1, 1});
+  const ClassId other = engine.add_class({"other", 1.0});
+  std::atomic<bool> release{false};
+  engine.submit(blocker(release));
+  util::RequestContext a;
+  util::RequestContext b;
+  util::Mutex order_mutex;
+  std::vector<int> b_order;
+  std::atomic<int> a_runs{0};
+  std::atomic<int> a_cancels{0};
+  for (int i = 0; i < 6; ++i) {
+    Task ta;
+    ta.kind = ResourceKind::kClassical;
+    ta.fair_class = i % 2 == 0 ? 0 : other;
+    ta.context = &a;
+    ta.work = [&a_runs] { a_runs++; };
+    ta.on_settled = [&a_cancels](std::exception_ptr err) {
+      if (err) a_cancels++;
+    };
+    engine.submit(std::move(ta));
+    Task tb;
+    tb.kind = ResourceKind::kClassical;
+    tb.context = &b;
+    tb.work = [&order_mutex, &b_order, i] {
+      util::MutexLock lock(order_mutex);
+      b_order.push_back(i);
+    };
+    engine.submit(std::move(tb));
+  }
+  EXPECT_EQ(engine.stats().ready_classical, 12u);
+  a.cancel();
+  EXPECT_EQ(engine.cancel(a), 6u);
+  EXPECT_EQ(a_cancels.load(), 6);
+  EXPECT_EQ(engine.stats().ready_classical, 6u);
+  EXPECT_TRUE(b_order.empty());  // nothing ran: the blocker holds the slot
+  release = true;
+  engine.drain();
+  EXPECT_EQ(a_runs.load(), 0);
+  ASSERT_EQ(b_order.size(), 6u);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(b_order[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_EQ(engine.stats().cancelled, 6u);
+  EXPECT_EQ(engine.stats().completed, 7u);  // b's six + the blocker
+}
+
+TEST(Engine, SubmitCancelsOnArrivalOnlyForACancelledContext) {
+  WorkflowEngine engine(EngineOptions{1, 1});
+  std::atomic<int> runs{0};
+  // An expired deadline is not checked at submit or dispatch: the task
+  // runs, and its own throw_if_stopped() would settle it.
+  util::RequestContext expired;
+  expired.set_deadline_after(-1.0);
+  engine.submit(
+      {ResourceKind::kClassical, [&runs] { runs++; }, 0, &expired});
+  engine.drain();
+  EXPECT_EQ(runs.load(), 1);
+  // An explicitly cancelled context settles the task inside submit(), on
+  // the submitting thread, without running it.
+  util::RequestContext cancelled;
+  cancelled.cancel();
+  std::exception_ptr error;
+  bool settled_inside_submit = false;
+  Task t{ResourceKind::kClassical, [&runs] { runs++; }, 0, &cancelled};
+  t.on_settled = [&error, &settled_inside_submit](std::exception_ptr err) {
+    error = err;
+    settled_inside_submit = true;
+  };
+  engine.submit(std::move(t));
+  EXPECT_TRUE(settled_inside_submit);
+  ASSERT_TRUE(error != nullptr);
+  try {
+    std::rethrow_exception(error);
+  } catch (const util::CancelledError& e) {
+    EXPECT_EQ(e.reason(), util::StopReason::kCancelled);
+  }
+  engine.drain();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(engine.stats().cancelled, 1u);
 }
 
 TEST(Engine, OnSettledFiresExactlyOncePerOutcome) {
@@ -909,16 +975,17 @@ TEST(Engine, OnSettledFiresExactlyOncePerOutcome) {
     if (err) fail_settles++;
   };
   engine.submit(std::move(bad));
-  const GroupId group = engine.open_group();
+  util::RequestContext context;
   Task cancelled;
   cancelled.kind = ResourceKind::kClassical;
-  cancelled.group = group;
+  cancelled.context = &context;
   cancelled.work = [] {};
   cancelled.on_settled = [&cancel_settles](std::exception_ptr err) {
     if (err) cancel_settles++;
   };
   engine.submit(std::move(cancelled));
-  engine.cancel_group(group);
+  context.cancel();
+  engine.cancel(context);
   release = true;
   std::exception_ptr error;
   engine.drain(&error);
@@ -984,9 +1051,9 @@ TEST(Engine, StatsGaugesTrackReadyAndInflight) {
   EXPECT_EQ(stats.ready_classical, 0u);
 }
 
-TEST(Engine, TryRunOneClaimsADispatchedTask) {
+TEST(Engine, HelpUntilRunsDispatchedTasksOnTheCaller) {
   // Pin a pool of one and occupy its only thread, so dispatched tasks can
-  // only run when the caller donates its thread via try_run_one.
+  // only run when the caller donates its thread via help_until.
   util::ThreadPool pool(1);
   EngineOptions opts;
   opts.quantum_slots = 1;
@@ -1002,18 +1069,24 @@ TEST(Engine, TryRunOneClaimsADispatchedTask) {
                          std::chrono::microseconds(50));
                    }
                  }});
-  // Wait for the pool thread to CLAIM the blocker, so try_run_one below
+  // Wait for the pool thread to CLAIM the blocker, so help_until below
   // cannot claim it instead (and spin on `release` forever).
   while (!started.load()) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   std::atomic<int> runs{0};
-  engine.submit({ResourceKind::kClassical, [&runs] { runs++; }});
-  // The classical task is dispatched (its slot is free) but the pool's one
-  // thread is stuck in the quantum blocker.
-  EXPECT_TRUE(engine.try_run_one());
-  EXPECT_EQ(runs.load(), 1);
-  EXPECT_FALSE(engine.try_run_one());  // nothing else claimable
+  std::thread::id ran_on;
+  for (int i = 0; i < 3; ++i) {
+    engine.submit({ResourceKind::kClassical, [&runs, &ran_on] {
+                     ran_on = std::this_thread::get_id();
+                     runs++;
+                   }});
+  }
+  // The classical tasks are dispatched one slot at a time, but the pool's
+  // one thread is stuck in the quantum blocker.
+  engine.help_until([&runs] { return runs.load() == 3; });
+  EXPECT_EQ(runs.load(), 3);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
   release = true;
   engine.drain();
 }

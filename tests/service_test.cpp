@@ -420,6 +420,9 @@ TEST(Service, CancelQueuedRequestNeverRuns) {
   // ...so this one is admitted but stays queued, then cancel it.
   const RequestTicket queued = service.submit(sleepy_request(6, 100, 2.0));
   EXPECT_TRUE(service.cancel(queued));
+  // A queued task is cancelled at once: its settle — and so the request's
+  // finalize — ran on this thread before cancel() returned.
+  EXPECT_TRUE(queued.done());
   service.wait(queued);
   EXPECT_EQ(queued.status(), RequestStatus::kCancelled);
   EXPECT_TRUE(service.cancel(running));
