@@ -10,8 +10,8 @@
 //                      [--qubits 10] [--restarts 1] [--workers 4] [--full]
 //
 // --restarts R runs every leaf QAOA solve with R diversified optimizer
-// restarts whose points each step evaluates together through
-// BatchedStateVector; the trajectories and cuts are bit-identical to R
+// restarts whose points each step evaluates as parallel flat lanes, one
+// pool task per restart; the trajectories and cuts are bit-identical to R
 // sequential solves.
 
 #include <cstdio>

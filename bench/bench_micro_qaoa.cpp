@@ -46,9 +46,10 @@ void BM_ObjectiveEvaluation(benchmark::State& state) {
 BENCHMARK(BM_ObjectiveEvaluation)->Arg(10)->Arg(14)->Arg(16)->Arg(18);
 
 void BM_LockstepObjective(benchmark::State& state) {
-  // One lockstep F_p evaluation at p = 2 of `lanes` restart points through
-  // QaoaSolver::expectations, its half-state batch allocation included —
-  // one optimizer step of a restarts = lanes leaf.
+  // One F_p evaluation at p = 2 of `lanes` restart points through
+  // QaoaSolver::expectations: one pool task per point on its own flat half
+  // state, the per-point workspace allocation included. This is the shape
+  // of one optimizer step of a restarts = lanes leaf.
   const int n = static_cast<int>(state.range(0));
   const int lanes = static_cast<int>(state.range(1));
   const auto g = instance(n, 0.3, 2);
@@ -79,12 +80,12 @@ void BM_FullOptimization(benchmark::State& state) {
 BENCHMARK(BM_FullOptimization)->Arg(10)->Arg(12)->Arg(14)
     ->Unit(benchmark::kMillisecond);
 
-// Multi-restart solve, batched lockstep vs the bit-identical sequential
-// replay (restart_initial_parameters + restarts=1 per run). Both produce
-// the same trajectories and the same winner; the delta is pure batching —
-// every COBYLA iteration evaluates all R candidate states in one
-// BatchedStateVector sweep over the shared cut table.
-void BM_RestartsBatched(benchmark::State& state) {
+// Multi-restart solve at p = 2, 40 evaluations per restart: every step with
+// more than one live restart evaluates them as parallel flat lanes, one
+// pool task each, with the kernels inline once the lanes fill the pool.
+// BM_RestartsSequential below is the bit-identical replay, restart by
+// restart (restart_initial_parameters + restarts=1 per run).
+void BM_Restarts(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int restarts = static_cast<int>(state.range(1));
   const auto g = instance(n, 0.3, 4);
@@ -94,15 +95,14 @@ void BM_RestartsBatched(benchmark::State& state) {
   opts.max_iterations = 40;
   opts.seed = 7;
   opts.restarts = restarts;
-  opts.lockstep_min_qubits = 0;  // measure lockstep even below the crossover
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.optimize(opts));
   }
 }
-BENCHMARK(BM_RestartsBatched)
-    ->Args({10, 8})
-    ->Args({12, 8})
-    ->Args({14, 8})
+BENCHMARK(BM_Restarts)
+    ->Args({12, 16})
+    ->Args({14, 16})
+    ->Args({16, 16})
     ->Unit(benchmark::kMillisecond);
 
 void BM_RestartsSequential(benchmark::State& state) {

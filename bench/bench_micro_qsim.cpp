@@ -174,7 +174,8 @@ void BM_PhaseLevelSweepRealWeights(benchmark::State& state) {
 BENCHMARK(BM_PhaseLevelSweepRealWeights)->Arg(14)->Arg(18);
 
 // The batched cost layer on an ER cut table, dense and from levels: the
-// lockstep restart sweep that dominates multi-restart leaf solves.
+// sweep bench/e2e replay times for a lockstep batch of restarts (solves
+// run restarts as flat lanes; see BM_Restarts in bench_micro_qaoa).
 void BM_BatchedDiagonalPhaseSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int batch = static_cast<int>(state.range(1));
@@ -209,10 +210,10 @@ void BM_BatchedPhaseLevelSweep(benchmark::State& state) {
 BENCHMARK(BM_BatchedPhaseLevelSweep)->ArgsProduct({{10, 14, 16}, {8, 16}});
 
 // One QAOA objective evaluation (cost layer + mixer layer + expectation)
-// for B parameter sets at once through BatchedStateVector — the lockstep
-// multi-restart hot loop. The unbatched twin below does the identical work
-// as B independent flat sweeps; the ratio is the win from sharing each
-// cut-table load and amplitude row across all B lanes.
+// for B parameter sets at once through BatchedStateVector, the lockstep
+// shape bench/e2e replay times. The unbatched twin below does the
+// identical work as B independent flat sweeps; the ratio is the win from
+// sharing each cut-table load and amplitude row across all B lanes.
 // One QAOA layer plus the expectation, as the solver evaluates it: the cost
 // layer from the level table of an ER(n, 0.5) unit-weight cut table, the
 // fused mixer, and the expectation over the dense table. The plain rows run

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "optim/cobyla.hpp"
 #include "qaoa/cost_table.hpp"
-#include "qsim/batched.hpp"
 #include "qsim/measure.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qq::qaoa {
 
@@ -148,40 +148,27 @@ double QaoaSolver::sampled_expectation(const circuit::QaoaAngles& angles,
 
 namespace {
 
-/// Writes F_p of every point into `values` from one BatchedStateVector
-/// evaluation on half states, the lockstep twin of QaoaSolver::prepare_half:
-/// cost layers sweep the shared half level table, the expectation reads the
-/// shared cut table through the mirror. Each lane is bit-for-bit the flat
-/// evaluation (batched_test), so batching never changes a restart's
-/// trajectory. `batch` is reallocated when the point count changes.
-void evaluate_batched(const std::vector<double>& cut_table,
-                      const sim::LevelTable& cut_levels, int num_qubits,
-                      int layers,
-                      const std::vector<const std::vector<double>*>& points,
-                      std::unique_ptr<sim::BatchedStateVector>& batch,
-                      std::vector<double>& values) {
-  const std::size_t lanes = points.size();
-  if (!batch || static_cast<std::size_t>(batch->batch()) != lanes) {
-    batch.reset();  // free the wider batch before allocating the new one
-    batch = std::make_unique<sim::BatchedStateVector>(
-        num_qubits - 1, static_cast<int>(lanes));
-  }
-  std::vector<double> scales(lanes), thetas(lanes);
-  batch->reset_to_plus_half();
-  for (int l = 0; l < layers; ++l) {
-    // Packed layout [gamma_1..gamma_p, beta_1..beta_p]; the angle
-    // expressions match QaoaSolver::prepare_half exactly.
-    const auto gamma = static_cast<std::size_t>(l);
-    const auto beta = static_cast<std::size_t>(layers + l);
-    for (std::size_t b = 0; b < lanes; ++b) {
-      scales[b] = (*points[b])[gamma];
-      thetas[b] = 2.0 * (*points[b])[beta];
-    }
-    batch->apply_diagonal_phase(cut_levels, scales);
-    batch->apply_rx_layer(thetas);
-    batch->apply_rx_mirror(thetas);
-  }
-  values = batch->expectation_diagonal_mirror(cut_table);
+/// Writes F_p of every point into `values`: each point's flat
+/// QaoaSolver::expectation runs as its own pool task on its own workspace
+/// (*workspaces[i]), so one lane's half state stays in one core's cache.
+/// When the points fill the pool, each task also runs its kernels' chunk
+/// plans inline (util::InlineChunkScope) instead of splitting them across
+/// workers that are busy with the other lanes; with fewer points the
+/// kernels fan out as usual. Entry i is bit-for-bit
+/// expectation(circuit::unpack_angles(*points[i])) in either shape.
+void evaluate_lanes(const QaoaSolver& solver,
+                    const std::vector<const std::vector<double>*>& points,
+                    const std::vector<QaoaSolver::EvalWorkspace*>& workspaces,
+                    std::vector<double>& values) {
+  values.resize(points.size());
+  const bool inline_kernels =
+      points.size() >= util::ThreadPool::global().size();
+  util::parallel_for(0, points.size(), [&](std::size_t i) {
+    std::optional<util::InlineChunkScope> scope;
+    if (inline_kernels) scope.emplace();
+    values[i] = solver.expectation(circuit::unpack_angles(*points[i]),
+                                   *workspaces[i]);
+  });
 }
 
 }  // namespace
@@ -196,12 +183,15 @@ std::vector<double> QaoaSolver::expectations(
     }
     refs.push_back(&x);
   }
+  std::vector<EvalWorkspace> workspaces;
+  workspaces.reserve(points.size());
+  std::vector<EvalWorkspace*> lane_workspaces;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    workspaces.emplace_back(graph_->num_nodes());
+    lane_workspaces.push_back(&workspaces.back());
+  }
   std::vector<double> values;
-  if (refs.empty()) return values;
-  std::unique_ptr<sim::BatchedStateVector> batch;
-  evaluate_batched(cut_table_, cut_levels_, graph_->num_nodes(),
-                   static_cast<int>(points[0].size() / 2), refs, batch,
-                   values);
+  evaluate_lanes(*this, refs, lane_workspaces, values);
   return values;
 }
 
@@ -241,15 +231,21 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
   // shot-based lane replays that run too.
   std::vector<util::Rng> shot_rngs(
       restarts, util::Rng(options.seed ^ 0x7357b1e55ed5eedULL));
-  // One workspace serves every flat evaluation AND the final extraction:
-  // the half state (and sampling scratch) is allocated once per optimize()
-  // instead of once per optimizer step.
-  EvalWorkspace workspace(num_qubits);
-  const bool batchable = !options.shot_based_objective &&
-                         num_qubits >= options.lockstep_min_qubits;
-  std::unique_ptr<sim::BatchedStateVector> batch;
+  // Exact steps with more than one live lane run the lanes as parallel
+  // tasks (evaluate_lanes), so each restart owns a workspace. Otherwise one
+  // workspace serves every flat evaluation. The first also serves the final
+  // extraction; the state is allocated once per optimize(), not per step.
+  const bool lane_tasks = !options.shot_based_objective && restarts > 1;
+  const std::size_t num_workspaces = lane_tasks ? restarts : 1;
+  std::vector<EvalWorkspace> workspaces;
+  workspaces.reserve(num_workspaces);
+  for (std::size_t r = 0; r < num_workspaces; ++r) {
+    workspaces.emplace_back(num_qubits);
+  }
+  EvalWorkspace& workspace = workspaces.front();
   std::vector<std::size_t> live;
   std::vector<const std::vector<double>*> points;
+  std::vector<EvalWorkspace*> lane_workspaces;
   std::vector<double> values;
 
   // Each step asks every live lane for a point in ascending restart order,
@@ -267,9 +263,12 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
     }
     if (live.empty()) break;
     values.resize(live.size());
-    if (batchable && live.size() > 1) {
-      evaluate_batched(cut_table_, cut_levels_, num_qubits, options.layers,
-                       points, batch, values);
+    if (lane_tasks && live.size() > 1) {
+      lane_workspaces.clear();
+      for (const std::size_t r : live) {
+        lane_workspaces.push_back(&workspaces[r]);
+      }
+      evaluate_lanes(*this, points, lane_workspaces, values);
       for (double& v : values) v = -v;
     } else {
       for (std::size_t i = 0; i < live.size(); ++i) {
@@ -305,7 +304,9 @@ QaoaResult QaoaSolver::optimize(const QaoaOptions& options) const {
     }
   }
 
-  batch.reset();  // the extraction below needs only the flat workspace
+  // The extraction below needs only the first workspace; free the other
+  // lanes' states before it grows the full state.
+  workspaces.erase(workspaces.begin() + 1, workspaces.end());
   QaoaResult result;
   result.parameters = lanes[best].result().x;
   result.evaluations = evaluations;

@@ -50,17 +50,16 @@ struct QaoaOptions {
   /// Independent optimizer restarts from diversified starting angles
   /// (restart r starts from restart_initial_parameters(options, r)). One
   /// loop runs every restart step by step: each step asks all live
-  /// restarts for a point, evaluates the points together and tells each
-  /// restart its value. Each restart's trajectory is bit-for-bit the one a
-  /// restarts=1 run from the same start would produce; the best final
-  /// expectation wins (ties -> lowest restart index).
+  /// restarts for a point, evaluates the points and tells each restart its
+  /// value. An exact-objective step with more than one live restart runs
+  /// each restart's flat evaluation as its own pool task on its own
+  /// workspace, with the kernels inline once the restarts fill the pool.
+  /// Each restart's trajectory is bit-for-bit the one a restarts=1 run
+  /// from the same start would produce; the best final expectation wins
+  /// (ties -> lowest restart index).
   int restarts = 1;
-  /// Exact-objective steps with more than one live restart on at least
-  /// this many qubits evaluate all points in one BatchedStateVector sweep
-  /// over the shared cut table; other steps evaluate restart by restart on
-  /// the flat StateVector. It only picks the kernel: results are
-  /// bit-identical either way (enforced by tests). 0 batches at any size.
-  /// The default is the measured single-core crossover.
+  /// Not read by optimize(), which runs restarts as lane tasks (above).
+  /// Read only by bench/e2e replay; deleted in ROADMAP item 3b.
   int lockstep_min_qubits = 12;
   InitKind init = InitKind::kLinearRamp;
   /// Explicit initial [gamma_1..gamma_p, beta_1..beta_p]; overrides `init`
@@ -124,7 +123,8 @@ class QaoaSolver {
   /// Reusable per-optimize evaluation scratch: the half state, the full
   /// state it expands into for sampling and top-k, and the sampling
   /// buffers. One workspace serves every objective evaluation of an
-  /// optimize() run, so the hot loop is allocation-free in steady state.
+  /// optimize() run (one per restart when restarts run as lane tasks), so
+  /// no state is allocated per step.
   /// `full` is grown on its first use; exact evaluations never touch it.
   struct EvalWorkspace {
     explicit EvalWorkspace(int num_qubits)
@@ -154,9 +154,9 @@ class QaoaSolver {
                      EvalWorkspace& workspace) const;
 
   /// Exact <H_C> at each packed point [gamma_1..gamma_p, beta_1..beta_p]
-  /// (all of one p), from one lockstep BatchedStateVector evaluation: the
-  /// shape optimize() evaluates restarts in. Entry i is bit-for-bit
-  /// expectation(circuit::unpack_angles(points[i])).
+  /// (all of one p), each point's flat evaluation as one pool task on its
+  /// own workspace: the shape optimize() evaluates restarts in. Entry i is
+  /// bit-for-bit expectation(circuit::unpack_angles(points[i])).
   std::vector<double> expectations(
       const std::vector<std::vector<double>>& points) const;
 

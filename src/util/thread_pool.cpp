@@ -9,6 +9,7 @@ namespace qq::util {
 
 namespace {
 std::atomic<std::uint64_t> g_chunk_tasks_executed{0};
+thread_local bool t_inline_chunks = false;
 
 std::size_t resolve_thread_count(std::size_t requested) {
   if (requested != 0) return requested;
@@ -43,6 +44,14 @@ ThreadPool::~ThreadPool() {
 std::uint64_t ThreadPool::chunk_tasks_executed() noexcept {
   return g_chunk_tasks_executed.load(std::memory_order_relaxed);
 }
+
+InlineChunkScope::InlineChunkScope() noexcept : previous_(t_inline_chunks) {
+  t_inline_chunks = true;
+}
+
+InlineChunkScope::~InlineChunkScope() { t_inline_chunks = previous_; }
+
+bool InlineChunkScope::active() noexcept { return t_inline_chunks; }
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
@@ -176,7 +185,7 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
     const std::size_t hi = std::min(end, lo + plan.len);
     body(lo, hi);
   };
-  if (pool.size() <= 1) {
+  if (pool.size() <= 1 || InlineChunkScope::active()) {
     for (std::size_t c = 0; c < plan.count; ++c) eval(c);
     return;
   }

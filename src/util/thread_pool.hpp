@@ -20,6 +20,13 @@
 //    nested parallel region called from inside a worker therefore still
 //    fans out across the pool — there is no "inside a worker => serial"
 //    cliff, and no thread ever parks while chunk work is runnable.
+//
+// The one deliberate exception is InlineChunkScope: a caller that already
+// keeps every worker busy with coarser parallel work (the QAOA solver's
+// restart lanes, one pool task per lane) opens it around each piece, and
+// the kernels that piece runs execute their chunk plan inline on that
+// thread instead of splitting again. Boundaries and fold order are the
+// plan's either way, so results do not change.
 
 #include <algorithm>
 #include <atomic>
@@ -142,6 +149,26 @@ class ThreadPool {
   bool stop_ QQ_GUARDED_BY(mutex_) = false;
 };
 
+/// RAII scope under which parallel_for_chunks and parallel_reduce (and so
+/// parallel_for) called on THIS thread run every planned chunk inline, in
+/// chunk order, exactly as on a one-thread pool: same boundaries, same
+/// fold, no chunk task enqueued. Scopes nest; destruction (also during
+/// unwinding) restores the state found at construction. Other threads are
+/// unaffected.
+class InlineChunkScope {
+ public:
+  InlineChunkScope() noexcept;
+  ~InlineChunkScope();
+  InlineChunkScope(const InlineChunkScope&) = delete;
+  InlineChunkScope& operator=(const InlineChunkScope&) = delete;
+
+  /// True while an InlineChunkScope is open on the calling thread.
+  static bool active() noexcept;
+
+ private:
+  bool previous_;
+};
+
 namespace detail {
 /// Fixed chunk geometry shared by parallel_for_chunks / parallel_reduce and
 /// any caller that needs identical boundaries across multiple passes (the
@@ -186,7 +213,7 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
 /// Chunked variant: body receives [chunk_begin, chunk_end) and may vectorize
 /// over it. This is what the state-vector kernels use. The body is invoked
 /// exactly plan_chunks(end - begin, grain).count times with the planned
-/// boundaries regardless of pool size or nesting.
+/// boundaries regardless of pool size, nesting or InlineChunkScope.
 void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& body,
                          std::size_t grain = 1024);
@@ -213,9 +240,9 @@ T parallel_reduce(ThreadPool& pool, std::size_t begin, std::size_t end,
     const std::size_t hi = std::min(end, lo + plan.len);
     partials[c].emplace(chunk(lo, hi));
   };
-  if (pool.size() <= 1) {
-    // A one-thread pool gains nothing from dispatch; same boundaries, same
-    // fold, executed inline.
+  if (pool.size() <= 1 || InlineChunkScope::active()) {
+    // A one-thread pool (or an inline scope) gains nothing from dispatch;
+    // same boundaries, same fold, executed inline.
     for (std::size_t c = 0; c < plan.count; ++c) eval(c);
   } else {
     ThreadPool::TaskGroup group(pool);

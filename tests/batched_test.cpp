@@ -1,9 +1,10 @@
 // BatchedStateVector parity: every lane of a batched evaluation must be
 // BIT-FOR-BIT identical to an independent flat StateVector run with that
-// lane's angles — the contract that lets QaoaSolver's lockstep restarts
-// replay sequential trajectories exactly. Checked for B in {1, 3, 8} under
-// every SIMD backend the machine supports, plus a multi-chunk size so the
-// deterministic reduction plan is exercised across chunk seams.
+// lane's angles, so a lockstep batch of restarts (as bench/e2e replay
+// times it) replays sequential trajectories exactly. Checked for B in
+// {1, 3, 8} under every SIMD backend the machine supports, plus a
+// multi-chunk size so the deterministic reduction plan is exercised
+// across chunk seams.
 
 #include <gtest/gtest.h>
 

@@ -314,7 +314,7 @@ TEST(HalfStateShape, ExpansionAndSizeChecks) {
 }
 
 /// Through the solver at the smallest sizes, where the half has zero or
-/// one qubit: state(), expectation() and the lockstep expectations() all
+/// one qubit: state(), expectation() and the lane-task expectations() all
 /// match a full-state preparation from the same cut table.
 TEST(HalfStateShape, SolverMatchesFullStateAtTinySizes) {
   EXPECT_THROW(qaoa::QaoaSolver(graph::Graph(0)), std::invalid_argument);
@@ -336,7 +336,7 @@ TEST(HalfStateShape, SolverMatchesFullStateAtTinySizes) {
   }
 }
 
-/// Through the solver: a lockstep solve still builds exactly one cut table,
+/// Through the solver: a 3-restart solve still builds exactly one cut table,
 /// and its expectation matches a dense-sweep preparation bit for bit.
 TEST(LevelSweep, SolverBuildsOneTableAndMatchesDenseState) {
   util::Rng rng(21);
@@ -346,7 +346,6 @@ TEST(LevelSweep, SolverBuildsOneTableAndMatchesDenseState) {
   qaoa::QaoaOptions opts;
   opts.layers = 2;
   opts.restarts = 3;
-  opts.lockstep_min_qubits = 0;
   solver.optimize(opts);
   EXPECT_EQ(qaoa::cut_table_builds() - before, 1u);
 

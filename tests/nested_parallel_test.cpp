@@ -11,7 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "maxcut/cut.hpp"
@@ -21,6 +26,7 @@
 #include "qsim/kernel_detail.hpp"
 #include "qsim/measure.hpp"
 #include "sched/engine.hpp"
+#include "util/mutex.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -180,6 +186,116 @@ TEST(NestedParallel, SampleStreamIdenticalUnderNesting) {
                    }});
   run_tasks(engine, std::move(tasks));
   EXPECT_EQ(nested, direct);
+}
+
+/// One chunk seen by a parallel_for_chunks body: its bounds and thread.
+struct ChunkCall {
+  std::size_t lo, hi;
+  std::thread::id thread;
+};
+
+/// The chunks parallel_for_chunks hands its body over [0, 20000) at grain
+/// 1000, sorted by lower bound (chunk order, whatever the schedule).
+std::vector<ChunkCall> record_chunks() {
+  util::Mutex mutex;
+  std::vector<ChunkCall> calls;
+  util::parallel_for_chunks(
+      0, 20000,
+      [&](std::size_t lo, std::size_t hi) {
+        util::MutexLock lock(mutex);
+        calls.push_back({lo, hi, std::this_thread::get_id()});
+      },
+      1000);
+  std::sort(calls.begin(), calls.end(),
+            [](const ChunkCall& a, const ChunkCall& b) { return a.lo < b.lo; });
+  return calls;
+}
+
+/// A floating-point sum whose value depends on the grouping of its terms.
+double chunked_sum() {
+  return util::parallel_reduce(
+      std::size_t{0}, std::size_t{50000}, 0.0,
+      [](std::size_t lo, std::size_t hi) {
+        double partial = 0.0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          partial += std::sin(static_cast<double>(i)) / (1.0 + i);
+        }
+        return partial;
+      },
+      [](double acc, double partial) { return acc + partial; }, 1000);
+}
+
+TEST(InlineChunkScope, RunsThePlannedChunksOnTheCallingThread) {
+  // Without the scope the 4-thread pool runs chunks 1.. as chunk tasks.
+  const std::uint64_t before_split = util::ThreadPool::chunk_tasks_executed();
+  const std::vector<ChunkCall> split = record_chunks();
+  EXPECT_GT(util::ThreadPool::chunk_tasks_executed(), before_split);
+
+  std::vector<ChunkCall> inlined;
+  std::vector<std::thread::id> reduce_threads;
+  const std::uint64_t before = util::ThreadPool::chunk_tasks_executed();
+  {
+    const util::InlineChunkScope scope;
+    EXPECT_TRUE(util::InlineChunkScope::active());
+    inlined = record_chunks();
+    util::parallel_reduce(
+        std::size_t{0}, std::size_t{20000}, 0,
+        [&](std::size_t, std::size_t) {
+          reduce_threads.push_back(std::this_thread::get_id());
+          return 1;
+        },
+        [](int acc, int partial) { return acc + partial; }, 1000);
+  }
+  EXPECT_EQ(util::ThreadPool::chunk_tasks_executed(), before);
+  EXPECT_FALSE(util::InlineChunkScope::active());
+
+  // Same chunk plan as the split run: 20 chunks of 1000.
+  const util::detail::ChunkPlan plan = util::detail::plan_chunks(20000, 1000);
+  ASSERT_EQ(inlined.size(), plan.count);
+  ASSERT_EQ(split.size(), plan.count);
+  ASSERT_EQ(reduce_threads.size(), plan.count);
+  for (std::size_t c = 0; c < plan.count; ++c) {
+    EXPECT_EQ(inlined[c].lo, split[c].lo);
+    EXPECT_EQ(inlined[c].hi, split[c].hi);
+    EXPECT_EQ(inlined[c].thread, std::this_thread::get_id());
+    EXPECT_EQ(reduce_threads[c], std::this_thread::get_id());
+  }
+}
+
+TEST(InlineChunkScope, FloatingPointReduceIsBitIdentical) {
+  const double split = chunked_sum();
+  double inlined = 0.0;
+  {
+    const util::InlineChunkScope scope;
+    inlined = chunked_sum();
+  }
+  EXPECT_EQ(std::memcmp(&split, &inlined, sizeof split), 0)
+      << split << " vs " << inlined;
+}
+
+TEST(InlineChunkScope, RestoresThePreviousStateWhenABodyThrows) {
+  const auto throwing_region = [] {
+    const util::InlineChunkScope scope;
+    util::parallel_for_chunks(
+        0, 20000,
+        [](std::size_t lo, std::size_t) {
+          if (lo > 0) throw std::runtime_error("chunk failed");
+        },
+        1000);
+  };
+  EXPECT_THROW(throwing_region(), std::runtime_error);
+  EXPECT_FALSE(util::InlineChunkScope::active());
+  {
+    // A nested scope that unwinds leaves the outer one open.
+    const util::InlineChunkScope outer;
+    EXPECT_THROW(throwing_region(), std::runtime_error);
+    EXPECT_TRUE(util::InlineChunkScope::active());
+  }
+  EXPECT_FALSE(util::InlineChunkScope::active());
+  // The pool splits again after the unwinding.
+  const std::uint64_t before = util::ThreadPool::chunk_tasks_executed();
+  record_chunks();
+  EXPECT_GT(util::ThreadPool::chunk_tasks_executed() - before, 0u);
 }
 
 }  // namespace

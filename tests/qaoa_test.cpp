@@ -133,25 +133,60 @@ TEST(Expectation, SampledEstimateConvergesToExact) {
 ///       - 1/4 sin^2(2 beta) cos^(d_u + d_v - 2 lambda) gamma
 ///         (1 - cos^lambda 2 gamma).
 /// No state vector is involved, so it checks the simulator from outside.
-double analytic_f1(const Graph& g, double gamma, double beta) {
-  const double c = std::cos(gamma);
-  const double s2b = std::sin(2.0 * beta);
-  double total = 0.0;
-  for (const graph::Edge& e : g.edges()) {
-    const int du = static_cast<int>(g.degree(e.u)) - 1;
-    const int dv = static_cast<int>(g.degree(e.v)) - 1;
-    int lambda = 0;
-    for (const auto& [w, weight] : g.neighbors(e.u)) {
-      (void)weight;
-      if (w != e.v && g.has_edge(e.v, w)) ++lambda;
+/// Summed over the edges this is
+///   F_1 = |E| / 2 + 1/4 sin(4 beta) a(gamma) - 1/4 sin^2(2 beta) b(gamma),
+/// so a dense angle grid evaluates the edge sums once per gamma.
+class ClosedFormF1 {
+ public:
+  struct GammaSums {
+    double a = 0.0;
+    double b = 0.0;
+  };
+
+  explicit ClosedFormF1(const Graph& g) {
+    for (const graph::Edge& e : g.edges()) {
+      EdgeTerm t{static_cast<int>(g.degree(e.u)) - 1,
+                 static_cast<int>(g.degree(e.v)) - 1, 0};
+      for (const auto& [w, weight] : g.neighbors(e.u)) {
+        (void)weight;
+        if (w != e.v && g.has_edge(e.v, w)) ++t.lambda;
+      }
+      terms_.push_back(t);
     }
-    total += 0.5 +
-             0.25 * std::sin(4.0 * beta) * std::sin(gamma) *
-                 (std::pow(c, du) + std::pow(c, dv)) -
-             0.25 * s2b * s2b * std::pow(c, du + dv - 2 * lambda) *
-                 (1.0 - std::pow(std::cos(2.0 * gamma), lambda));
   }
-  return total;
+
+  GammaSums sums(double gamma) const {
+    const double s = std::sin(gamma);
+    const double c = std::cos(gamma);
+    const double c2 = std::cos(2.0 * gamma);
+    GammaSums out;
+    for (const EdgeTerm& t : terms_) {
+      out.a += s * (std::pow(c, t.du) + std::pow(c, t.dv));
+      out.b += std::pow(c, t.du + t.dv - 2 * t.lambda) *
+               (1.0 - std::pow(c2, t.lambda));
+    }
+    return out;
+  }
+
+  double value(const GammaSums& sums, double beta) const {
+    const double s2b = std::sin(2.0 * beta);
+    return 0.5 * static_cast<double>(terms_.size()) +
+           0.25 * std::sin(4.0 * beta) * sums.a - 0.25 * s2b * s2b * sums.b;
+  }
+
+  double operator()(double gamma, double beta) const {
+    return value(sums(gamma), beta);
+  }
+
+ private:
+  struct EdgeTerm {
+    int du, dv, lambda;
+  };
+  std::vector<EdgeTerm> terms_;
+};
+
+double analytic_f1(const Graph& g, double gamma, double beta) {
+  return ClosedFormF1(g)(gamma, beta);
 }
 
 /// The 3-cube and the Petersen graph: 3-regular and triangle-free.
@@ -252,6 +287,41 @@ TEST(AnalyticP1, BatchedExpectationsMatchClosedForm) {
         EXPECT_EQ(got[i],
                   solver.expectation(circuit::unpack_angles(points[i])));
       }
+    }
+  }
+}
+
+TEST(AnalyticP1, OptimizeReachesShareOfGridOptimum) {
+  // Solution quality as a property: optimize() at p = 1 (linear-ramp start,
+  // the paper's 30-evaluation schedule) against the best F_1 of the closed
+  // form on a dense (gamma, beta) grid. Unit weights give integer cut values,
+  // so F_1 has period 2 pi in gamma and pi / 2 in beta, and
+  // F_1(-gamma, -beta) = F_1(gamma, beta); the grid over [0, pi] x
+  // [0, pi / 2) therefore covers every angle. Measured shares on these 12
+  // graphs: 0.99998 to 1.00004 (above 1 where COBYLA lands between grid
+  // points); the bound leaves 10x that shortfall.
+  constexpr double kMinShare = 0.9998;
+  for (const graph::NodeId n : {8, 10, 12}) {
+    for (const std::uint64_t seed : {3u, 7u, 11u, 19u}) {
+      util::Rng rng(seed);
+      const Graph g = graph::erdos_renyi(n, 0.4, rng);
+      const ClosedFormF1 f1(g);
+      double grid_best = 0.0;
+      for (int i = 0; i <= 360; ++i) {
+        const ClosedFormF1::GammaSums sums =
+            f1.sums(std::numbers::pi * i / 360.0);
+        for (int j = 0; j < 180; ++j) {
+          const double beta = std::numbers::pi / 2.0 * j / 180.0;
+          grid_best = std::max(grid_best, f1.value(sums, beta));
+        }
+      }
+      QaoaOptions opts;
+      opts.layers = 1;
+      opts.seed = seed;
+      const double reached = QaoaSolver(g).optimize(opts).expectation;
+      EXPECT_GE(reached, kMinShare * grid_best)
+          << "ER(" << n << ", 0.4) seed " << seed << ": share "
+          << reached / grid_best;
     }
   }
 }
@@ -487,13 +557,14 @@ TEST(Optimize, InputValidation) {
   EXPECT_THROW(solve_qaoa(g, opts), std::invalid_argument);
 }
 
-// ----------------------------------------------- batched restarts ----
+// ------------------------------------------------------------ restarts ----
 
 TEST(Restarts, BatchedMatchesSequentialReplayExactly) {
-  // The lockstep-batched path promises each restart's trajectory is
-  // bit-for-bit the one a restarts=1 run from the same start produces, and
-  // that the best expectation wins. Replay every restart sequentially and
-  // demand EXACT equality (not near-equality) of the winner.
+  // Running the restarts together (lane tasks, one per live restart)
+  // promises each restart's trajectory is bit-for-bit the one a restarts=1
+  // run from the same start produces, and that the best expectation wins.
+  // Replay every restart sequentially and demand EXACT equality (not
+  // near-equality) of the winner.
   util::Rng rng(31);
   const Graph g = graph::erdos_renyi(8, 0.4, rng);
   const QaoaSolver solver(g);
@@ -501,7 +572,6 @@ TEST(Restarts, BatchedMatchesSequentialReplayExactly) {
   opts.layers = 2;
   opts.seed = 9;
   opts.restarts = 4;
-  opts.lockstep_min_qubits = 0;  // force lockstep below the size crossover
   const QaoaResult batched = solver.optimize(opts);
 
   QaoaResult best;
@@ -523,24 +593,36 @@ TEST(Restarts, BatchedMatchesSequentialReplayExactly) {
   EXPECT_EQ(batched.evaluations, total_evaluations);
 }
 
-TEST(Restarts, SizeThresholdFallbackIsBitIdentical) {
-  // Below lockstep_min_qubits optimize() silently runs the sequential
-  // replay; the caller must not be able to tell apart from forced lockstep.
+TEST(Restarts, MultiChunkLanesMatchSingleRunReplays) {
+  // 16 qubits: each lane's half state holds 2^15 amplitudes, two
+  // kParallelGrain chunks, and the mirror expectation plans four, so lanes
+  // that run their kernels inline (6 lanes fill a pool of <= 6 workers)
+  // must still follow the fixed chunk plan to match the restarts=1 replays.
   util::Rng rng(53);
-  const Graph g = graph::erdos_renyi(8, 0.4, rng);
+  const Graph g = graph::erdos_renyi(16, 0.4, rng);
   const QaoaSolver solver(g);
   QaoaOptions opts;
   opts.layers = 2;
+  opts.max_iterations = 16;
   opts.seed = 11;
-  opts.restarts = 3;
-  ASSERT_LT(static_cast<int>(g.num_nodes()), opts.lockstep_min_qubits);
-  const QaoaResult seq = solver.optimize(opts);
-  opts.lockstep_min_qubits = 0;
-  const QaoaResult lock = solver.optimize(opts);
-  EXPECT_EQ(seq.parameters, lock.parameters);
-  EXPECT_EQ(seq.expectation, lock.expectation);
-  EXPECT_EQ(seq.evaluations, lock.evaluations);
-  EXPECT_EQ(seq.cut.assignment, lock.cut.assignment);
+  opts.restarts = 6;
+  const QaoaResult multi = solver.optimize(opts);
+
+  QaoaResult best;
+  int total_evaluations = 0;
+  for (int r = 0; r < opts.restarts; ++r) {
+    QaoaOptions single = opts;
+    single.restarts = 1;
+    single.initial_parameters = restart_initial_parameters(opts, r);
+    const QaoaResult res = solver.optimize(single);
+    total_evaluations += res.evaluations;
+    if (r == 0 || res.expectation > best.expectation) best = res;
+  }
+  EXPECT_EQ(multi.parameters, best.parameters);
+  EXPECT_EQ(multi.expectation, best.expectation);
+  EXPECT_EQ(multi.cut.assignment, best.cut.assignment);
+  EXPECT_EQ(multi.cut.value, best.cut.value);
+  EXPECT_EQ(multi.evaluations, total_evaluations);
 }
 
 TEST(Restarts, NeverWorseThanSingleRun) {
@@ -593,7 +675,6 @@ TEST(Restarts, ExpiredDeadlineStillReturnsAValidCut) {
   opts.layers = 2;
   opts.seed = 3;
   opts.restarts = 4;
-  opts.lockstep_min_qubits = 0;
   opts.context = &context;
   const QaoaResult r = solver.optimize(opts);
   EXPECT_LE(r.evaluations, opts.restarts);
@@ -642,11 +723,10 @@ TEST(CostTable, BuiltOncePerBatchedSolve) {
   opts.layers = 2;
   opts.seed = 2;
   opts.restarts = 8;
-  opts.lockstep_min_qubits = 0;
   const std::uint64_t before = cut_table_builds();
   solve_qaoa(g, opts);
-  // One QaoaSolver construction = one table build shared by all 8 lockstep
-  // restarts; the per-iteration objective and the final extraction reuse it.
+  // One QaoaSolver construction = one table build shared by all 8 restart
+  // lanes; the per-iteration objective and the final extraction reuse it.
   EXPECT_EQ(cut_table_builds() - before, 1u);
 }
 
